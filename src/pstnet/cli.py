@@ -41,6 +41,7 @@ from .propagation import (
     offset_amplitudes,
     propagator,
     transfer_scan,
+    z_grid,
 )
 from .spectral import degeneracy_histogram, dispersion
 from .synthesis import (
@@ -151,19 +152,28 @@ def _out_path(args, suffix: str) -> Path:
     return outdir / f"{base}{suffix}"
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _emit(args, header, rows, summary, note: str = "") -> int:
+    """Write the CSV trace and the JSON summary that ``--format`` selects.
 
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(_json_text(obj) + "\n")
-
-
-def _wants(args, kind: str) -> bool:
-    return getattr(args, "format", "both") in (kind, "both")
+    A command without a trace or a summary passes None for it.  ``rows``
+    is iterated only when the CSV is written, so a generator of
+    formatted rows costs nothing under ``--format json``.
+    """
+    fmt = getattr(args, "format", "both")
+    written = []
+    if header is not None and fmt in ("csv", "both"):
+        path = _out_path(args, ".csv")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        written.append(path)
+    if summary is not None and fmt in ("json", "both"):
+        path = _out_path(args, ".json")
+        path.write_text(_json_text(summary) + "\n")
+        written.append(path)
+    print("wrote " + " ".join(str(p) for p in written) + note)
+    return 0
 
 
 def _report_labels(report):
@@ -182,47 +192,31 @@ def _label_to_index(label: int, n: int, name: str) -> int:
 def _cmd_spectrum(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
     spectrum = dispersion(spec)
-    written = []
-    if _wants(args, "csv"):
-        path = _out_path(args, ".csv")
-        rows = [(p, _fmt(lam)) for p, lam in enumerate(spectrum.eigenvalues)]
-        _write_csv(path, ("p", "lambda_p"), rows)
-        written.append(path)
-    if _wants(args, "json"):
-        hist = degeneracy_histogram(spectrum, args.tol)
-        path = _out_path(args, ".json")
-        _write_json(path, hist.to_dict())
-        written.append(path)
-    print("wrote " + " ".join(str(p) for p in written))
-    return 0
+    rows = ((p, _fmt(lam)) for p, lam in enumerate(spectrum.eigenvalues))
+    hist = degeneracy_histogram(spectrum, args.tol)
+    return _emit(args, ("p", "lambda_p"), rows, hist.to_dict())
 
 
 def _cmd_transport(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
     source = _label_to_index(args.source, args.n, "source")
-    if not args.z_max > 0 or not 0 < args.dz <= args.z_max:
-        raise ValueError("need z_max > 0 and 0 < dz <= z_max")
-    zs = np.arange(0.0, args.z_max + 0.5 * args.dz, args.dz)
-    zs = zs[zs <= args.z_max * (1.0 + 1e-12)]
+    zs = z_grid(args.z_max, args.dz, 0.0)
     amps = offset_amplitudes(spec, zs)
-    rows = []
-    for i, z in enumerate(zs):
-        probs = np.abs(amps[i][(np.arange(args.n) - source) % args.n]) ** 2
-        rows.extend((_fmt(z), mode + 1, _fmt(p)) for mode, p in enumerate(probs))
-    path = _out_path(args, ".csv")
-    _write_csv(path, ("z", "mode", "probability"), rows)
-    print(f"wrote {path}")
-    return 0
+    modes = (np.arange(args.n) - source) % args.n
+    rows = (
+        (_fmt(z), mode + 1, _fmt(p))
+        for z, amp in zip(zs, amps)
+        for mode, p in enumerate(np.abs(amp[modes]) ** 2)
+    )
+    return _emit(args, ("z", "mode", "probability"), rows, None)
 
 
 def _cmd_pst_check(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
     source = _label_to_index(args.source, args.n, "source")
     report = check_pst(spec, source, tol=args.tol)
-    path = _out_path(args, ".json")
-    _write_json(path, _report_labels(report).to_dict())
-    print(f"wrote {path} (is_pst={str(report.is_pst).lower()})")
-    return 0
+    note = f" (is_pst={str(report.is_pst).lower()})"
+    return _emit(args, None, None, _report_labels(report).to_dict(), note)
 
 
 def _cmd_cat(args) -> int:
@@ -236,30 +230,18 @@ def _cmd_cat(args) -> int:
     result = cat_fidelity_scan(
         spec, source, target, args.alpha, args.phi, args.z_max, args.dz
     )
-    written = []
-    if _wants(args, "csv"):
-        path = _out_path(args, ".csv")
-        rows = [(_fmt(z), _fmt(f)) for z, f in zip(result.zs, result.values)]
-        _write_csv(path, ("z", "fidelity"), rows)
-        written.append(path)
-    if _wants(args, "json"):
-        path = _out_path(args, ".json")
-        _write_json(
-            path,
-            {
-                "alpha": args.alpha,
-                "phi": args.phi,
-                "source": source + 1,
-                "target": target + 1,
-                "max_fidelity": result.max_value,
-                "z_at_max": result.z_at_max,
-                "z_max": args.z_max,
-                "dz": args.dz if args.dz is not None else 0.01 / spec.profile.max_strength,
-            },
-        )
-        written.append(path)
-    print("wrote " + " ".join(str(p) for p in written))
-    return 0
+    rows = ((_fmt(z), _fmt(f)) for z, f in zip(result.zs, result.values))
+    summary = {
+        "alpha": args.alpha,
+        "phi": args.phi,
+        "source": source + 1,
+        "target": target + 1,
+        "max_fidelity": result.max_value,
+        "z_at_max": result.z_at_max,
+        "z_max": args.z_max,
+        "dz": result.dz,
+    }
+    return _emit(args, ("z", "fidelity"), rows, summary)
 
 
 def _cmd_tmsv(args) -> int:
@@ -275,12 +257,8 @@ def _cmd_tmsv(args) -> int:
             _label_to_index(args.track[1], args.n, "track"),
         )
     initial = tmsv_covariance(TmsvParams(args.w, args.theta, (m, n_)), args.n)
-    if not args.z_max > 0 or not 0 < args.dz <= args.z_max:
-        raise ValueError("need z_max > 0 and 0 < dz <= z_max")
-    zs = np.arange(0.0, args.z_max + 0.5 * args.dz, args.dz)
-    zs = zs[zs <= args.z_max * (1.0 + 1e-12)]
     rows = []
-    for z in zs:
+    for z in z_grid(args.z_max, args.dz, 0.0):
         evo = symplectic_from_propagator(propagator(spec, float(z)))
         state = evolve_covariance(initial, evo)
         rows.append(
@@ -301,10 +279,7 @@ def _cmd_tmsv(args) -> int:
         f"S_Q_{tr_label}",
         f"S_P_{tr_label}",
     )
-    path = _out_path(args, ".csv")
-    _write_csv(path, header, rows)
-    print(f"wrote {path}")
-    return 0
+    return _emit(args, header, rows, None)
 
 
 def _cmd_evanescent(args) -> int:
@@ -315,31 +290,19 @@ def _cmd_evanescent(args) -> int:
         raise ValueError("antipodal transfer needs an even number of modes")
     target = (source + args.n // 2) % args.n
     result = transfer_scan(spec, source, target, args.z_max, args.dz)
-    written = []
-    if _wants(args, "csv"):
-        path = _out_path(args, ".csv")
-        rows = [(_fmt(z), _fmt(v)) for z, v in zip(result.zs, result.values)]
-        _write_csv(path, ("z", "probability"), rows)
-        written.append(path)
-    if _wants(args, "json"):
-        path = _out_path(args, ".json")
-        _write_json(
-            path,
-            {
-                "n_modes": args.n,
-                "mu": args.mu,
-                "r": args.r,
-                "source": source + 1,
-                "target": target + 1,
-                "max_transfer": result.max_value,
-                "z_at_max": result.z_at_max,
-                "z_max": args.z_max,
-                "dz": args.dz if args.dz is not None else 0.01 / profile.max_strength,
-            },
-        )
-        written.append(path)
-    print("wrote " + " ".join(str(p) for p in written))
-    return 0
+    rows = ((_fmt(z), _fmt(v)) for z, v in zip(result.zs, result.values))
+    summary = {
+        "n_modes": args.n,
+        "mu": args.mu,
+        "r": args.r,
+        "source": source + 1,
+        "target": target + 1,
+        "max_transfer": result.max_value,
+        "z_at_max": result.z_at_max,
+        "z_max": args.z_max,
+        "dz": result.dz,
+    }
+    return _emit(args, ("z", "probability"), rows, summary)
 
 
 def _cmd_synth(args) -> int:
@@ -348,19 +311,15 @@ def _cmd_synth(args) -> int:
         solve_weights(problem), args.delta_scale, args.dispersive_min
     )
     report = verify_synthesis(solution, args.n)
-    path = _out_path(args, ".json")
-    _write_json(
-        path,
-        {
-            "n_modes": args.n,
-            "n_aux_pairs": args.m,
-            "strength": args.c,
-            "solution": solution.to_dict(),
-            "pst_report": _report_labels(report).to_dict(),
-        },
-    )
-    print(f"wrote {path} (is_pst={str(report.is_pst).lower()})")
-    return 0
+    summary = {
+        "n_modes": args.n,
+        "n_aux_pairs": args.m,
+        "strength": args.c,
+        "solution": solution.to_dict(),
+        "pst_report": _report_labels(report).to_dict(),
+    }
+    note = f" (is_pst={str(report.is_pst).lower()})"
+    return _emit(args, None, None, summary, note)
 
 
 def build_parser():
@@ -515,7 +474,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"pstnet: error: {exc}", file=sys.stderr)
         return 3
 

@@ -19,12 +19,12 @@ is capped at exp(-4 alpha^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .lattice import NetworkSpec
-from .propagation import ScanResult, _refined_peak, _scan_grid, offset_amplitudes
+from .propagation import ScanResult, mode_offset, offset_amplitudes, scan_offset
 
 
 class DegenerateCatError(ValueError):
@@ -34,7 +34,10 @@ class DegenerateCatError(ValueError):
 def _real_scalar(value, name: str) -> float:
     if np.iscomplexobj(value):
         raise ValueError(f"{name} must be real")
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 def cat_normalization(alpha: float, phi: float) -> float:
@@ -85,7 +88,8 @@ def _fidelity_from_amplitude(u, alpha: float, phi: float, norm: float):
 
 
 def _clamped(f: float) -> float:
-    assert f <= 1.0 + 1e-12, f"fidelity {f} exceeds 1 beyond rounding slack"
+    if not f <= 1.0 + 1e-12:
+        raise ValueError(f"fidelity {f} exceeds 1 beyond rounding slack")
     return min(f, 1.0)
 
 
@@ -98,13 +102,11 @@ def cat_fidelity(
     z: float,
 ) -> float:
     """Transfer fidelity of a cat from ``source`` onto ``target`` at distance z."""
-    n = spec.n_modes
-    if not (0 <= source < n and 0 <= target < n):
-        raise ValueError("mode indices out of range")
+    d = mode_offset(spec, source, target)
     a = _real_scalar(alpha, "alpha")
     p = _real_scalar(phi, "phi")
     norm = cat_normalization(a, p)
-    u = offset_amplitudes(spec, [z])[0, (target - source) % n]
+    u = offset_amplitudes(spec, [z])[0, d]
     return _clamped(float(_fidelity_from_amplitude(u, a, p, norm)))
 
 
@@ -129,26 +131,11 @@ def cat_fidelity_scan(
 
     Same grid and refinement policy as the transfer-probability scan.
     """
-    n = spec.n_modes
-    if not (0 <= source < n and 0 <= target < n):
-        raise ValueError("mode indices out of range")
-    if not z_max > 0:
-        raise ValueError("z_max must be positive")
+    d = mode_offset(spec, source, target)
     a = _real_scalar(alpha, "alpha")
     p = _real_scalar(phi, "phi")
     norm = cat_normalization(a, p)
-    if dz is None:
-        dz = 0.01 / spec.profile.max_strength
-    if not 0 < dz <= z_max:
-        raise ValueError("dz must satisfy 0 < dz <= z_max")
-    d = (target - source) % n
-    zs = _scan_grid(z_max, dz)
-    amps = offset_amplitudes(spec, zs)[:, d]
-    values = _fidelity_from_amplitude(amps, a, p, norm)
-
-    def point(z):
-        u = offset_amplitudes(spec, [z])[0, d]
-        return float(_fidelity_from_amplitude(u, a, p, norm))
-
-    v_best, z_best = _refined_peak(zs, values, point, z_max, dz)
-    return ScanResult(_clamped(v_best), z_best, zs, values)
+    scan = scan_offset(
+        spec, d, lambda u: _fidelity_from_amplitude(u, a, p, norm), z_max, dz
+    )
+    return replace(scan, max_value=_clamped(scan.max_value))

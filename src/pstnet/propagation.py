@@ -116,12 +116,14 @@ class ScanResult:
     ``zs`` and ``values`` hold the grid trace; ``max_value`` and
     ``z_at_max`` include the local golden-section refinement around the
     best grid point, so they may improve slightly on the grid maximum.
+    ``dz`` is the grid step the scan used.
     """
 
     max_value: float
     z_at_max: float
     zs: np.ndarray
     values: np.ndarray
+    dz: float
 
 
 def offset_amplitudes(spec: NetworkSpec, zs) -> np.ndarray:
@@ -265,20 +267,52 @@ def _golden_max(f, lo: float, hi: float, iterations: int = 40):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _refined_peak(zs: np.ndarray, values: np.ndarray, point_fn, z_max: float, dz: float):
-    """Best grid point improved by golden-section search in a +-2dz window."""
+def z_grid(z_max: float, dz: float, first: float) -> np.ndarray:
+    """Grid ``first, first + dz, ...`` up to ``z_max`` inclusive.
+
+    Scans start at ``first = dz``; the CLI traces start at 0.  This is
+    the one place that checks ``z_max > 0`` and ``0 < dz <= z_max``.
+    """
+    if not z_max > 0:
+        raise ValueError("z_max must be positive")
+    if not 0 < dz <= z_max:
+        raise ValueError("dz must satisfy 0 < dz <= z_max")
+    grid = np.arange(first, z_max + 0.5 * dz, dz)
+    return grid[grid <= z_max * (1.0 + 1e-12)]
+
+
+def mode_offset(spec: NetworkSpec, source: int, target: int) -> int:
+    """Offset ``(target - source) mod N`` of two checked mode indices."""
+    n = spec.n_modes
+    if not (0 <= source < n and 0 <= target < n):
+        raise ValueError("mode indices out of range")
+    return (target - source) % n
+
+
+def scan_offset(
+    spec: NetworkSpec, offset: int, merit, z_max: float, dz: float | None = None
+) -> ScanResult:
+    """Scan ``merit(u)`` of the amplitude u at ``offset`` over (0, z_max].
+
+    ``merit`` maps amplitudes to values elementwise: it receives the grid
+    column as an array and each refinement amplitude as a scalar.  The
+    step defaults to ``min(0.01 / C_max, z_max)``.  The best grid point
+    is refined by 40 golden-section iterations in a +-2dz window, one
+    single-z amplitude evaluation per point.
+    """
+    if dz is None:
+        dz = min(0.01 / spec.profile.max_strength, z_max)
+    zs = z_grid(z_max, dz, dz)
+    values = merit(offset_amplitudes(spec, zs)[:, offset])
     i = int(np.argmax(values))
     lo = max(zs[i] - 2.0 * dz, zs[0] * 1e-3)
     hi = min(zs[i] + 2.0 * dz, z_max)
-    z_best, v_best = _golden_max(point_fn, lo, hi)
-    if v_best >= values[i]:
-        return float(v_best), float(z_best)
-    return float(values[i]), float(zs[i])
-
-
-def _scan_grid(z_max: float, dz: float) -> np.ndarray:
-    grid = np.arange(dz, z_max + 0.5 * dz, dz)
-    return grid[grid <= z_max * (1.0 + 1e-12)]
+    z_best, v_best = _golden_max(
+        lambda z: merit(offset_amplitudes(spec, [z])[0, offset]), lo, hi
+    )
+    if v_best < values[i]:
+        z_best, v_best = zs[i], values[i]
+    return ScanResult(float(v_best), float(z_best), zs, values, float(dz))
 
 
 def transfer_scan(
@@ -290,27 +324,12 @@ def transfer_scan(
 ) -> ScanResult:
     """Scan the transfer probability |U_target,source|^2 over (0, z_max].
 
-    Grid spacing defaults to 0.01 / C_max.  The best grid point is
-    refined by 40 golden-section iterations in a +-2dz window.
+    Grid and refinement as in ``scan_offset``.
     """
-    n = spec.n_modes
-    if not (0 <= source < n and 0 <= target < n):
-        raise ValueError("mode indices out of range")
-    if not z_max > 0:
-        raise ValueError("z_max must be positive")
-    if dz is None:
-        dz = 0.01 / spec.profile.max_strength
-    if not 0 < dz <= z_max:
-        raise ValueError("dz must satisfy 0 < dz <= z_max")
-    d = (target - source) % n
-    zs = _scan_grid(z_max, dz)
-    values = np.abs(offset_amplitudes(spec, zs)[:, d]) ** 2
-
-    def point(z):
-        return abs(offset_amplitudes(spec, [z])[0, d]) ** 2
-
-    v_best, z_best = _refined_peak(zs, values, point, z_max, dz)
-    return ScanResult(v_best, z_best, zs, values)
+    d = mode_offset(spec, source, target)
+    # builtin abs, not np.abs: on the scalar refinement points the two can
+    # round differently, and one ulp moves the argmax of a flat peak
+    return scan_offset(spec, d, lambda u: abs(u) ** 2, z_max, dz)
 
 
 def ode_oracle(spec: NetworkSpec, amplitudes, z: float, steps: int) -> np.ndarray:

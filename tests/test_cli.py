@@ -13,12 +13,12 @@ from pstnet import DegeneracyHistogram, PstReport, SynthesisSolution
 from pstnet.cli import parse_length
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_cli(args, cwd, env_extra=None, python_flags=()):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "pstnet", *args],
+        [sys.executable, *python_flags, "-m", "pstnet", *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -237,6 +237,31 @@ class TestCatCommand:
         )
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("python_flags", [(), ("-O",)])
+    def test_non_finite_alpha_is_domain_error(self, tmp_path, python_flags):
+        result = run_cli(
+            [
+                "cat",
+                "--n",
+                "12",
+                "--profile",
+                "uniform:C=1,R=5",
+                "--source",
+                "1",
+                "--alpha",
+                "nan",
+                "--phi",
+                "0",
+                "--z-max",
+                "1",
+            ],
+            tmp_path,
+            python_flags=python_flags,
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("pstnet: error: alpha must be finite")
+        assert not list(tmp_path.iterdir())
+
 
 class TestTmsvCommand:
     def test_squeezing_columns(self, tmp_path):
@@ -321,6 +346,16 @@ class TestCliPlumbing:
             ["spectrum", "--n", "12", "--profile", "banana:x=1"], tmp_path
         )
         assert result.returncode == 2
+
+    def test_unusable_outdir_is_domain_error(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        result = run_cli(
+            ["spectrum", "--n", "8", "--profile", "uniform:C=1,R=3", "--outdir", str(taken)],
+            tmp_path,
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("pstnet: error:")
 
     def test_outdir_env_var(self, tmp_path):
         outdir = tmp_path / "results"

@@ -162,3 +162,22 @@ class TestCatFidelityScan:
         result = cat_fidelity_scan(N12, 1, 7, 0.8, 0.3, z_max=3.0, dz=0.01)
         assert np.all(result.values <= 1.0 + 1e-12)
         assert np.all(result.values >= 0.0)
+
+
+class TestChecksWithoutAssert:
+    @pytest.mark.parametrize(
+        "alpha,phi", [(math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan), (0.5, -math.inf)]
+    )
+    def test_non_finite_parameters_are_rejected(self, alpha, phi):
+        with pytest.raises(ValueError, match="must be finite"):
+            cat_fidelity_scan(N12, 1, 7, alpha, phi, z_max=1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            pst_cat_fidelity(alpha, phi)
+
+    def test_fidelity_above_one_raises_value_error(self):
+        from pstnet.fock import _clamped
+
+        assert _clamped(1.0 + 1e-13) == 1.0
+        for bad in (1.0 + 1e-9, math.nan):
+            with pytest.raises(ValueError, match="exceeds 1"):
+                _clamped(bad)

@@ -171,6 +171,14 @@ class TestTransferScan:
         with pytest.raises(ValueError):
             transfer_scan(N8, 0, 4, z_max=1.0, dz=2.0)
 
+    def test_default_step_is_clamped_to_the_range(self):
+        assert transfer_scan(N8, 0, 4, z_max=1.0).dz == 0.01
+        result = transfer_scan(N8, 0, 4, z_max=1e-3)
+        assert result.dz == 1e-3
+        assert result.zs.tolist() == [1e-3]
+        report = check_pst(N8, 0, z_scan_max=1e-3)
+        assert 0.0 < report.z_at_max <= 1e-3
+
 
 class TestOdeOracle:
     def test_zero_distance_is_identity(self):
