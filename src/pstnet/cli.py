@@ -37,6 +37,7 @@ from .lattice import (
     uniform_profile,
 )
 from .propagation import (
+    antipode,
     check_pst,
     offset_amplitudes,
     propagator,
@@ -94,12 +95,16 @@ def parse_profile(text: str):
                 raise ValueError(f"expected key=value, got {item!r}")
             params[key.strip().lower()] = value.strip()
         if kind == "uniform":
-            return uniform_profile(float(params.pop("c")), int(params.pop("r")))
-        if kind == "evanescent":
-            return evanescent_profile(float(params.pop("mu")), int(params.pop("r")))
+            profile = uniform_profile(float(params.pop("c")), int(params.pop("r")))
+        elif kind == "evanescent":
+            profile = evanescent_profile(float(params.pop("mu")), int(params.pop("r")))
+        else:
+            raise argparse.ArgumentTypeError(f"unknown profile kind {kind!r}")
+        if params:
+            raise ValueError(f"unknown parameters {', '.join(sorted(params))}")
+        return profile
     except (KeyError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"bad profile {text!r}: {exc}") from None
-    raise argparse.ArgumentTypeError(f"unknown profile kind {kind!r}")
 
 
 def parse_pair(text: str) -> tuple[int, int]:
@@ -223,7 +228,7 @@ def _cmd_cat(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
     source = _label_to_index(args.source, args.n, "source")
     if args.target is None:
-        target = (source + args.n // 2) % args.n
+        target = antipode(args.n, source)
     else:
         target = _label_to_index(args.target, args.n, "target")
     cat_normalization(args.alpha, args.phi)
@@ -249,8 +254,7 @@ def _cmd_tmsv(args) -> int:
     m = _label_to_index(args.pair[0], args.n, "pair")
     n_ = _label_to_index(args.pair[1], args.n, "pair")
     if args.track is None:
-        half = args.n // 2
-        track = ((m + half) % args.n, (n_ + half) % args.n)
+        track = (antipode(args.n, m), antipode(args.n, n_))
     else:
         track = (
             _label_to_index(args.track[0], args.n, "track"),
@@ -286,9 +290,7 @@ def _cmd_evanescent(args) -> int:
     profile = evanescent_profile(args.mu, args.r)
     spec = NetworkSpec(args.n, profile)
     source = _label_to_index(args.source, args.n, "source")
-    if args.n % 2:
-        raise ValueError("antipodal transfer needs an even number of modes")
-    target = (source + args.n // 2) % args.n
+    target = antipode(args.n, source)
     result = transfer_scan(spec, source, target, args.z_max, args.dz)
     rows = ((_fmt(z), _fmt(v)) for z, v in zip(result.zs, result.values))
     summary = {

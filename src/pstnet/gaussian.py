@@ -35,10 +35,16 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix (each value once)."""
-    n = matrix.shape[0] // 2
-    eigs = np.linalg.eigvals(1j * symplectic_form(n) @ matrix)
-    return np.sort(np.abs(eigs))[::2]
+    """Symplectic spectrum of a covariance matrix (each value once).
+
+    With V = L L^T (Cholesky), i Omega V is similar to the Hermitian
+    i L^T Omega L, so the singular values of L^T Omega L are the nu_k,
+    each twice.  Unlike a general eigensolver this costs the same for
+    every V.  A V that is not positive definite raises LinAlgError.
+    """
+    lower = np.linalg.cholesky(matrix)
+    a = lower.T @ symplectic_form(matrix.shape[0] // 2) @ lower
+    return np.sort(np.linalg.svd(a, compute_uv=False))[::2]
 
 
 @dataclass(frozen=True)

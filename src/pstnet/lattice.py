@@ -125,19 +125,30 @@ class NetworkSpec:
             )
 
 
+def coupling_row(spec: NetworkSpec) -> np.ndarray:
+    """First row of the coupling matrix: ``C_r`` at columns r and N - r.
+
+    The diagonal is zero.  For even N the opposite-site entry r = N/2 is
+    its own mirror, so it is written once.
+    """
+    n = spec.n_modes
+    r = np.arange(1, spec.profile.interaction_range + 1)
+    row = np.zeros(n)
+    row[r] = row[n - r] = spec.profile.couplings
+    return row
+
+
+def circulant(column) -> np.ndarray:
+    """Circulant matrix whose (i, j) entry is ``column[(i - j) % N]``."""
+    i = np.arange(len(column))
+    return np.asarray(column)[(i[:, None] - i) % len(column)]
+
+
 def coupling_matrix(spec: NetworkSpec) -> np.ndarray:
     """Real symmetric circulant coupling matrix of the network.
 
-    Entry (j, (j+r) mod N) equals C_r for every r covered by the
-    profile; the diagonal is zero.  For even N the opposite-site
-    separation r = N/2 links each pair once, so its entry is written
-    (not accumulated) exactly like the others.
+    It is the circulant of ``coupling_row``: entry (j, (j+r) mod N)
+    equals C_r.  The row is its own mirror (entry r equals entry N - r),
+    so it is also the first column and the matrix is symmetric.
     """
-    n = spec.n_modes
-    matrix = np.zeros((n, n))
-    j = np.arange(n)
-    for r, c in enumerate(spec.profile.couplings, start=1):
-        k = (j + r) % n
-        matrix[j, k] = c
-        matrix[k, j] = c
-    return matrix
+    return circulant(coupling_row(spec))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import NetworkSpec, coupling_matrix
+from .lattice import NetworkSpec, circulant, coupling_matrix
 from .spectral import dispersion
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -63,10 +63,12 @@ class Propagator:
 class PstReport:
     """Outcome of a perfect-transfer check between antipodal sites.
 
-    ``z_pst`` is set only when the check succeeds; ``amplitude_at_zpst``
-    is the antipodal amplitude evaluated at the candidate distance
-    ``pi / (2 C_max)`` regardless of the outcome.  ``max_transfer`` and
-    ``z_at_max`` come from a bounded scan of the transfer probability.
+    ``is_pst`` is true when the antipodal transfer probability at the
+    candidate distance ``pi / (2 C_max)`` reaches 1 - tol, for any
+    profile; ``z_pst`` is set only then.  ``amplitude_at_zpst`` is the
+    antipodal amplitude at the candidate distance regardless of the
+    outcome.  ``max_transfer`` and ``z_at_max`` come from a bounded scan
+    of the transfer probability.
     """
 
     is_pst: bool
@@ -143,10 +145,7 @@ def propagator(spec: NetworkSpec, z: float) -> Propagator:
     """Exact propagator built from the Fourier-mode phase factors."""
     if not math.isfinite(z):
         raise ValueError("z must be finite")
-    amps = offset_amplitudes(spec, [z])[0]
-    n = spec.n_modes
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return Propagator(amps[idx], float(z))
+    return Propagator(circulant(offset_amplitudes(spec, [z])[0]), float(z))
 
 
 def closed_form_amplitude(n_modes: int, strength: float, offset: int, z: float) -> complex:
@@ -185,24 +184,6 @@ def pst_distance(strength: float, s: int = 0) -> float:
     return (2 * s + 1) * math.pi / (2.0 * strength)
 
 
-def _is_collapse_profile(spec: NetworkSpec, rtol: float = 1e-8) -> bool:
-    """Structurally uniform profile of range N/2 - 1 (a trailing
-    opposite-site coupling that vanishes within tolerance is allowed)."""
-    c = np.asarray(spec.profile.couplings)
-    half = spec.n_modes // 2
-    body = c
-    if c.size == half and spec.n_modes % 2 == 0:
-        if abs(c[-1]) > rtol * max(1.0, abs(c[0])):
-            return False
-        body = c[:-1]
-    if body.size != half - 1 or body.size == 0:
-        return False
-    c0 = body[0]
-    if not c0 > 0:
-        return False
-    return bool(np.abs(body - c0).max() <= rtol * c0)
-
-
 def check_pst(
     spec: NetworkSpec,
     source: int,
@@ -212,29 +193,23 @@ def check_pst(
 ) -> PstReport:
     """Check for perfect transfer from ``source`` to its antipode.
 
-    The check succeeds only when the profile is (effectively) uniform
-    with range N/2 - 1, the mode count is divisible by four, and the
-    antipodal transfer probability at the candidate distance reaches
-    1 - tol.  The report always carries the candidate amplitude and the
-    maximum transfer found by a bounded scan (default reach: eight
-    candidate distances).
+    Perfect transfer at z means ``|U_{N/2,0}(z)| = 1``.  The check
+    succeeds, for any profile, when the antipodal transfer probability
+    at the candidate distance ``pi / (2 C_max)`` reaches 1 - tol.  The
+    report always carries the candidate amplitude and the maximum
+    transfer found by a bounded scan (default reach: eight candidate
+    distances).
     """
     n = spec.n_modes
-    if n % 2:
-        raise ValueError("antipodal transfer needs an even number of modes")
     if not 0 <= source < n:
         raise ValueError(f"source index {source} out of range for N={n}")
+    target = antipode(n, source)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    target = (source + n // 2) % n
     c_ref = spec.profile.max_strength
     z_ref = pst_distance(c_ref)
     amp = complex(offset_amplitudes(spec, [z_ref])[0, n // 2])
-    is_pst = (
-        n % 4 == 0
-        and _is_collapse_profile(spec)
-        and abs(amp) ** 2 >= 1.0 - tol
-    )
+    is_pst = abs(amp) ** 2 >= 1.0 - tol
     if z_scan_max is None:
         z_scan_max = 8.0 * z_ref
     scan = transfer_scan(spec, source, target, z_scan_max, dz)
@@ -287,6 +262,13 @@ def mode_offset(spec: NetworkSpec, source: int, target: int) -> int:
     if not (0 <= source < n and 0 <= target < n):
         raise ValueError("mode indices out of range")
     return (target - source) % n
+
+
+def antipode(n_modes: int, index: int) -> int:
+    """Mode diametrically opposite ``index``; needs an even mode count."""
+    if n_modes % 2:
+        raise ValueError("antipodal transfer needs an even number of modes")
+    return (index + n_modes // 2) % n_modes
 
 
 def scan_offset(

@@ -1,7 +1,8 @@
 """Fourier-mode spectra of circulant coupling matrices.
 
 A circulant matrix is diagonalized by the discrete Fourier transform,
-so its eigenvalues follow from a cosine sum over the coupling profile:
+so its eigenvalues are the DFT of its first row.  In terms of the
+coupling profile,
 
     lambda_p = sum_r w_r * C_r * cos(2 pi p r / N),   p = 0..N-1
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import NetworkSpec
+from .lattice import NetworkSpec, coupling_row
 
 
 @dataclass(frozen=True)
@@ -88,14 +89,8 @@ class DegeneracyHistogram:
 
 
 def dispersion(spec: NetworkSpec) -> Spectrum:
-    """All N eigenvalues of the coupling matrix by direct cosine sum."""
-    n = spec.n_modes
-    p = np.arange(n)
-    lam = np.zeros(n)
-    for r, c in enumerate(spec.profile.couplings, start=1):
-        weight = 1.0 if 2 * r == n else 2.0
-        lam += weight * c * np.cos(2.0 * np.pi * p * r / n)
-    return Spectrum(tuple(lam), n)
+    """All N eigenvalues of the coupling matrix: the FFT of its first row."""
+    return Spectrum(tuple(np.fft.fft(coupling_row(spec)).real), spec.n_modes)
 
 
 def collapsed_spectrum(n_modes: int, strength: float) -> Spectrum:

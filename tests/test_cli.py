@@ -347,6 +347,42 @@ class TestCliPlumbing:
         )
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "profile", ["uniform:C=1,R=3,X=5", "evanescent:mu=0.5,R=3,c=2"]
+    )
+    def test_unknown_profile_parameter_is_usage_error(self, tmp_path, profile):
+        result = run_cli(["spectrum", "--n", "8", "--profile", profile], tmp_path)
+        assert result.returncode == 2
+        assert "unknown parameters" in result.stderr
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (["cat", "--source", "1", "--alpha", "0.5", "--phi", "0", "--z-max", "1"], 3),
+            (
+                ["cat", "--source", "1", "--target", "3", "--alpha", "0.5",
+                 "--phi", "0", "--z-max", "1"],
+                0,
+            ),
+            (["tmsv", "--w", "0.5", "--pair", "1,2", "--z-max", "0.1", "--dz", "0.05"], 3),
+            (
+                ["tmsv", "--w", "0.5", "--pair", "1,2", "--track", "3,4",
+                 "--z-max", "0.1", "--dz", "0.05"],
+                0,
+            ),
+        ],
+        ids=["cat-default", "cat-target", "tmsv-default", "tmsv-track"],
+    )
+    def test_odd_n_needs_an_explicit_partner(self, tmp_path, args, code):
+        network = ["--n", "7", "--profile", "uniform:C=1,R=3"]
+        result = run_cli([args[0], *network, *args[1:]], tmp_path)
+        assert result.returncode == code
+        if code:
+            assert result.stderr.startswith(
+                "pstnet: error: antipodal transfer needs an even number of modes"
+            )
+
     def test_unusable_outdir_is_domain_error(self, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("")

@@ -98,6 +98,11 @@ class TestCovarianceState:
         with pytest.raises(ValueError):
             CovarianceState(0.1 * np.eye(4))
 
+    def test_rejects_negative_definite(self):
+        # -I/2 gives i Omega V the vacuum's eigenvalue magnitudes
+        with pytest.raises(ValueError):
+            CovarianceState(-0.5 * np.eye(4))
+
     def test_vacuum_symplectic_spectrum(self):
         nus = symplectic_eigenvalues(vacuum_covariance(3).matrix)
         assert nus == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)

@@ -143,6 +143,20 @@ class TestCheckPst:
         report = check_pst(NetworkSpec(12, evanescent_profile(0.5, 5)), source=0)
         assert not report.is_pst
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            NetworkSpec(8, custom_profile([0.0, 0.0, 0.0, 1.0])),
+            NetworkSpec(2, uniform_profile(1.0, 1)),
+        ],
+        ids=["opposite-site-dimer-n8", "pair-n2"],
+    )
+    def test_transfer_is_read_from_the_amplitude(self, spec):
+        report = check_pst(spec, source=0)
+        assert report.is_pst
+        assert report.z_pst == pytest.approx(math.pi / 2)
+        assert report.amplitude_at_zpst == pytest.approx(-1j, abs=1e-12)
+
     def test_odd_n_unsupported(self):
         with pytest.raises(ValueError):
             check_pst(NetworkSpec(7, uniform_profile(1.0, 2)), source=0)

@@ -63,11 +63,11 @@ class TestCollapsedSpectrum:
         assert int((lam == 0.0).sum()) == zeros
         assert int((lam == -2.0).sum()) == lows
 
-    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 64, 1024, 4096])
     def test_matches_dispersion_elementwise(self, n):
         spec = _spec(n, uniform_profile(1.0, n // 2 - 1))
         assert dispersion(spec).as_array() == pytest.approx(
-            collapsed_spectrum(n, 1.0).as_array(), abs=1e-10
+            collapsed_spectrum(n, 1.0).as_array(), abs=1e-12
         )
 
     def test_rejects_odd(self):
@@ -83,11 +83,12 @@ class TestOppositeSiteSpectrum:
         assert lam4 == pytest.approx([-1.0] * 3 + [3.0], abs=1e-12)
 
     def test_dispersion_cross_check(self):
-        # all-to-all profile, independent code path through the cosine sum
-        lam = dispersion(_spec(8, uniform_profile(1.0, 4))).as_array()
-        assert lam == pytest.approx(
-            opposite_site_spectrum(8, 1.0).as_array(), abs=1e-10
-        )
+        # all-to-all profile, independent code path through the FFT
+        for n in (4, 8, 64, 1024, 4096):
+            lam = dispersion(_spec(n, uniform_profile(1.0, n // 2))).as_array()
+            assert lam == pytest.approx(
+                opposite_site_spectrum(n, 1.0).as_array(), abs=1e-12
+            )
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
