@@ -1,9 +1,13 @@
 """Command line front end.
 
 Subcommands: spectrum, transport, pst-check, cat, tmsv, evanescent,
-synth.  Every run is fully determined by its flags (plus an optional
-key=value config file), and numeric output is serialized with 17
-significant digits so identical runs produce identical bytes.
+synth.  Every run is fully determined by its flags, so identical runs
+produce identical bytes.  CSV floats carry 17 significant digits; JSON
+summaries are written by ``json.dumps``, whose floats are the shortest
+repr that reads back to the same value.  An optional ``--config`` file
+of ``key = value`` lines becomes ``--key=value`` flags placed right
+after the subcommand: keys are flag names (``z_max`` or ``z-max``),
+argparse parses them exactly like flags, and explicit flags win.
 
 Mode labels on the command line are 1-based; the library uses 0-based
 indices internally.  Distance and angle flags accept symbolic multiples
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import re
@@ -73,7 +78,7 @@ def parse_length(text: str) -> float:
             div = float(m.group(2)) if m.group(2) else 1.0
             return num * math.pi / div
         return float(s)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse number {text!r}") from None
 
 
@@ -121,35 +126,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _json_text(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{key}": {_json_text(value, indent + 1)}'
-            for key, value in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_text(v, indent) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if math.isinf(obj):
-            return "Infinity" if obj > 0 else "-Infinity"
-        if math.isnan(obj):
-            return "NaN"
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def _out_path(args, suffix: str) -> Path:
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +151,7 @@ def _emit(args, header, rows, summary, note: str = "") -> int:
         written.append(path)
     if summary is not None and fmt in ("json", "both"):
         path = _out_path(args, ".json")
-        path.write_text(_json_text(summary) + "\n")
+        path.write_text(json.dumps(summary, indent=2) + "\n")
         written.append(path)
     print("wrote " + " ".join(str(p) for p in written) + note)
     return 0
@@ -326,7 +302,7 @@ def _cmd_synth(args) -> int:
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file with flag defaults")
+    common.add_argument("--config", help="file of key = value lines, read as --key=value flags")
     common.add_argument("--output", help="output base name (default: subcommand)")
     common.add_argument(
         "--outdir", help=f"output directory (default: ${OUTDIR_ENV} or '.')"
@@ -349,14 +325,12 @@ def build_parser():
         description="State transfer experiments on circulant waveguide networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     p = sub.add_parser(
         "spectrum", parents=[common, network, fmt], help="Fourier-mode eigenvalues"
     )
     p.add_argument("--tol", type=float, default=None, help="degeneracy bin tolerance")
     p.set_defaults(func=_cmd_spectrum)
-    commands["spectrum"] = p
 
     p = sub.add_parser(
         "transport", parents=[common, network], help="single-photon occupation trace"
@@ -365,7 +339,6 @@ def build_parser():
     p.add_argument("--z-max", type=parse_length, required=True)
     p.add_argument("--dz", type=parse_length, required=True)
     p.set_defaults(func=_cmd_transport)
-    commands["transport"] = p
 
     p = sub.add_parser(
         "pst-check", parents=[common, network], help="perfect-transfer report"
@@ -373,7 +346,6 @@ def build_parser():
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_pst_check)
-    commands["pst-check"] = p
 
     p = sub.add_parser(
         "cat", parents=[common, network, fmt], help="cat-state fidelity scan"
@@ -385,7 +357,6 @@ def build_parser():
     p.add_argument("--z-max", type=parse_length, required=True)
     p.add_argument("--dz", type=parse_length, default=None)
     p.set_defaults(func=_cmd_cat)
-    commands["cat"] = p
 
     p = sub.add_parser(
         "tmsv", parents=[common, network], help="two-mode squeezing transport"
@@ -397,7 +368,6 @@ def build_parser():
     p.add_argument("--z-max", type=parse_length, required=True)
     p.add_argument("--dz", type=parse_length, required=True)
     p.set_defaults(func=_cmd_tmsv)
-    commands["tmsv"] = p
 
     p = sub.add_parser(
         "evanescent",
@@ -411,7 +381,6 @@ def build_parser():
     p.add_argument("--z-max", type=parse_length, default=500.0)
     p.add_argument("--dz", type=parse_length, default=None)
     p.set_defaults(func=_cmd_evanescent)
-    commands["evanescent"] = p
 
     p = sub.add_parser(
         "synth", parents=[common], help="auxiliary-mode coupling synthesis"
@@ -423,13 +392,13 @@ def build_parser():
     p.add_argument("--dispersive-min", type=float, default=10.0)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=_cmd_synth)
-    commands["synth"] = p
 
-    return parser, commands
+    return parser
 
 
-def _read_config(path: str) -> dict:
-    values = {}
+def _read_config(path: str) -> list[str]:
+    """Turn each ``key = value`` line into one ``--key=value`` flag."""
+    flags = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -437,29 +406,8 @@ def _read_config(path: str) -> dict:
         key, eq, value = line.partition("=")
         if not eq:
             raise ValueError(f"{path}:{lineno}: expected key = value")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _apply_config(subparser, parser, path: str) -> None:
-    try:
-        values = _read_config(path)
-    except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
-    except ValueError as exc:
-        parser.error(str(exc))
-    for action in subparser._actions:
-        if action.dest in values:
-            raw = values.pop(action.dest)
-            try:
-                converted = action.type(raw) if action.type else raw
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                parser.error(f"config value for {action.dest!r}: {exc}")
-            subparser.set_defaults(**{action.dest: converted})
-            if action.required:
-                action.required = False
-    if values:
-        parser.error(f"unknown config keys: {', '.join(sorted(values))}")
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def main(argv=None) -> int:
@@ -467,12 +415,21 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
-    parser, commands = build_parser()
+    parser = build_parser()
     if known.config:
+        # Config flags go right after the subcommand, so argparse converts
+        # and checks them like typed flags and later explicit flags win.
         command = next((tok for tok in rest if not tok.startswith("-")), None)
-        if command not in commands:
+        if command is None:
             parser.error("--config requires a subcommand")
-        _apply_config(commands[command], parser, known.config)
+        try:
+            flags = _read_config(known.config)
+        except OSError as exc:
+            parser.error(f"cannot read config file: {exc}")
+        except ValueError as exc:
+            parser.error(str(exc))
+        at = argv.index(command) + 1
+        argv[at:at] = flags
     args = parser.parse_args(argv)
     try:
         return args.func(args)

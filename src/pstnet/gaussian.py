@@ -56,6 +56,9 @@ class TmsvParams:
     mode_pair: tuple[int, int]
 
     def __post_init__(self):
+        for name in ("w", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.w >= 0:
             raise ValueError("squeezing strength w must be nonnegative")
         pair = (int(self.mode_pair[0]), int(self.mode_pair[1]))

@@ -195,17 +195,17 @@ def check_pst(
 
     Perfect transfer at z means ``|U_{N/2,0}(z)| = 1``.  The check
     succeeds, for any profile, when the antipodal transfer probability
-    at the candidate distance ``pi / (2 C_max)`` reaches 1 - tol.  The
-    report always carries the candidate amplitude and the maximum
-    transfer found by a bounded scan (default reach: eight candidate
-    distances).
+    at the candidate distance ``pi / (2 C_max)`` reaches 1 - tol, with
+    0 < tol < 1 (tol >= 1 would let every ring pass).  The report
+    always carries the candidate amplitude and the maximum transfer
+    found by a bounded scan (default reach: eight candidate distances).
     """
     n = spec.n_modes
     if not 0 <= source < n:
         raise ValueError(f"source index {source} out of range for N={n}")
     target = antipode(n, source)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError("tol must satisfy 0 < tol < 1")
     c_ref = spec.profile.max_strength
     z_ref = pst_distance(c_ref)
     amp = complex(offset_amplitudes(spec, [z_ref])[0, n // 2])

@@ -167,8 +167,10 @@ def physical_parameters(
     since the adiabatic elimination is only trustworthy when the
     detuning dominates.
     """
-    if not delta_scale > 0:
-        raise ValueError("delta_scale must be positive")
+    if not (math.isfinite(delta_scale) and delta_scale > 0):
+        raise ValueError("delta_scale must be finite and positive")
+    if not math.isfinite(dispersive_min):
+        raise ValueError("dispersive_min must be finite")
     modes = []
     for a in solution.weights:
         if a == 0.0:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pstnet import DegeneracyHistogram, PstReport, SynthesisSolution
-from pstnet.cli import parse_length
+from pstnet.cli import main, parse_length
 
 
 def run_cli(args, cwd, env_extra=None, python_flags=()):
@@ -52,8 +52,9 @@ class TestParseLength:
     def test_rejected(self):
         import argparse
 
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_length("two pies")
+        for text in ("two pies", "pi/0"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_length(text)
 
 
 class TestSpectrumCommand:
@@ -176,6 +177,8 @@ class TestPstCheckCommand:
         report = json.loads((tmp_path / "pst-check.json").read_text())
         assert report["is_pst"] is True
         assert report["source"] == 1 and report["target"] == 5
+        # the real part is exactly -1.0: integral floats must load back as floats
+        assert [type(x) for x in report["amplitude_at_zpst"]] == [float, float]
 
     def test_odd_n_is_domain_error(self, tmp_path):
         result = run_cli(
@@ -333,6 +336,7 @@ class TestSynthCommand:
         )
         assert payload["pst_report"]["is_pst"] is True
         assert solution.dispersive_ok
+        assert type(payload["strength"]) is float
 
     def test_starved_problem_is_domain_error(self, tmp_path):
         result = run_cli(["synth", "--n", "8", "--m", "2", "--c", "1"], tmp_path)
@@ -443,6 +447,25 @@ class TestCliPlumbing:
         config.write_text("nn = 12\n")
         result = run_cli(["pst-check", "--config", str(config)], tmp_path)
         assert result.returncode == 2
+
+    def test_bad_config_value_is_usage_error(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("n = x\nprofile = uniform:C=1,R=3\nsource = 1\n")
+        result = run_cli(["pst-check", "--config", str(config)], tmp_path)
+        assert result.returncode == 2
+        assert "invalid int value: 'x'" in result.stderr
+
+    def test_config_value_may_start_with_a_dash(self, tmp_path):
+        network = ["--n", "8", "--profile", "uniform:C=1,R=3", "--outdir", str(tmp_path)]
+        trace = ["--w", "0.5", "--pair", "1,2", "--z-max", "pi/2", "--dz", "pi/8"]
+        config = tmp_path / "run.cfg"
+        config.write_text("theta = -pi/2\n")
+        runs = {"cfg": ["--config", str(config)], "flag": ["--theta=-pi/2"], "zero": []}
+        for name, extra in runs.items():
+            assert main(["tmsv", *extra, *network, *trace, "--output", name]) == 0
+        cfg, flag, zero = ((tmp_path / f"{name}.csv").read_bytes() for name in runs)
+        assert cfg == flag
+        assert cfg != zero
 
     def test_deterministic_outputs(self, tmp_path):
         digests = []

@@ -86,6 +86,15 @@ class TestTmsvCovariance:
         with pytest.raises(ValueError):
             tmsv_covariance(TmsvParams(0.5, 0.0, (0, 9)), 4)
 
+    @pytest.mark.parametrize(
+        "w,theta,name",
+        [(math.inf, 0.0, "w"), (math.nan, 0.0, "w"), (0.5, math.nan, "theta"),
+         (0.5, -math.inf, "theta")],
+    )
+    def test_non_finite_rejected(self, w, theta, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TmsvParams(w, theta, (0, 1))
+
 
 class TestCovarianceState:
     def test_rejects_asymmetric(self):

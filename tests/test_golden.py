@@ -4,12 +4,18 @@ The digests pin the CLI's output bytes.  They were recorded with numpy
 2.4.6 and Python 3.11.7 on x86-64 Linux; a change that alters them on
 purpose must say why and record them again.
 
-Last recorded when the spectrum became the FFT of the coupling row
-instead of a cosine sum.  That moves eigenvalues in their last digits
-(at most 1.6e-14 for these commands), and every file derived from the
-spectrum changes with them; every value stays within 1e-9 * max(1, |x|)
-of the cosine-sum output and every non-numeric field is unchanged.
-Only ``cat.json`` kept its bytes.
+The CSV digests were last recorded when the spectrum became the FFT of
+the coupling row instead of a cosine sum, which moved eigenvalues in
+their last digits (at most 1.6e-14 for these commands).
+
+The JSON digests were last recorded when the summaries started to be
+written by ``json.dumps(summary, indent=2)`` instead of a hand-written
+emitter.  Floats are now the shortest repr that reads back to the same
+value instead of 17 significant digits, integral floats keep their
+``.0`` (``-1.0``, not ``-1``) so they load back as floats, and lists
+take one element per line.  Every JSON file loads into an object equal
+to the previous one, with the same keys in the same order; no CSV byte
+changed.
 """
 
 import hashlib
@@ -21,27 +27,27 @@ from pstnet.cli import main
 GOLDEN = {
     "spectrum --n 12 --profile uniform:C=1,R=5": {
         "spectrum.csv": "af31828db243048503e3377cf936b15288a01abcec1097cad70117e0683ad53a",
-        "spectrum.json": "409dee7027e83bbe7419fe3c4dc65961b2c14b23730421f8b571c3d894313c04",
+        "spectrum.json": "9b728d27db1f8c9846dcbe592f94397647404b0556f8d5d109b4d8bf79633319",
     },
     "transport --n 8 --profile uniform:C=1,R=3 --source 1 --z-max pi --dz 0.005": {
         "transport.csv": "367e9af72dec4bdc2b3255b787e0d78d630c61275e9554396eeb11581cc6116d",
     },
     "pst-check --n 10 --profile uniform:C=1,R=4 --source 1": {
-        "pst-check.json": "4aa7b560ed65dcbe624f270e6f1a532bb3d03f16dd48517516a992c1b9adf816",
+        "pst-check.json": "2cf0385ab08d6502c003a9aef159c85ad3c802dcb789c2e6a8d24016b6344757",
     },
     "cat --n 12 --profile uniform:C=1,R=5 --source 1 --alpha 0.5 --phi pi/2 --z-max 2pi": {
         "cat.csv": "4fe09012afd6093b51dc566236f2c23333d2a4a5156f61066ef3e00e6c56d55b",
-        "cat.json": "8640c89a6149f479da242de33d617e7478056cab4c20d2e607a9826b8fcee1e3",
+        "cat.json": "f8efeb298adf41d2480bc79e4f7a7356ce012caf43aca948402163125fe87efc",
     },
     "tmsv --n 8 --profile uniform:C=1,R=3 --w 0.881374 --pair 1,2 --z-max pi --dz 0.01": {
         "tmsv.csv": "f7f2c7b477740de8dc694f13526ac5d86d9a351f4acfdb42413af6de8755b49c",
     },
     "evanescent --n 12 --mu 0.524 --r 6 --source 1 --z-max 500": {
         "evanescent.csv": "49df62347413976ddc2007dca5f341a5b39ac4c440b6ee5367b0e127b3ed9209",
-        "evanescent.json": "19cbae080bd92cd37767102fcfb7486bc3e0768e4615124a150f64cbbaf49750",
+        "evanescent.json": "f705fcf64442a323d01251c19a2b21accd116c550039326268143979761e1151",
     },
     "synth --n 8 --m 4 --c 1": {
-        "synth.json": "7ae5f3c078e978592c0813d1e75b7cf6ce0fed8140ecba986acf7a541836544e",
+        "synth.json": "5e278c164c372ecd91242665d70e9a811020188b1300885f3b1ccef677b9586e",
     },
 }
 

@@ -161,6 +161,11 @@ class TestCheckPst:
         with pytest.raises(ValueError):
             check_pst(NetworkSpec(7, uniform_profile(1.0, 2)), source=0)
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, math.inf, math.nan])
+    def test_tol_outside_open_unit_interval_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            check_pst(N8, source=1, tol=tol)
+
     def test_report_round_trip(self):
         report = check_pst(N8, source=1)
         assert PstReport.from_dict(report.to_dict()) == report

@@ -127,8 +127,16 @@ class TestPhysicalParameters:
         assert not cramped.dispersive_ok
 
     def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            physical_parameters(solve_weights(SynthesisProblem(8, 4, 1.0)), 0.0)
+        for scale in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="delta_scale"):
+                physical_parameters(solve_weights(SynthesisProblem(8, 4, 1.0)), scale)
+
+    @pytest.mark.parametrize("floor", [math.inf, math.nan])
+    def test_rejects_non_finite_dispersive_min(self, floor):
+        with pytest.raises(ValueError, match="dispersive_min"):
+            physical_parameters(
+                solve_weights(SynthesisProblem(8, 4, 1.0)), 200.0, dispersive_min=floor
+            )
 
 
 class TestVerifySynthesis:
