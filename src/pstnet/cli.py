@@ -2,12 +2,14 @@
 
 Subcommands: spectrum, transport, pst-check, cat, tmsv, evanescent,
 synth.  Every run is fully determined by its flags, so identical runs
-produce identical bytes.  CSV floats carry 17 significant digits; JSON
-summaries are written by ``json.dumps``, whose floats are the shortest
-repr that reads back to the same value.  An optional ``--config`` file
-of ``key = value`` lines becomes ``--key=value`` flags placed right
-after the subcommand: keys are flag names (``z_max`` or ``z-max``),
-argparse parses them exactly like flags, and explicit flags win.
+produce identical bytes.  CSV floats carry 17 significant digits and
+are streamed in chunks of ``%``-formatted text; JSON summaries are
+written by ``json.dumps``, whose floats are the shortest repr that reads
+back to the same value.  An optional ``--config`` file (the flag spelled
+out in full) of ``key = value`` lines becomes ``--key=value`` flags
+placed right after the subcommand: keys are flag names (``z_max`` or
+``z-max``), argparse parses them exactly like flags, and explicit flags
+win.
 
 Mode labels on the command line are 1-based; the library uses 0-based
 indices internally.  Distance and angle flags accept symbolic multiples
@@ -17,7 +19,6 @@ of pi such as ``pi/2`` or ``3pi/2``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -122,8 +123,22 @@ def parse_pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"pair {text!r} must be integers") from None
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+_CHUNK_ROWS = 4096  # table rows formatted into one chunk of CSV text
+
+
+def _csv_chunks(line, *columns, size=_CHUNK_ROWS):
+    """Yield the CSV text of ``columns`` in chunks of ``size`` rows.
+
+    Row i is the tuple of every column's entry i (a row of a 2-D column
+    is a list), and ``line`` turns it into text, for example
+    ``"%d,%.17g\\r\\n".__mod__``.  ``"%.17g" % x`` is ``format(x, ".17g")``,
+    so the bytes are those of ``csv.writer`` over 17-digit fields.  Each
+    chunk costs one ``.tolist()`` per column and one join, and only one
+    chunk's text is held at a time.
+    """
+    for start in range(0, len(columns[0]), size):
+        rows = zip(*(c[start : start + size].tolist() for c in columns))
+        yield "".join(map(line, rows))
 
 
 def _out_path(args, suffix: str) -> Path:
@@ -133,21 +148,20 @@ def _out_path(args, suffix: str) -> Path:
     return outdir / f"{base}{suffix}"
 
 
-def _emit(args, header, rows, summary, note: str = "") -> int:
+def _emit(args, header, chunks, summary, note: str = "") -> int:
     """Write the CSV trace and the JSON summary that ``--format`` selects.
 
-    A command without a trace or a summary passes None for it.  ``rows``
-    is iterated only when the CSV is written, so a generator of
-    formatted rows costs nothing under ``--format json``.
+    A command without a trace or a summary passes None for it.  ``chunks``
+    (from ``_csv_chunks``) is iterated only when the CSV is written, so
+    nothing is formatted under ``--format json``.
     """
     fmt = getattr(args, "format", "both")
     written = []
     if header is not None and fmt in ("csv", "both"):
         path = _out_path(args, ".csv")
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(chunks)
         written.append(path)
     if summary is not None and fmt in ("json", "both"):
         path = _out_path(args, ".json")
@@ -173,9 +187,10 @@ def _label_to_index(label: int, n: int, name: str) -> int:
 def _cmd_spectrum(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
     spectrum = dispersion(spec)
-    rows = ((p, _fmt(lam)) for p, lam in enumerate(spectrum.eigenvalues))
+    lam = spectrum.as_array()
+    chunks = _csv_chunks("%d,%.17g\r\n".__mod__, np.arange(len(lam)), lam)
     hist = degeneracy_histogram(spectrum, args.tol)
-    return _emit(args, ("p", "lambda_p"), rows, hist.to_dict())
+    return _emit(args, ("p", "lambda_p"), chunks, hist.to_dict())
 
 
 def _cmd_transport(args) -> int:
@@ -184,12 +199,17 @@ def _cmd_transport(args) -> int:
     zs = z_grid(args.z_max, args.dz, 0.0)
     amps = offset_amplitudes(spec, zs)
     modes = (np.arange(args.n) - source) % args.n
-    rows = (
-        (_fmt(z), mode + 1, _fmt(p))
-        for z, amp in zip(zs, amps)
-        for mode, p in enumerate(np.abs(amp[modes]) ** 2)
+    tails = [f",{mode},%.17g\r\n" for mode in range(1, args.n + 1)]
+
+    def step(row):
+        z, probs = row
+        z = "%.17g" % z  # once for the N lines of this z-step
+        return (z + z.join(tails)) % tuple(probs)
+
+    chunks = _csv_chunks(
+        step, zs, np.abs(amps[:, modes]) ** 2, size=max(1, _CHUNK_ROWS // args.n)
     )
-    return _emit(args, ("z", "mode", "probability"), rows, None)
+    return _emit(args, ("z", "mode", "probability"), chunks, None)
 
 
 def _cmd_pst_check(args) -> int:
@@ -211,7 +231,7 @@ def _cmd_cat(args) -> int:
     result = cat_fidelity_scan(
         spec, source, target, args.alpha, args.phi, args.z_max, args.dz
     )
-    rows = ((_fmt(z), _fmt(f)) for z, f in zip(result.zs, result.values))
+    chunks = _csv_chunks("%.17g,%.17g\r\n".__mod__, result.zs, result.values)
     summary = {
         "alpha": args.alpha,
         "phi": args.phi,
@@ -222,7 +242,7 @@ def _cmd_cat(args) -> int:
         "z_max": args.z_max,
         "dz": result.dz,
     }
-    return _emit(args, ("z", "fidelity"), rows, summary)
+    return _emit(args, ("z", "fidelity"), chunks, summary)
 
 
 def _cmd_tmsv(args) -> int:
@@ -243,11 +263,11 @@ def _cmd_tmsv(args) -> int:
         state = evolve_covariance(initial, evo)
         rows.append(
             (
-                _fmt(z),
-                _fmt(squeezing_factor(state, m, n_, "Q")),
-                _fmt(squeezing_factor(state, m, n_, "P")),
-                _fmt(squeezing_factor(state, track[0], track[1], "Q")),
-                _fmt(squeezing_factor(state, track[0], track[1], "P")),
+                z,
+                squeezing_factor(state, m, n_, "Q"),
+                squeezing_factor(state, m, n_, "P"),
+                squeezing_factor(state, track[0], track[1], "Q"),
+                squeezing_factor(state, track[0], track[1], "P"),
             )
         )
     in_label = f"{m + 1}{n_ + 1}"
@@ -259,7 +279,8 @@ def _cmd_tmsv(args) -> int:
         f"S_Q_{tr_label}",
         f"S_P_{tr_label}",
     )
-    return _emit(args, header, rows, None)
+    line = "%.17g,%.17g,%.17g,%.17g,%.17g\r\n".__mod__
+    return _emit(args, header, _csv_chunks(line, *np.array(rows).T), None)
 
 
 def _cmd_evanescent(args) -> int:
@@ -268,7 +289,7 @@ def _cmd_evanescent(args) -> int:
     source = _label_to_index(args.source, args.n, "source")
     target = antipode(args.n, source)
     result = transfer_scan(spec, source, target, args.z_max, args.dz)
-    rows = ((_fmt(z), _fmt(v)) for z, v in zip(result.zs, result.values))
+    chunks = _csv_chunks("%.17g,%.17g\r\n".__mod__, result.zs, result.values)
     summary = {
         "n_modes": args.n,
         "mu": args.mu,
@@ -280,7 +301,7 @@ def _cmd_evanescent(args) -> int:
         "z_max": args.z_max,
         "dz": result.dz,
     }
-    return _emit(args, ("z", "probability"), rows, summary)
+    return _emit(args, ("z", "probability"), chunks, summary)
 
 
 def _cmd_synth(args) -> int:
@@ -300,9 +321,25 @@ def _cmd_synth(args) -> int:
     return _emit(args, None, None, summary, note)
 
 
+class _ConfigPrefix(argparse.Action):
+    """Reject a prefix of ``--config`` such as ``--conf``.
+
+    ``main`` takes ``--config`` out of argv before parsing, so one that
+    reaches a subcommand is a prefix, and storing it would leave the file
+    silently unread.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise argparse.ArgumentError(self, "spell out --config in full")
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="file of key = value lines, read as --key=value flags")
+    common.add_argument(
+        "--config",
+        action=_ConfigPrefix,
+        help="file of key = value lines, read as --key=value flags (spell out --config)",
+    )
     common.add_argument("--output", help="output base name (default: subcommand)")
     common.add_argument(
         "--outdir", help=f"output directory (default: ${OUTDIR_ENV} or '.')"
@@ -414,12 +451,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
+    known, argv = pre.parse_known_args(argv)
     parser = build_parser()
     if known.config:
         # Config flags go right after the subcommand, so argparse converts
         # and checks them like typed flags and later explicit flags win.
-        command = next((tok for tok in rest if not tok.startswith("-")), None)
+        command = next((tok for tok in argv if not tok.startswith("-")), None)
         if command is None:
             parser.error("--config requires a subcommand")
         try:

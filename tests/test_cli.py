@@ -1,5 +1,7 @@
+import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,9 +10,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pstnet import DegeneracyHistogram, PstReport, SynthesisSolution
-from pstnet.cli import main, parse_length
+from pstnet.cli import _CHUNK_ROWS, _csv_chunks, _emit, main, parse_length
 
 
 def run_cli(args, cwd, env_extra=None, python_flags=()):
@@ -50,11 +54,57 @@ class TestParseLength:
         assert parse_length(text) == pytest.approx(value, rel=1e-15)
 
     def test_rejected(self):
-        import argparse
-
         for text in ("two pies", "pi/0"):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_length(text)
+
+
+def reference_csv(header, rows) -> bytes:
+    """Reference bytes: csv.writer over 17-digit floats and plain integers."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(
+        [v if isinstance(v, int) else format(float(v), ".17g") for v in row]
+        for row in rows
+    )
+    return buf.getvalue().encode()
+
+
+SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16,
+    1e17, 2.0**53 + 2, 0.1, 1 / 3, 1e-300, 1.7976931348623157e308, 2.2250738585072014e-308,
+]
+
+
+class TestCsvChunks:
+    """``_csv_chunks`` through ``_emit`` writes csv.writer's bytes."""
+
+    @pytest.mark.parametrize(
+        "length", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1]
+    )
+    def test_matches_csv_writer(self, tmp_path, length):
+        labels = np.arange(length) + 1
+        x = np.resize(SPECIAL_FLOATS, length)
+        y = -np.resize(SPECIAL_FLOATS[::-1], length)
+        header = ("mode", "x", "y")
+        args = argparse.Namespace(outdir=str(tmp_path), output="t", command="t", format="csv")
+        chunks = _csv_chunks("%d,%.17g,%.17g\r\n".__mod__, labels, x, y)
+        assert _emit(args, header, chunks, None) == 0
+        rows = zip(labels.tolist(), x.tolist(), y.tolist())
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, rows)
+
+    @given(
+        st.lists(st.floats(), max_size=40),
+        st.integers(min_value=1, max_value=7),
+    )
+    def test_any_float_any_chunk_size(self, values, size):
+        values = np.array(values, dtype=float)
+        labels = np.arange(len(values))
+        line = "%.17g,%d,%.17g\r\n".__mod__
+        text = "".join(_csv_chunks(line, values, labels, values[::-1], size=size))
+        rows = zip(values.tolist(), labels.tolist(), values[::-1].tolist())
+        assert ("z,mode,p\r\n" + text).encode() == reference_csv(("z", "mode", "p"), rows)
 
 
 class TestSpectrumCommand:
@@ -466,6 +516,23 @@ class TestCliPlumbing:
         cfg, flag, zero = ((tmp_path / f"{name}.csv").read_bytes() for name in runs)
         assert cfg == flag
         assert cfg != zero
+
+    @pytest.mark.parametrize("spelling", ["--conf", "--conf=", "--c"])
+    def test_config_must_be_spelled_out(self, tmp_path, spelling, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("tol = 0.5\n")
+        argv = ["pst-check", "--n", "10", "--profile", "uniform:C=1,R=4", "--source", "1",
+                "--outdir", str(tmp_path)]
+        assert main([*argv, "--config", str(config)]) == 0
+        report = json.loads((tmp_path / "pst-check.json").read_text())
+        assert report["is_pst"] is True  # tol 0.5 from the file took effect
+        (tmp_path / "pst-check.json").unlink()
+        prefix = [spelling + str(config)] if spelling.endswith("=") else [spelling, str(config)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *prefix])
+        assert exc.value.code == 2
+        assert "spell out --config in full" in capsys.readouterr().err
+        assert not (tmp_path / "pst-check.json").exists()
 
     def test_deterministic_outputs(self, tmp_path):
         digests = []
