@@ -23,6 +23,7 @@ from .gaussian import (
     SymplecticEvolution,
     TmsvParams,
     evolve_covariance,
+    pair_squeezing,
     squeezing_factor,
     symplectic_eigenvalues,
     symplectic_form,
@@ -110,6 +111,7 @@ __all__ = [
     "ode_oracle",
     "offset_amplitudes",
     "opposite_site_spectrum",
+    "pair_squeezing",
     "photon_numbers",
     "physical_parameters",
     "propagator",

@@ -29,13 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .fock import cat_fidelity_scan, cat_normalization
-from .gaussian import (
-    TmsvParams,
-    evolve_covariance,
-    squeezing_factor,
-    symplectic_from_propagator,
-    tmsv_covariance,
-)
+from .gaussian import TmsvParams, pair_squeezing
 from .lattice import (
     NetworkSpec,
     custom_profile,
@@ -46,7 +40,6 @@ from .propagation import (
     antipode,
     check_pst,
     offset_amplitudes,
-    propagator,
     transfer_scan,
     z_grid,
 )
@@ -256,20 +249,9 @@ def _cmd_tmsv(args) -> int:
             _label_to_index(args.track[0], args.n, "track"),
             _label_to_index(args.track[1], args.n, "track"),
         )
-    initial = tmsv_covariance(TmsvParams(args.w, args.theta, (m, n_)), args.n)
-    rows = []
-    for z in z_grid(args.z_max, args.dz, 0.0):
-        evo = symplectic_from_propagator(propagator(spec, float(z)))
-        state = evolve_covariance(initial, evo)
-        rows.append(
-            (
-                z,
-                squeezing_factor(state, m, n_, "Q"),
-                squeezing_factor(state, m, n_, "P"),
-                squeezing_factor(state, track[0], track[1], "Q"),
-                squeezing_factor(state, track[0], track[1], "P"),
-            )
-        )
+    params = TmsvParams(args.w, args.theta, (m, n_))
+    zs = z_grid(args.z_max, args.dz, 0.0)
+    columns = pair_squeezing(offset_amplitudes(spec, zs), params, ((m, n_), track))
     in_label = f"{m + 1}{n_ + 1}"
     tr_label = f"{track[0] + 1}{track[1] + 1}"
     header = (
@@ -280,7 +262,7 @@ def _cmd_tmsv(args) -> int:
         f"S_P_{tr_label}",
     )
     line = "%.17g,%.17g,%.17g,%.17g,%.17g\r\n".__mod__
-    return _emit(args, header, _csv_chunks(line, *np.array(rows).T), None)
+    return _emit(args, header, _csv_chunks(line, zs, *columns), None)
 
 
 def _cmd_evanescent(args) -> int:
@@ -325,8 +307,8 @@ class _ConfigPrefix(argparse.Action):
     """Reject a prefix of ``--config`` such as ``--conf``.
 
     ``main`` takes ``--config`` out of argv before parsing, so one that
-    reaches a subcommand is a prefix, and storing it would leave the file
-    silently unread.
+    reaches the parser, before or after the subcommand, is a prefix, and
+    storing it would leave the file silently unread.
     """
 
     def __call__(self, parser, namespace, values, option_string=None):
@@ -361,6 +343,7 @@ def build_parser():
         prog="pstnet",
         description="State transfer experiments on circulant waveguide networks",
     )
+    parser.add_argument("--config", action=_ConfigPrefix, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(

@@ -17,12 +17,16 @@ the squeezing factors
 
 which vanish for vacuum and are negative exactly when the combined
 quadrature (relative position, total momentum) is squeezed.
+
+``tmsv`` reads each pair's squeezing from four offsets of one amplitude
+grid (``pair_squeezing``); the dense chain ``symplectic_from_propagator``
+-> ``evolve_covariance`` on the full covariance is its test reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,6 +157,15 @@ def tmsv_covariance(params: TmsvParams, n_modes: int) -> CovarianceState:
     return CovarianceState(0.5 * s @ s.T)
 
 
+def _realify(u: np.ndarray) -> np.ndarray:
+    """Interleaved quadrature image [[Re, -Im], [Im, Re]] of each entry."""
+    m = np.zeros((*u.shape[:-2], 2 * u.shape[-2], 2 * u.shape[-1]))
+    m[..., 0::2, 0::2] = m[..., 1::2, 1::2] = u.real
+    m[..., 0::2, 1::2] = -u.imag
+    m[..., 1::2, 0::2] = u.imag
+    return m
+
+
 def symplectic_from_propagator(u: Propagator) -> SymplecticEvolution:
     """Quadrature-space image of a mode-space propagator.
 
@@ -162,14 +175,7 @@ def symplectic_from_propagator(u: Propagator) -> SymplecticEvolution:
     as U U^dag = I, so the symplectic check of ``SymplecticEvolution``
     also rejects a non-unitary input.
     """
-    mat = np.asarray(u.matrix)
-    n = mat.shape[0]
-    m = np.zeros((2 * n, 2 * n))
-    m[0::2, 0::2] = mat.real
-    m[0::2, 1::2] = -mat.imag
-    m[1::2, 0::2] = mat.imag
-    m[1::2, 1::2] = mat.real
-    return SymplecticEvolution(m, u.z)
+    return SymplecticEvolution(_realify(u.matrix), u.z)
 
 
 def evolve_covariance(
@@ -206,3 +212,34 @@ def squeezing_factor(
         raise ValueError("quadrature must be 'Q' or 'P'")
     variance = 0.5 * (v[a, a] + v[b, b] + 2.0 * sign * v[a, b])
     return float(variance - 0.5)
+
+
+def pair_squeezing(amps, params: TmsvParams, pairs) -> list[np.ndarray]:
+    """S_Q and S_P columns of each pair (j, k) along an amplitude grid.
+
+    ``amps`` comes from ``offset_amplitudes``, so U_jl = amps[:, (j - l) % N].
+    A passive U keeps the vacuum I/2, so only the input pair's excess
+    D = V0 - I/2 moves and pair (j, k) holds I/2 + R D R^T, with R the
+    realified block U[j|k, m|n] (Weedbrook et al., RMP 84, 621, Sec. II).
+    Each row must be unitary, max | |fft(row)|^2 - 1 | <= 1e-10 (the FFT
+    of a circulant's column is its spectrum), and each two-mode
+    covariance physical.
+    """
+    amps = np.atleast_2d(amps)
+    n = amps.shape[1]
+    defect = np.abs(np.abs(np.fft.fft(amps, axis=1)) ** 2 - 1.0).max()
+    if defect > 1e-10:
+        raise ValueError(f"propagator is not unitary (defect {defect:.2e})")
+    half = 0.5 * np.eye(4)
+    excess = tmsv_covariance(replace(params, mode_pair=(0, 1)), 2).matrix - half
+    columns = []
+    for j, k in pairs:
+        if j == k:
+            raise ValueError("squeezing factor needs two distinct modes")
+        if not all(0 <= i < n for i in (*params.mode_pair, j, k)):
+            raise ValueError("mode indices out of range")
+        r = _realify(amps[:, np.subtract.outer((j, k), params.mode_pair) % n])
+        v = r @ excess @ r.transpose(0, 2, 1)
+        states = [CovarianceState(half + 0.5 * (x + x.T)) for x in v]
+        columns += [[squeezing_factor(s, 0, 1, q) for s in states] for q in "QP"]
+    return [np.array(c) for c in columns]

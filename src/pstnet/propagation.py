@@ -97,19 +97,6 @@ class PstReport:
             "z_at_max": self.z_at_max,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PstReport":
-        re, im = data["amplitude_at_zpst"]
-        return cls(
-            is_pst=bool(data["is_pst"]),
-            z_pst=None if data["z_pst"] is None else float(data["z_pst"]),
-            source=int(data["source"]),
-            target=int(data["target"]),
-            amplitude_at_zpst=complex(re, im),
-            max_transfer=float(data["max_transfer"]),
-            z_at_max=float(data["z_at_max"]),
-        )
-
 
 @dataclass(frozen=True)
 class ScanResult:

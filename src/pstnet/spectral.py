@@ -1,8 +1,9 @@
 """Fourier-mode spectra of circulant coupling matrices.
 
 A circulant matrix is diagonalized by the discrete Fourier transform,
-so its eigenvalues are the DFT of its first row.  In terms of the
-coupling profile,
+so its eigenvalues are the DFT of its first row: ``dispersion`` is one
+FFT of ``coupling_row``.  Because the row holds C_r at columns r and
+N - r, the FFT equals the cosine sum
 
     lambda_p = sum_r w_r * C_r * cos(2 pi p r / N),   p = 0..N-1
 
@@ -79,13 +80,6 @@ class DegeneracyHistogram:
                 {"eigenvalue": v, "multiplicity": m} for v, m in self.bins
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DegeneracyHistogram":
-        bins = tuple(
-            (float(b["eigenvalue"]), int(b["multiplicity"])) for b in data["bins"]
-        )
-        return cls(bins, float(data["tolerance"]), int(data["n_modes"]))
 
 
 def dispersion(spec: NetworkSpec) -> Spectrum:

@@ -87,28 +87,6 @@ class SynthesisSolution:
             "dispersive_ok": self.dispersive_ok,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthesisSolution":
-        physical = data.get("physical")
-        return cls(
-            weights=tuple(float(a) for a in data["weights"]),
-            couplings=tuple(float(j) for j in data["couplings"]),
-            residual=float(data["residual"]),
-            tolerance=float(data["tolerance"]),
-            physical=None
-            if physical is None
-            else tuple(
-                AuxiliaryMode(float(m["g"]), float(m["detuning"]), float(m["ratio"]))
-                for m in physical
-            ),
-            min_dispersive_ratio=None
-            if data["min_dispersive_ratio"] is None
-            else float(data["min_dispersive_ratio"]),
-            dispersive_ok=None
-            if data["dispersive_ok"] is None
-            else bool(data["dispersive_ok"]),
-        )
-
 
 def constraint_matrix(n_modes: int, n_aux_pairs: int) -> np.ndarray:
     """Rows are the cosine constraints for r = 1..N/2.

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pstnet import DegeneracyHistogram, PstReport, SynthesisSolution
 from pstnet.cli import _CHUNK_ROWS, _csv_chunks, _emit, main, parse_length
 
 
@@ -117,10 +116,8 @@ class TestSpectrumCommand:
         assert header == ["p", "lambda_p"]
         assert len(rows) == 12
         assert float(rows[0][1]) == pytest.approx(10.0, abs=1e-10)
-        hist = DegeneracyHistogram.from_dict(
-            json.loads((tmp_path / "spectrum.json").read_text())
-        )
-        assert sorted(m for _, m in hist.bins) == [1, 5, 6]
+        hist = json.loads((tmp_path / "spectrum.json").read_text())
+        assert sorted(b["multiplicity"] for b in hist["bins"]) == [1, 5, 6]
 
     def test_cosine_band(self, tmp_path):
         result = run_cli(
@@ -204,12 +201,11 @@ class TestPstCheckCommand:
             tmp_path,
         )
         assert result.returncode == 0
-        report = PstReport.from_dict(
-            json.loads((tmp_path / "pst-check.json").read_text())
-        )
-        assert not report.is_pst
-        assert report.source == 1 and report.target == 6
-        assert abs(report.amplitude_at_zpst) ** 2 == pytest.approx(0.64, abs=1e-9)
+        report = json.loads((tmp_path / "pst-check.json").read_text())
+        assert report["is_pst"] is False
+        assert report["source"] == 1 and report["target"] == 6
+        amplitude = complex(*report["amplitude_at_zpst"])
+        assert abs(amplitude) ** 2 == pytest.approx(0.64, abs=1e-9)
 
     def test_positive_case_labels(self, tmp_path):
         run_cli(
@@ -348,6 +344,18 @@ class TestTmsvCommand:
         assert float(last[3]) == pytest.approx(floor, abs=1e-8)
         assert float(last[1]) == pytest.approx(0.0, abs=1e-8)
 
+    def test_track_of_one_mode_is_domain_error(self, tmp_path):
+        result = run_cli(
+            ["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--w", "0.5",
+             "--pair", "1,2", "--track", "3,3", "--z-max", "1", "--dz", "0.5"],
+            tmp_path,
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith(
+            "pstnet: error: squeezing factor needs two distinct modes"
+        )
+        assert not list(tmp_path.iterdir())
+
 
 class TestEvanescentCommand:
     def test_short_scan_summary(self, tmp_path):
@@ -380,12 +388,12 @@ class TestSynthCommand:
         result = run_cli(["synth", "--n", "8", "--m", "4", "--c", "1"], tmp_path)
         assert result.returncode == 0
         payload = json.loads((tmp_path / "synth.json").read_text())
-        solution = SynthesisSolution.from_dict(payload["solution"])
-        assert np.asarray(solution.couplings) == pytest.approx(
+        solution = payload["solution"]
+        assert np.asarray(solution["couplings"]) == pytest.approx(
             [1.0, 1.0, 1.0, 0.0], abs=1e-9
         )
         assert payload["pst_report"]["is_pst"] is True
-        assert solution.dispersive_ok
+        assert solution["dispersive_ok"] is True
         assert type(payload["strength"]) is float
 
     def test_starved_problem_is_domain_error(self, tmp_path):
@@ -517,8 +525,12 @@ class TestCliPlumbing:
         assert cfg == flag
         assert cfg != zero
 
-    @pytest.mark.parametrize("spelling", ["--conf", "--conf=", "--c"])
-    def test_config_must_be_spelled_out(self, tmp_path, spelling, capsys):
+    @pytest.mark.parametrize(
+        "spelling,before",
+        [("--conf", False), ("--conf=", False), ("--c", False), ("--conf", True)],
+        ids=["--conf", "--conf=", "--c", "--conf-before-subcommand"],
+    )
+    def test_config_must_be_spelled_out(self, tmp_path, spelling, before, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("tol = 0.5\n")
         argv = ["pst-check", "--n", "10", "--profile", "uniform:C=1,R=4", "--source", "1",
@@ -529,7 +541,7 @@ class TestCliPlumbing:
         (tmp_path / "pst-check.json").unlink()
         prefix = [spelling + str(config)] if spelling.endswith("=") else [spelling, str(config)]
         with pytest.raises(SystemExit) as exc:
-            main([*argv, *prefix])
+            main([*prefix, *argv] if before else [*argv, *prefix])
         assert exc.value.code == 2
         assert "spell out --config in full" in capsys.readouterr().err
         assert not (tmp_path / "pst-check.json").exists()

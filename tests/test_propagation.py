@@ -6,7 +6,6 @@ import pytest
 from pstnet import (
     NetworkSpec,
     Propagator,
-    PstReport,
     check_pst,
     closed_form_amplitude,
     coupling_matrix,
@@ -165,10 +164,6 @@ class TestCheckPst:
     def test_tol_outside_open_unit_interval_rejected(self, tol):
         with pytest.raises(ValueError, match="tol"):
             check_pst(N8, source=1, tol=tol)
-
-    def test_report_round_trip(self):
-        report = check_pst(N8, source=1)
-        assert PstReport.from_dict(report.to_dict()) == report
 
 
 class TestTransferScan:

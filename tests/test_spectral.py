@@ -146,11 +146,6 @@ class TestDegeneracyHistogram:
         spectrum = collapsed_spectrum(12, 1.0)
         assert default_bin_tolerance(spectrum) == pytest.approx(1e-8, rel=1e-12)
 
-    def test_round_trip(self):
-        hist = degeneracy_histogram(collapsed_spectrum(8, 1.0))
-        again = DegeneracyHistogram.from_dict(hist.to_dict())
-        assert again == hist
-
 
 class TestFourierMatrix:
     def test_two_point(self):

@@ -158,9 +158,3 @@ class TestVerifySynthesis:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             verify_synthesis(solve_weights(SynthesisProblem(8, 4, 1.0)), 12)
-
-    def test_round_trip(self):
-        solution = physical_parameters(
-            solve_weights(SynthesisProblem(8, 4, 1.0)), 200.0
-        )
-        assert SynthesisSolution.from_dict(solution.to_dict()) == solution
