@@ -13,7 +13,8 @@ win.
 
 Mode labels on the command line are 1-based; the library uses 0-based
 indices internally.  Distance and angle flags accept symbolic multiples
-of pi such as ``pi/2`` or ``3pi/2``.
+of pi such as ``pi/2`` or ``3pi/2``, negative ones too, as a separate
+token (``--theta -pi/2``) or joined (``--theta=-pi/2``).
 """
 
 from __future__ import annotations
@@ -430,8 +431,31 @@ def _read_config(path: str) -> list[str]:
     return flags
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join ``--theta -pi/2`` into ``--theta=-pi/2``.
+
+    argparse reads a token that starts with ``-`` as an option unless it
+    is a plain negative number such as ``-2`` or ``-.5``, so a negative
+    symbolic length given as its own token would be a usage error.  A
+    token that ``parse_length`` accepts is never an option of this CLI.
+    """
+    joined = []
+    for tok in argv:
+        prev = joined[-1] if joined else ""
+        if prev.startswith("--") and "=" not in prev and tok.startswith("-"):
+            try:
+                parse_length(tok)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                joined[-1] = f"{prev}={tok}"
+                continue
+        joined.append(tok)
+    return joined
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_negative_values(list(sys.argv[1:] if argv is None else argv))
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, argv = pre.parse_known_args(argv)

@@ -106,7 +106,7 @@ def cat_fidelity(
     a = _real_scalar(alpha, "alpha")
     p = _real_scalar(phi, "phi")
     norm = cat_normalization(a, p)
-    u = offset_amplitudes(spec, [z])[0, d]
+    u = offset_amplitudes(spec, [z], offset=d)[0]
     return _clamped(float(_fidelity_from_amplitude(u, a, p, norm)))
 
 

@@ -14,6 +14,22 @@ which depends on j and l through the offset d = (j - l) mod N only.
 This spectral sum is exact for any z; a Runge-Kutta integrator of the
 amplitude equation is provided purely as an independent cross-check.
 
+A scan needs one offset only, and the spectrum has few distinct values
+(three for the collapse profile below), so the modes sharing an
+eigenvalue are summed once:
+
+    u_d(z) = sum_g w_g(d) exp(-i mu_g z),
+    w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p d / N)
+
+with mu_g the distinct eigenvalues.  A group holds sorted eigenvalues
+that lie within ``tol = min(default_bin_tolerance, 1e-13 / max(1,
+max|z|))`` of its first member mu_g.  Replacing each member by mu_g
+moves its phase by at most tol * |z| <= 1e-13, so the grouped sum
+differs from the sum over all N modes by at most 1e-13 plus rounding,
+and eigenvalues that are distinct at that resolution are never merged.
+All N offsets at once (``transport``, ``tmsv``, the dense propagator)
+still come from the phases of every mode and one inverse FFT per z.
+
 With the uniform profile of range N/2 - 1 the spectrum collapses onto
 three values and the propagator has a closed form.  At the distances
 ``(2s+1) pi / (2C)`` and for mode counts divisible by four the full
@@ -28,9 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import NetworkSpec, circulant, coupling_matrix
-from .spectral import dispersion
+from .spectral import default_bin_tolerance, dispersion
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# phase factors exp(-i mu_g z) held at once by the single-offset sum
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,17 +133,50 @@ class ScanResult:
     dz: float
 
 
-def offset_amplitudes(spec: NetworkSpec, zs) -> np.ndarray:
-    """Transition amplitudes for every offset at each distance.
+def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np.ndarray:
+    """Transition amplitudes at each distance, for every offset or for one.
 
-    Returns an array of shape (len(zs), N) whose [i, d] entry is the
-    amplitude between any two modes separated by d (mod N) at distance
-    zs[i].  Column 0 is the return amplitude.
+    Without ``offset`` returns an array of shape (len(zs), N) whose [i, d]
+    entry is the amplitude between any two modes separated by d (mod N)
+    at distance zs[i].  Column 0 is the return amplitude.
+
+    With ``offset=d`` (an integer, 0 <= d < N) returns the 1-D array of
+    column d alone, from the grouped sum over distinct eigenvalues (see
+    the module docstring).  Each merged eigenvalue moves by at most its
+    group's span s_g <= tol, so the result differs from column d of the
+    full array by at most ``max_g s_g * max|z| <= 1e-13`` plus rounding.
+    The phases are evaluated in blocks of at most ``_BLOCK`` entries, so
+    memory stays O(len(zs)) for any N.
     """
-    lam = dispersion(spec).as_array()
+    spectrum = dispersion(spec)
+    lam = spectrum.as_array()
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    phases = np.exp(-1j * np.outer(zs, lam))
-    return np.fft.ifft(phases, axis=1)
+    if offset is None:
+        phases = np.exp(-1j * np.outer(zs, lam))
+        return np.fft.ifft(phases, axis=1)
+    n = spec.n_modes
+    if not isinstance(offset, (int, np.integer)) or not 0 <= offset < n:
+        raise ValueError(f"offset must be an integer in 0..{n - 1}, got {offset!r}")
+    reach = float(np.abs(zs).max(initial=1.0))
+    tol = min(default_bin_tolerance(spectrum), 1e-13 / reach)
+    order = np.argsort(lam)
+    values = lam[order]
+    # a group starts after a gap wider than tol, and again wherever a run
+    # of smaller gaps has drifted a further tol from the run's first member,
+    # so that no group spans more than tol
+    fresh = np.concatenate(([True], values[1:] - values[:-1] > tol))
+    base = np.maximum.accumulate(np.where(fresh, values, -np.inf))
+    bins = np.floor((values - base) / tol)
+    fresh[1:] |= bins[1:] != bins[:-1]
+    starts = np.flatnonzero(fresh)
+    mu = values[starts]
+    # (p d) mod N in integers keeps the Fourier phase exact for large p d
+    weights = np.add.reduceat(np.exp(2j * np.pi / n * (order * offset % n)), starts) / n
+    rows = max(1, _BLOCK // mu.size)
+    out = np.empty(zs.size, dtype=complex)
+    for i in range(0, zs.size, rows):
+        out[i : i + rows] = np.exp(-1j * np.outer(zs[i : i + rows], mu)) @ weights
+    return out
 
 
 def propagator(spec: NetworkSpec, z: float) -> Propagator:
@@ -195,7 +246,7 @@ def check_pst(
         raise ValueError("tol must satisfy 0 < tol < 1")
     c_ref = spec.profile.max_strength
     z_ref = pst_distance(c_ref)
-    amp = complex(offset_amplitudes(spec, [z_ref])[0, n // 2])
+    amp = complex(offset_amplitudes(spec, [z_ref], offset=n // 2)[0])
     is_pst = abs(amp) ** 2 >= 1.0 - tol
     if z_scan_max is None:
         z_scan_max = 8.0 * z_ref
@@ -272,12 +323,12 @@ def scan_offset(
     if dz is None:
         dz = min(0.01 / spec.profile.max_strength, z_max)
     zs = z_grid(z_max, dz, dz)
-    values = merit(offset_amplitudes(spec, zs)[:, offset])
+    values = merit(offset_amplitudes(spec, zs, offset=offset))
     i = int(np.argmax(values))
     lo = max(zs[i] - 2.0 * dz, zs[0] * 1e-3)
     hi = min(zs[i] + 2.0 * dz, z_max)
     z_best, v_best = _golden_max(
-        lambda z: merit(offset_amplitudes(spec, [z])[0, offset]), lo, hi
+        lambda z: merit(offset_amplitudes(spec, [z], offset=offset)[0]), lo, hi
     )
     if v_best < values[i]:
         z_best, v_best = zs[i], values[i]

@@ -16,7 +16,7 @@ profile including r = N/2, which gives {C(N-1), -C}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,18 +29,21 @@ class Spectrum:
 
     Real symmetric circulants satisfy ``lambda_p == lambda_{N-p}`` and
     have zero trace (the coupling matrix has an empty diagonal); both
-    are checked on construction.
+    are checked on construction.  The read-only array that ``as_array``
+    returns is built once, here.
     """
 
     eigenvalues: tuple[float, ...]
     n_modes: int
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.eigenvalues)
-        object.__setattr__(self, "eigenvalues", values)
-        if len(values) != self.n_modes:
+        arr = np.array(self.eigenvalues, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", tuple(arr.tolist()))
+        object.__setattr__(self, "_array", arr)
+        if arr.shape != (self.n_modes,):
             raise ValueError("eigenvalue count must equal n_modes")
-        arr = np.asarray(values)
         scale = max(1.0, float(np.abs(arr).max()))
         mirrored = arr[(-np.arange(self.n_modes)) % self.n_modes]
         if np.abs(arr - mirrored).max() > 1e-9 * scale:
@@ -49,7 +52,7 @@ class Spectrum:
             raise ValueError("spectrum of a zero-diagonal circulant must sum to 0")
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.eigenvalues)
+        return self._array
 
     def sorted_values(self) -> np.ndarray:
         """Ascending view used for histogramming and comparisons."""
@@ -84,7 +87,7 @@ class DegeneracyHistogram:
 
 def dispersion(spec: NetworkSpec) -> Spectrum:
     """All N eigenvalues of the coupling matrix: the FFT of its first row."""
-    return Spectrum(tuple(np.fft.fft(coupling_row(spec)).real), spec.n_modes)
+    return Spectrum(np.fft.fft(coupling_row(spec)).real, spec.n_modes)
 
 
 def collapsed_spectrum(n_modes: int, strength: float) -> Spectrum:

@@ -525,6 +525,22 @@ class TestCliPlumbing:
         assert cfg == flag
         assert cfg != zero
 
+    @pytest.mark.parametrize("value", ["-pi/2", "-3pi/4", "-1e-1", "-.5"])
+    def test_negative_value_may_be_a_separate_token(self, tmp_path, value):
+        network = ["--n", "8", "--profile", "uniform:C=1,R=3", "--outdir", str(tmp_path)]
+        trace = ["--w", "0.5", "--pair", "1,2", "--z-max", "pi/2", "--dz", "pi/8"]
+        runs = {"split": ["--theta", value], "joined": [f"--theta={value}"]}
+        for name, extra in runs.items():
+            assert main(["tmsv", *network, *extra, *trace, "--output", name]) == 0
+        split, joined = ((tmp_path / f"{name}.csv").read_bytes() for name in runs)
+        assert split == joined
+
+    def test_negative_length_token_is_still_checked(self, tmp_path, capsys):
+        argv = ["evanescent", "--n", "12", "--mu", "0.5", "--r", "6", "--source", "1",
+                "--z-max", "-pi", "--outdir", str(tmp_path)]
+        assert main(argv) == 3
+        assert "z_max must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "spelling,before",
         [("--conf", False), ("--conf=", False), ("--c", False), ("--conf", True)],

@@ -22,6 +22,19 @@ squeezing from the four amplitudes of one ``offset_amplitudes`` grid
 (``pair_squeezing``) instead of evolving the full 2N x 2N covariance per
 step.  Its values moved by at most 2.0e-15; no other digest changed.
 
+``pst-check.json``, ``cat.csv``, ``cat.json``, ``evanescent.csv``,
+``evanescent.json``, ``synth.json`` and the long ``evanescent`` trace
+were last recorded when every scan started to read its one offset from
+the sum over distinct eigenvalues (``offset_amplitudes(..., offset=d)``)
+instead of column d of an N-column inverse FFT.  The summation order
+changed, and eigenvalues equal to within 1e-13 / max|z| now share one
+phase.  CSV values moved by at most 6.1e-15 (``evanescent.csv``), JSON
+amplitudes and maxima by at most 2.0e-15, and ``z_at_max`` on the flat
+peaks that the golden-section refinement ends on by at most 2.1e-9
+(``pst-check.json``).  Every non-numeric field, ``is_pst`` included, is
+unchanged, and the ``spectrum``, ``transport`` and ``tmsv`` digests did
+not move.
+
 ``LONG_TRACES`` pins the two largest CSVs of the ``dense-output``
 benchmark (201,089 and 407,501 lines).  Their digests were recorded
 before the CSV writer moved from ``csv.writer`` over per-field strings
@@ -43,21 +56,21 @@ GOLDEN = {
         "transport.csv": "367e9af72dec4bdc2b3255b787e0d78d630c61275e9554396eeb11581cc6116d",
     },
     "pst-check --n 10 --profile uniform:C=1,R=4 --source 1": {
-        "pst-check.json": "2cf0385ab08d6502c003a9aef159c85ad3c802dcb789c2e6a8d24016b6344757",
+        "pst-check.json": "cd56c9a1144b165b4b12535f96dc545e01c3598c6154e0e7c2632809070d8f8e",
     },
     "cat --n 12 --profile uniform:C=1,R=5 --source 1 --alpha 0.5 --phi pi/2 --z-max 2pi": {
-        "cat.csv": "4fe09012afd6093b51dc566236f2c23333d2a4a5156f61066ef3e00e6c56d55b",
-        "cat.json": "f8efeb298adf41d2480bc79e4f7a7356ce012caf43aca948402163125fe87efc",
+        "cat.csv": "07b7d6d70b6db08a5922e60da81e894112bf4e3cb00da974b6446cfc6455269a",
+        "cat.json": "b484ba3d74ca5e9796338b76f56db8db1f12b8496d90f7a961b15f4f1817791d",
     },
     "tmsv --n 8 --profile uniform:C=1,R=3 --w 0.881374 --pair 1,2 --z-max pi --dz 0.01": {
         "tmsv.csv": "5d36ce1d9b17075b59650321f3599f4335eda6c4fc74fa2be3b3fbc2963a5a15",
     },
     "evanescent --n 12 --mu 0.524 --r 6 --source 1 --z-max 500": {
-        "evanescent.csv": "49df62347413976ddc2007dca5f341a5b39ac4c440b6ee5367b0e127b3ed9209",
-        "evanescent.json": "f705fcf64442a323d01251c19a2b21accd116c550039326268143979761e1151",
+        "evanescent.csv": "fbc369cf1e53b59dc6f4972d1b8449db15e80bcd2084430767e2d35f80278e3f",
+        "evanescent.json": "b5ed2f6a1887a0fc4b1e07346e00c7a74058fb4b2a9ad4eba5666c3ef6701fc8",
     },
     "synth --n 8 --m 4 --c 1": {
-        "synth.json": "5e278c164c372ecd91242665d70e9a811020188b1300885f3b1ccef677b9586e",
+        "synth.json": "9eadee4305f0d365a8dbf185f1cd72b5faaa4961a67379a923dadb1a5890ac7f",
     },
 }
 
@@ -66,8 +79,8 @@ LONG_TRACES = {
         "transport.csv": "f6490fd80a34e880d677b57ac89a9574ced9bf333eb7ca29ea07e69b690a7a84",
     },
     "evanescent --n 12 --mu 0.815 --r 6 --source 1 --z-max 5000": {
-        "evanescent.csv": "4f362518951cf80b7a70c9dc773d53ee35596d828d3f967ad54754202815cba5",
-        "evanescent.json": "77a31f900b3bef43c381e986fb8bac590e6b1719a1e5964e0be61c11536657d7",
+        "evanescent.csv": "5035793b21672e227a5a0dc32ba0779b36a1f2fdff7d187f3a8527a6e388233a",
+        "evanescent.json": "5d2417f7e9e8f12227935fe728386c0946d7043e4d49e6276de4fe932e1fd89f",
     },
 }
 
