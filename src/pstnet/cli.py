@@ -2,14 +2,16 @@
 
 Subcommands: spectrum, transport, pst-check, cat, tmsv, evanescent,
 synth.  Every run is fully determined by its flags, so identical runs
-produce identical bytes.  CSV floats carry 17 significant digits and
-are streamed in chunks of ``%``-formatted text; JSON summaries are
-written by ``json.dumps``, whose floats are the shortest repr that reads
-back to the same value.  An optional ``--config`` file (the flag spelled
-out in full) of ``key = value`` lines becomes ``--key=value`` flags
-placed right after the subcommand: keys are flag names (``z_max`` or
-``z-max``), argparse parses them exactly like flags, and explicit flags
-win.
+produce identical bytes.  CSV floats carry 17 significant digits: each
+chunk of rows is formatted a column at a time by ``g17.g17_fields``,
+whose bytes equal ``"%.17g" % x``, and streamed to the file.  JSON
+summaries are written by ``json.dumps``, whose floats are the shortest
+repr that reads back to the same value.  An optional ``--config`` file
+(the flag spelled out in full) of ``key = value`` lines becomes
+``--key=value`` flags placed right after the subcommand: keys are flag
+names (``z_max`` or ``z-max``), argparse parses them exactly like
+flags, and explicit flags win.  A bad grid, an unwritable output or an
+allocation numpy refuses ends with exit 3 and a one-line message.
 
 Mode labels on the command line are 1-based; the library uses 0-based
 indices internally.  Distance and angle flags accept symbolic multiples
@@ -30,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .fock import cat_fidelity_scan, cat_normalization
+from .g17 import g17_fields
 from .gaussian import TmsvParams, pair_squeezing
 from .lattice import (
     NetworkSpec,
@@ -120,19 +123,32 @@ def parse_pair(text: str) -> tuple[int, int]:
 _CHUNK_ROWS = 4096  # table rows formatted into one chunk of CSV text
 
 
-def _csv_chunks(line, *columns, size=_CHUNK_ROWS):
+def _fields(column) -> np.ndarray:
+    """NUL-padded byte rows of a column's CSV fields: ``%d`` or ``%.17g``."""
+    if column.dtype.kind in "iu":
+        return column.astype("S").view(np.uint8).reshape(len(column), -1)
+    return g17_fields(column)
+
+
+def _csv_text(fields) -> str:
+    """Join field matrices with ``,`` into CRLF lines and drop the padding."""
+    n = len(fields[0])
+    comma = np.full((n, 1), ord(","), np.uint8)
+    crlf = np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (n, 2))
+    parts = [part for f in fields for part in (comma, f)][1:]
+    table = np.concatenate([*parts, crlf], axis=1)
+    return table.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _csv_chunks(*columns, size=_CHUNK_ROWS):
     """Yield the CSV text of ``columns`` in chunks of ``size`` rows.
 
-    Row i is the tuple of every column's entry i (a row of a 2-D column
-    is a list), and ``line`` turns it into text, for example
-    ``"%d,%.17g\\r\\n".__mod__``.  ``"%.17g" % x`` is ``format(x, ".17g")``,
-    so the bytes are those of ``csv.writer`` over 17-digit fields.  Each
-    chunk costs one ``.tolist()`` per column and one join, and only one
-    chunk's text is held at a time.
+    Integer columns are written as ``%d`` and float columns as ``%.17g``
+    (``g17_fields``), so the bytes are those of ``csv.writer`` over
+    17-digit fields.  Only one chunk's text is held at a time.
     """
     for start in range(0, len(columns[0]), size):
-        rows = zip(*(c[start : start + size].tolist() for c in columns))
-        yield "".join(map(line, rows))
+        yield _csv_text([_fields(c[start : start + size]) for c in columns])
 
 
 def _out_path(args, suffix: str) -> Path:
@@ -182,7 +198,7 @@ def _cmd_spectrum(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
     spectrum = dispersion(spec)
     lam = spectrum.as_array()
-    chunks = _csv_chunks("%d,%.17g\r\n".__mod__, np.arange(len(lam)), lam)
+    chunks = _csv_chunks(np.arange(len(lam)), lam)
     hist = degeneracy_histogram(spectrum, args.tol)
     return _emit(args, ("p", "lambda_p"), chunks, hist.to_dict())
 
@@ -191,19 +207,20 @@ def _cmd_transport(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
     source = _label_to_index(args.source, args.n, "source")
     zs = z_grid(args.z_max, args.dz, 0.0)
-    amps = offset_amplitudes(spec, zs)
     modes = (np.arange(args.n) - source) % args.n
-    tails = [f",{mode},%.17g\r\n" for mode in range(1, args.n + 1)]
+    labels = _fields(np.arange(1, args.n + 1))
+    steps = max(1, _CHUNK_ROWS // args.n)
 
-    def step(row):
-        z, probs = row
-        z = "%.17g" % z  # once for the N lines of this z-step
-        return (z + z.join(tails)) % tuple(probs)
+    def chunks():
+        # Each z is formatted once and its bytes repeated for the N modes.
+        for start in range(0, len(zs), steps):
+            z = zs[start : start + steps]
+            probs = np.abs(offset_amplitudes(spec, z)[:, modes]) ** 2
+            z_fields = np.repeat(_fields(z), args.n, axis=0)
+            mode_fields = np.tile(labels, (len(z), 1))
+            yield _csv_text([z_fields, mode_fields, _fields(probs.ravel())])
 
-    chunks = _csv_chunks(
-        step, zs, np.abs(amps[:, modes]) ** 2, size=max(1, _CHUNK_ROWS // args.n)
-    )
-    return _emit(args, ("z", "mode", "probability"), chunks, None)
+    return _emit(args, ("z", "mode", "probability"), chunks(), None)
 
 
 def _cmd_pst_check(args) -> int:
@@ -225,7 +242,7 @@ def _cmd_cat(args) -> int:
     result = cat_fidelity_scan(
         spec, source, target, args.alpha, args.phi, args.z_max, args.dz
     )
-    chunks = _csv_chunks("%.17g,%.17g\r\n".__mod__, result.zs, result.values)
+    chunks = _csv_chunks(result.zs, result.values)
     summary = {
         "alpha": args.alpha,
         "phi": args.phi,
@@ -262,8 +279,7 @@ def _cmd_tmsv(args) -> int:
         f"S_Q_{tr_label}",
         f"S_P_{tr_label}",
     )
-    line = "%.17g,%.17g,%.17g,%.17g,%.17g\r\n".__mod__
-    return _emit(args, header, _csv_chunks(line, zs, *columns), None)
+    return _emit(args, header, _csv_chunks(zs, *columns), None)
 
 
 def _cmd_evanescent(args) -> int:
@@ -272,7 +288,7 @@ def _cmd_evanescent(args) -> int:
     source = _label_to_index(args.source, args.n, "source")
     target = antipode(args.n, source)
     result = transfer_scan(spec, source, target, args.z_max, args.dz)
-    chunks = _csv_chunks("%.17g,%.17g\r\n".__mod__, result.zs, result.values)
+    chunks = _csv_chunks(result.zs, result.values)
     summary = {
         "n_modes": args.n,
         "mu": args.mu,
@@ -477,7 +493,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"pstnet: error: {exc}", file=sys.stderr)
         return 3
 

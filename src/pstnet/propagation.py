@@ -284,10 +284,15 @@ def z_grid(z_max: float, dz: float, first: float) -> np.ndarray:
     """Grid ``first, first + dz, ...`` up to ``z_max`` inclusive.
 
     Scans start at ``first = dz``; the CLI traces start at 0.  This is
-    the one place that checks ``z_max > 0`` and ``0 < dz <= z_max``.
+    the one place that checks that both are finite, ``z_max > 0`` and
+    ``0 < dz <= z_max``.
     """
+    if not math.isfinite(z_max):
+        raise ValueError("z_max must be finite")
     if not z_max > 0:
         raise ValueError("z_max must be positive")
+    if not math.isfinite(dz):
+        raise ValueError("dz must be finite")
     if not 0 < dz <= z_max:
         raise ValueError("dz must satisfy 0 < dz <= z_max")
     grid = np.arange(first, z_max + 0.5 * dz, dz)

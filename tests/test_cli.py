@@ -88,7 +88,7 @@ class TestCsvChunks:
         y = -np.resize(SPECIAL_FLOATS[::-1], length)
         header = ("mode", "x", "y")
         args = argparse.Namespace(outdir=str(tmp_path), output="t", command="t", format="csv")
-        chunks = _csv_chunks("%d,%.17g,%.17g\r\n".__mod__, labels, x, y)
+        chunks = _csv_chunks(labels, x, y)
         assert _emit(args, header, chunks, None) == 0
         rows = zip(labels.tolist(), x.tolist(), y.tolist())
         assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, rows)
@@ -100,8 +100,7 @@ class TestCsvChunks:
     def test_any_float_any_chunk_size(self, values, size):
         values = np.array(values, dtype=float)
         labels = np.arange(len(values))
-        line = "%.17g,%d,%.17g\r\n".__mod__
-        text = "".join(_csv_chunks(line, values, labels, values[::-1], size=size))
+        text = "".join(_csv_chunks(values, labels, values[::-1], size=size))
         rows = zip(values.tolist(), labels.tolist(), values[::-1].tolist())
         assert ("z,mode,p\r\n" + text).encode() == reference_csv(("z", "mode", "p"), rows)
 
@@ -540,6 +539,37 @@ class TestCliPlumbing:
                 "--z-max", "-pi", "--outdir", str(tmp_path)]
         assert main(argv) == 3
         assert "z_max must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            (["--z-max", "inf", "--dz", "0.1"], "z_max must be finite"),
+            (["--z-max", "nan", "--dz", "0.1"], "z_max must be finite"),
+            (["--z-max", "pi", "--dz", "inf"], "dz must be finite"),
+        ],
+    )
+    def test_non_finite_grid_is_domain_error(self, tmp_path, capsys, grid, message):
+        argv = ["transport", "--n", "8", "--profile", "uniform:C=1,R=3", "--source", "1",
+                *grid, "--outdir", str(tmp_path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"pstnet: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 1e15 and 1e18 grid points: PiB and EiB, refused before allocating.
+            ["transport", "--n", "8", "--profile", "uniform:C=1,R=3", "--source", "1",
+             "--z-max", "1e6", "--dz", "1e-9"],
+            ["evanescent", "--n", "12", "--mu", "0.5", "--r", "6", "--source", "1",
+             "--z-max", "1e12", "--dz", "1e-6"],
+        ],
+        ids=["transport-PiB", "evanescent-EiB"],
+    )
+    def test_unallocatable_grid_is_domain_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--outdir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("pstnet: error: Unable to allocate") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "spelling,before",

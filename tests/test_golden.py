@@ -39,6 +39,10 @@ not move.
 benchmark (201,089 and 407,501 lines).  Their digests were recorded
 before the CSV writer moved from ``csv.writer`` over per-field strings
 to chunks of ``%``-formatted text, which wrote the same bytes.
+
+No digest moved when the ``%`` templates gave way to the vectorized
+``g17_fields`` kernel and ``transport`` began to compute its amplitudes
+one chunk of z-steps at a time.
 """
 
 import hashlib

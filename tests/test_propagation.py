@@ -185,6 +185,20 @@ class TestTransferScan:
         with pytest.raises(ValueError):
             transfer_scan(N8, 0, 4, z_max=1.0, dz=2.0)
 
+    @pytest.mark.parametrize(
+        "z_max,dz,message",
+        [
+            (math.inf, 0.1, "z_max must be finite"),
+            (math.nan, 0.1, "z_max must be finite"),
+            (-math.inf, 0.1, "z_max must be finite"),
+            (1.0, math.nan, "dz must be finite"),
+            (1.0, math.inf, "dz must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_grid(self, z_max, dz, message):
+        with pytest.raises(ValueError, match=message):
+            transfer_scan(N8, 0, 4, z_max=z_max, dz=dz)
+
     def test_default_step_is_clamped_to_the_range(self):
         assert transfer_scan(N8, 0, 4, z_max=1.0).dz == 0.01
         result = transfer_scan(N8, 0, 4, z_max=1e-3)
