@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import cat_fidelity_scan, cat_normalization
+from .fock import cat_fidelity_scan
 from .g17 import g17_fields
 from .gaussian import TmsvParams, pair_squeezing
 from .lattice import (
@@ -121,6 +121,8 @@ def parse_pair(text: str) -> tuple[int, int]:
 
 
 _CHUNK_ROWS = 4096  # table rows formatted into one chunk of CSV text
+# amplitudes (1 MiB) per pair_squeezing call, which costs a few hundred us
+_TMSV_ENTRIES = 1 << 16
 
 
 def _fields(column) -> np.ndarray:
@@ -163,7 +165,9 @@ def _emit(args, header, chunks, summary, note: str = "") -> int:
 
     A command without a trace or a summary passes None for it.  ``chunks``
     (from ``_csv_chunks``) is iterated only when the CSV is written, so
-    nothing is formatted under ``--format json``.
+    nothing is formatted under ``--format json``.  A trace that fails
+    part way (``transport`` computes its amplitudes while it writes)
+    leaves no partial CSV behind.
     """
     fmt = getattr(args, "format", "both")
     written = []
@@ -171,7 +175,12 @@ def _emit(args, header, chunks, summary, note: str = "") -> int:
         path = _out_path(args, ".csv")
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            fh.writelines(chunks)
+            try:
+                fh.writelines(chunks)
+            except BaseException:
+                fh.close()
+                path.unlink()
+                raise
         written.append(path)
     if summary is not None and fmt in ("json", "both"):
         path = _out_path(args, ".json")
@@ -203,19 +212,28 @@ def _cmd_spectrum(args) -> int:
     return _emit(args, ("p", "lambda_p"), chunks, hist.to_dict())
 
 
+def _amplitude_chunks(spec: NetworkSpec, zs, size=_CHUNK_ROWS):
+    """Yield ``(z_chunk, amplitudes)`` for ``size // N`` z-steps (at least one) at a time.
+
+    Only one chunk's ``(steps, N)`` amplitude array is held at a time.
+    """
+    steps = max(1, size // spec.n_modes)
+    for start in range(0, len(zs), steps):
+        z = zs[start : start + steps]
+        yield z, offset_amplitudes(spec, z)
+
+
 def _cmd_transport(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
     source = _label_to_index(args.source, args.n, "source")
     zs = z_grid(args.z_max, args.dz, 0.0)
     modes = (np.arange(args.n) - source) % args.n
     labels = _fields(np.arange(1, args.n + 1))
-    steps = max(1, _CHUNK_ROWS // args.n)
 
     def chunks():
         # Each z is formatted once and its bytes repeated for the N modes.
-        for start in range(0, len(zs), steps):
-            z = zs[start : start + steps]
-            probs = np.abs(offset_amplitudes(spec, z)[:, modes]) ** 2
+        for z, amps in _amplitude_chunks(spec, zs):
+            probs = np.abs(amps[:, modes]) ** 2
             z_fields = np.repeat(_fields(z), args.n, axis=0)
             mode_fields = np.tile(labels, (len(z), 1))
             yield _csv_text([z_fields, mode_fields, _fields(probs.ravel())])
@@ -238,7 +256,6 @@ def _cmd_cat(args) -> int:
         target = antipode(args.n, source)
     else:
         target = _label_to_index(args.target, args.n, "target")
-    cat_normalization(args.alpha, args.phi)
     result = cat_fidelity_scan(
         spec, source, target, args.alpha, args.phi, args.z_max, args.dz
     )
@@ -269,7 +286,12 @@ def _cmd_tmsv(args) -> int:
         )
     params = TmsvParams(args.w, args.theta, (m, n_))
     zs = z_grid(args.z_max, args.dz, 0.0)
-    columns = pair_squeezing(offset_amplitudes(spec, zs), params, ((m, n_), track))
+    # four floats per z are kept; each chunk's amplitudes are dropped
+    parts = [
+        pair_squeezing(amps, params, ((m, n_), track))
+        for _, amps in _amplitude_chunks(spec, zs, _TMSV_ENTRIES)
+    ]
+    columns = [np.concatenate(c) for c in zip(*parts)]
     in_label = f"{m + 1}{n_ + 1}"
     tr_label = f"{track[0] + 1}{track[1] + 1}"
     header = (

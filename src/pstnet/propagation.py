@@ -14,21 +14,21 @@ which depends on j and l through the offset d = (j - l) mod N only.
 This spectral sum is exact for any z; a Runge-Kutta integrator of the
 amplitude equation is provided purely as an independent cross-check.
 
-A scan needs one offset only, and the spectrum has few distinct values
-(three for the collapse profile below), so the modes sharing an
-eigenvalue are summed once:
+The spectrum has few distinct values (three for the collapse profile
+below), so the phase is evaluated once per distinct eigenvalue mu_g.
+``spectral.degenerate_groups`` groups the sorted eigenvalues that lie
+within ``tol = min(default_bin_tolerance, 1e-13 / max(1, max|z|))`` of
+their group's first member mu_g.  All N offsets at once (``transport``,
+``tmsv``, the dense propagator) gather the G phases back to the N modes
+before the inverse FFT; one offset (the scans) sums them once per group:
 
     u_d(z) = sum_g w_g(d) exp(-i mu_g z),
     w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p d / N)
 
-with mu_g the distinct eigenvalues.  A group holds sorted eigenvalues
-that lie within ``tol = min(default_bin_tolerance, 1e-13 / max(1,
-max|z|))`` of its first member mu_g.  Replacing each member by mu_g
-moves its phase by at most tol * |z| <= 1e-13, so the grouped sum
-differs from the sum over all N modes by at most 1e-13 plus rounding,
-and eigenvalues that are distinct at that resolution are never merged.
-All N offsets at once (``transport``, ``tmsv``, the dense propagator)
-still come from the phases of every mode and one inverse FFT per z.
+Replacing each member by mu_g moves its phase by at most tol * |z| <=
+1e-13, so both forms differ from the sum over all N modes by at most
+1e-13 plus rounding, and eigenvalues that are distinct at that
+resolution are never merged.
 
 With the uniform profile of range N/2 - 1 the spectrum collapses onto
 three values and the propagator has a closed form.  At the distances
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import NetworkSpec, circulant, coupling_matrix
-from .spectral import default_bin_tolerance, dispersion
+from .spectral import default_bin_tolerance, degenerate_groups, dispersion
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # phase factors exp(-i mu_g z) held at once by the single-offset sum
@@ -138,38 +138,33 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
 
     Without ``offset`` returns an array of shape (len(zs), N) whose [i, d]
     entry is the amplitude between any two modes separated by d (mod N)
-    at distance zs[i].  Column 0 is the return amplitude.
+    at distance zs[i].  Column 0 is the return amplitude.  With
+    ``offset=d`` (an integer, 0 <= d < N) returns the 1-D array of
+    column d alone.
 
-    With ``offset=d`` (an integer, 0 <= d < N) returns the 1-D array of
-    column d alone, from the grouped sum over distinct eigenvalues (see
-    the module docstring).  Each merged eigenvalue moves by at most its
-    group's span s_g <= tol, so the result differs from column d of the
-    full array by at most ``max_g s_g * max|z| <= 1e-13`` plus rounding.
-    The phases are evaluated in blocks of at most ``_BLOCK`` entries, so
-    memory stays O(len(zs)) for any N.
+    Both forms evaluate the phases at the distinct eigenvalues only
+    (see the module docstring): every offset gathers them back to the N
+    modes for one inverse FFT per z, one offset sums them against its
+    group weights in blocks of at most ``_BLOCK`` entries, so its memory
+    stays O(len(zs)) for any N.  Each merged eigenvalue moves by at most
+    its group's span s_g <= tol, so either result differs from the sum
+    over all N modes by at most ``max_g s_g * max|z| <= 1e-13`` plus
+    rounding.
     """
     spectrum = dispersion(spec)
     lam = spectrum.as_array()
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    if offset is None:
-        phases = np.exp(-1j * np.outer(zs, lam))
-        return np.fft.ifft(phases, axis=1)
     n = spec.n_modes
-    if not isinstance(offset, (int, np.integer)) or not 0 <= offset < n:
+    if offset is not None and not (isinstance(offset, (int, np.integer)) and 0 <= offset < n):
         raise ValueError(f"offset must be an integer in 0..{n - 1}, got {offset!r}")
+    zs = np.atleast_1d(np.asarray(zs, dtype=float))
     reach = float(np.abs(zs).max(initial=1.0))
     tol = min(default_bin_tolerance(spectrum), 1e-13 / reach)
-    order = np.argsort(lam)
-    values = lam[order]
-    # a group starts after a gap wider than tol, and again wherever a run
-    # of smaller gaps has drifted a further tol from the run's first member,
-    # so that no group spans more than tol
-    fresh = np.concatenate(([True], values[1:] - values[:-1] > tol))
-    base = np.maximum.accumulate(np.where(fresh, values, -np.inf))
-    bins = np.floor((values - base) / tol)
-    fresh[1:] |= bins[1:] != bins[:-1]
-    starts = np.flatnonzero(fresh)
-    mu = values[starts]
+    order, starts = degenerate_groups(spectrum, tol)
+    mu = lam[order[starts]]
+    if offset is None:
+        group = np.empty(n, dtype=np.intp)
+        group[order] = np.repeat(np.arange(mu.size), np.diff(starts, append=n))
+        return np.fft.ifft(np.exp(-1j * np.outer(zs, mu))[:, group], axis=1)
     # (p d) mod N in integers keeps the Fourier phase exact for large p d
     weights = np.add.reduceat(np.exp(2j * np.pi / n * (order * offset % n)), starts) / n
     rows = max(1, _BLOCK // mu.size)
@@ -323,10 +318,14 @@ def scan_offset(
     column as an array and each refinement amplitude as a scalar.  The
     step defaults to ``min(0.01 / C_max, z_max)``.  The best grid point
     is refined by 40 golden-section iterations in a +-2dz window, one
-    single-z amplitude evaluation per point.
+    single-z amplitude evaluation per point.  A ring whose couplings are
+    all zero has no default step.
     """
     if dz is None:
-        dz = min(0.01 / spec.profile.max_strength, z_max)
+        c_max = spec.profile.max_strength
+        if not c_max > 0:
+            raise ValueError("every coupling is zero: the scan needs an explicit dz")
+        dz = min(0.01 / c_max, z_max)
     zs = z_grid(z_max, dz, dz)
     values = merit(offset_amplitudes(spec, zs, offset=offset))
     i = int(np.argmax(values))

@@ -27,9 +27,9 @@ from .lattice import NetworkSpec, coupling_row
 class Spectrum:
     """Eigenvalues of a circulant coupling matrix, ordered by Fourier index p.
 
-    Real symmetric circulants satisfy ``lambda_p == lambda_{N-p}`` and
-    have zero trace (the coupling matrix has an empty diagonal); both
-    are checked on construction.  The read-only array that ``as_array``
+    The eigenvalues must be finite, real symmetric circulants satisfy
+    ``lambda_p == lambda_{N-p}`` and have zero trace (the coupling
+    matrix has an empty diagonal); all three are checked on construction.  The read-only array that ``as_array``
     returns is built once, here.
     """
 
@@ -44,6 +44,8 @@ class Spectrum:
         object.__setattr__(self, "_array", arr)
         if arr.shape != (self.n_modes,):
             raise ValueError("eigenvalue count must equal n_modes")
+        if not np.isfinite(arr).all():
+            raise ValueError("spectrum is not finite: the couplings overflow")
         scale = max(1.0, float(np.abs(arr).max()))
         mirrored = arr[(-np.arange(self.n_modes)) % self.n_modes]
         if np.abs(arr - mirrored).max() > 1e-9 * scale:
@@ -53,10 +55,6 @@ class Spectrum:
 
     def as_array(self) -> np.ndarray:
         return self._array
-
-    def sorted_values(self) -> np.ndarray:
-        """Ascending view used for histogramming and comparisons."""
-        return np.sort(self.as_array())
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,10 @@ class DegeneracyHistogram:
 
 def dispersion(spec: NetworkSpec) -> Spectrum:
     """All N eigenvalues of the coupling matrix: the FFT of its first row."""
-    return Spectrum(np.fft.fft(coupling_row(spec)).real, spec.n_modes)
+    # Spectrum rejects an overflowed sum; numpy need not warn about it too
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.fft.fft(coupling_row(spec)).real
+    return Spectrum(lam, spec.n_modes)
 
 
 def collapsed_spectrum(n_modes: int, strength: float) -> Spectrum:
@@ -124,25 +125,44 @@ def default_bin_tolerance(spectrum: Spectrum) -> float:
     return 1e-9 * max(1.0, float(np.abs(spectrum.as_array()).max()))
 
 
+def degenerate_groups(spectrum: Spectrum, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sort order of the eigenvalues and the start of each degenerate group.
+
+    Returns ``order = argsort(lambda)`` and the indices into
+    ``lambda[order]`` at which a group starts.  A group starts after a
+    sorted gap wider than ``tol``, and again wherever a run of smaller
+    gaps has drifted a further ``tol`` from the run's first member, so
+    no group spans more than ``tol`` and eigenvalues farther apart than
+    ``tol`` never share one.
+    """
+    lam = spectrum.as_array()
+    order = np.argsort(lam)
+    values = lam[order]
+    fresh = np.concatenate(([True], values[1:] - values[:-1] > tol))
+    base = np.maximum.accumulate(np.where(fresh, values, -np.inf))
+    bins = np.floor((values - base) / tol)
+    fresh[1:] |= bins[1:] != bins[:-1]
+    return order, np.flatnonzero(fresh)
+
+
 def degeneracy_histogram(
     spectrum: Spectrum, tolerance: float | None = None
 ) -> DegeneracyHistogram:
-    """Merge eigenvalues into degenerate bins by single-linkage clustering.
+    """Merge eigenvalues into degenerate bins, each spanning at most ``tolerance``.
 
-    Adjacent sorted eigenvalues closer than ``tolerance`` fall into the
-    same bin, transitively; the bin representative is the mean of its
-    members.  By default the tolerance scales with the largest
-    eigenvalue magnitude.
+    The bins are the groups of ``degenerate_groups``; a bin's
+    representative is the mean of its members.  By default the
+    tolerance scales with the largest eigenvalue magnitude.
     """
     if tolerance is None:
         tolerance = default_bin_tolerance(spectrum)
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
-    values = spectrum.sorted_values()
-    splits = np.nonzero(np.diff(values) > tolerance)[0] + 1
+    order, starts = degenerate_groups(spectrum, tolerance)
+    values = spectrum.as_array()[order]
     bins = tuple(
         (float(chunk.mean()), int(chunk.size))
-        for chunk in np.split(values, splits)
+        for chunk in np.split(values, starts[1:])
     )
     return DegeneracyHistogram(bins, float(tolerance), spectrum.n_modes)
 

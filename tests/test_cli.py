@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pstnet.cli
 from pstnet.cli import _CHUNK_ROWS, _csv_chunks, _emit, main, parse_length
 
 
@@ -310,6 +312,16 @@ class TestCatCommand:
         assert result.stderr.startswith("pstnet: error: alpha must be finite")
         assert not list(tmp_path.iterdir())
 
+    def test_all_zero_couplings_need_an_explicit_dz(self, tmp_path, capsys):
+        argv = ["cat", "--n", "4", "--profile", "custom:0,0", "--source", "1",
+                "--alpha", "0.5", "--phi", "0", "--z-max", "1", "--outdir", str(tmp_path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "pstnet: error: every coupling is zero: the scan needs an explicit dz\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        assert main([*argv, "--dz", "0.5"]) == 0
+
 
 class TestTmsvCommand:
     def test_squeezing_columns(self, tmp_path):
@@ -354,6 +366,29 @@ class TestTmsvCommand:
             "pstnet: error: squeezing factor needs two distinct modes"
         )
         assert not list(tmp_path.iterdir())
+
+    def test_chunks_write_the_bytes_of_one_grid(self, tmp_path, monkeypatch):
+        argv = ["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--w", "0.881374",
+                "--pair", "1,2", "--z-max", "pi", "--dz", "0.01"]
+        assert main([*argv, "--outdir", str(tmp_path / "one")]) == 0
+        # 4 z-steps per chunk and a shorter last chunk (315 = 4 * 78 + 3)
+        monkeypatch.setattr(pstnet.cli, "_TMSV_ENTRIES", 32)
+        assert main([*argv, "--outdir", str(tmp_path / "many")]) == 0
+        one = (tmp_path / "one" / "tmsv.csv").read_bytes()
+        assert (tmp_path / "many" / "tmsv.csv").read_bytes() == one
+
+    def test_wide_ring_stays_within_fixed_memory(self, tmp_path):
+        # 2001 z-steps x 1024 modes: the whole amplitude grid would be 32.8 MB
+        argv = ["tmsv", "--n", "1024", "--profile", "uniform:C=1,R=511", "--w", "0.5",
+                "--pair", "1,2", "--z-max", "2", "--dz", "0.001", "--outdir", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert len((tmp_path / "tmsv.csv").read_bytes().splitlines()) == 2002
 
 
 class TestEvanescentCommand:
@@ -570,6 +605,23 @@ class TestCliPlumbing:
         assert main([*argv, "--outdir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("pstnet: error: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum"],
+            ["pst-check", "--source", "1"],
+            ["tmsv", "--w", "0.5", "--pair", "1,2", "--z-max", "1", "--dz", "0.5"],
+            ["transport", "--source", "1", "--z-max", "1", "--dz", "0.5"],
+        ],
+        ids=["spectrum", "pst-check", "tmsv", "transport"],
+    )
+    def test_overflowing_couplings_are_domain_error(self, tmp_path, argv):
+        network = ["--n", "4", "--profile", "custom:1e308,1e308"]
+        result = run_cli([argv[0], *network, *argv[1:]], tmp_path)
+        assert result.returncode == 3
+        assert result.stderr == "pstnet: error: spectrum is not finite: the couplings overflow\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "spelling,before",

@@ -43,6 +43,10 @@ to chunks of ``%``-formatted text, which wrote the same bytes.
 No digest moved when the ``%`` templates gave way to the vectorized
 ``g17_fields`` kernel and ``transport`` began to compute its amplitudes
 one chunk of z-steps at a time.
+
+No digest moved when every offset at once came from the phases of the
+distinct eigenvalues, gathered back to the N modes, and ``tmsv`` began
+to compute its amplitudes one chunk of z-steps at a time.
 """
 
 import hashlib

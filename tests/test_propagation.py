@@ -199,6 +199,13 @@ class TestTransferScan:
         with pytest.raises(ValueError, match=message):
             transfer_scan(N8, 0, 4, z_max=z_max, dz=dz)
 
+    def test_all_zero_couplings_need_an_explicit_step(self):
+        spec = NetworkSpec(4, custom_profile([0.0, 0.0]))
+        with pytest.raises(ValueError, match="every coupling is zero: the scan needs an explicit dz"):
+            transfer_scan(spec, 0, 2, z_max=1.0)
+        result = transfer_scan(spec, 0, 2, z_max=1.0, dz=0.25)
+        assert result.zs.size == 4 and result.values.max() <= 1e-30
+
     def test_default_step_is_clamped_to_the_range(self):
         assert transfer_scan(N8, 0, 4, z_max=1.0).dz == 0.01
         result = transfer_scan(N8, 0, 4, z_max=1e-3)

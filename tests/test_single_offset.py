@@ -1,7 +1,9 @@
-"""The single-offset amplitude: a sum over distinct eigenvalues.
+"""Amplitudes from the phases of the distinct eigenvalues.
 
-``offset_amplitudes(spec, zs, offset=d)`` must agree with column d of the
-all-offsets FFT view, stay bounded in memory on long grids and reject
+Both forms of ``offset_amplitudes`` must agree with ``reference``, the
+inverse FFT of the phases of all N modes, evaluated here: every offset
+at once (bit for bit on exactly degenerate uniform rings) and one offset
+``d``, which must also stay bounded in memory on long grids and reject
 offsets that name no mode.
 """
 
@@ -18,6 +20,7 @@ from pstnet import (
     NetworkSpec,
     SynthesisProblem,
     custom_profile,
+    dispersion,
     evanescent_profile,
     offset_amplitudes,
     ode_oracle,
@@ -27,6 +30,12 @@ from pstnet import (
 )
 from pstnet.cli import main
 from pstnet.fock import cat_fidelity_scan
+
+
+def reference(spec, zs):
+    """Every offset from the phases of all N eigenvalues and one inverse FFT."""
+    lam = dispersion(spec).as_array()
+    return np.fft.ifft(np.exp(-1j * np.outer(zs, lam)), axis=1)
 
 
 @st.composite
@@ -55,9 +64,31 @@ def test_matches_the_fft_column_on_random_rings(ring):
     n, couplings, offset, zs = ring
     spec = NetworkSpec(n, custom_profile(couplings))
     got = offset_amplitudes(spec, zs, offset=offset)
-    want = offset_amplitudes(spec, zs)[:, offset]
+    want = reference(spec, zs)[:, offset]
     assert got.shape == (len(zs),)
     assert np.abs(got - want).max() <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(rings())
+@example((16, [1.0, 1.0 + 1e-10, 1.0, 1.0 - 1e-10, 1.0, 1.0, 1.0], 3, [0.5, 777.7, 1e4]))
+@example((2, [0.7], 1, [0.0]))
+def test_every_offset_matches_the_reference_on_random_rings(ring):
+    n, couplings, _, zs = ring
+    spec = NetworkSpec(n, custom_profile(couplings))
+    got = offset_amplitudes(spec, zs)
+    assert got.shape == (len(zs), n)
+    assert np.abs(got - reference(spec, zs)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_every_offset_is_bitwise_the_reference_on_uniform_rings(n):
+    # the collapse spectrum has three bitwise-distinct values, so grouping
+    # merges only equal eigenvalues and every phase is computed as before
+    spec = NetworkSpec(n, uniform_profile(1.0, n // 2 - 1))
+    assert np.unique(dispersion(spec).as_array()).size == 3
+    zs = np.linspace(0.0, 50.0, 97)
+    assert np.array_equal(offset_amplitudes(spec, zs), reference(spec, zs))
 
 
 def test_a_run_of_tiny_gaps_is_cut_at_the_tolerance():
@@ -68,9 +99,11 @@ def test_a_run_of_tiny_gaps_is_cut_at_the_tolerance():
     problem = SynthesisProblem(1024, 512, 1.0, 1e-8)
     spec = NetworkSpec(1024, custom_profile(solve_weights(problem).couplings))
     zs = [math.pi / 2, 3.0]
+    want = reference(spec, zs)
     for d in (1, 512):
         got = offset_amplitudes(spec, zs, offset=d)
-        assert np.abs(got - offset_amplitudes(spec, zs)[:, d]).max() <= 1e-13
+        assert np.abs(got - want[:, d]).max() <= 1e-13
+    assert np.abs(offset_amplitudes(spec, zs) - want).max() <= 1e-13
 
 
 def test_matches_the_ode_oracle():

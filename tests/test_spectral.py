@@ -100,6 +100,15 @@ class TestSpectrumType:
         with pytest.raises(ValueError):
             Spectrum((1.0, 2.0, 3.0), 3)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_eigenvalues(self, bad):
+        with pytest.raises(ValueError, match="spectrum is not finite"):
+            Spectrum((bad, -1.0, -1.0, -1.0), 4)
+
+    def test_overflowing_couplings_are_rejected(self):
+        with pytest.raises(ValueError, match="spectrum is not finite"):
+            dispersion(_spec(4, custom_profile([1e308, 1e308])))
+
     def test_rejects_nonzero_trace(self):
         with pytest.raises(ValueError):
             Spectrum((1.0, 1.0, 1.0, 1.0), 4)
@@ -137,6 +146,21 @@ class TestDegeneracyHistogram:
         spec = _spec(n, custom_profile(rng.uniform(0.1, 1.0, size=n // 2)))
         hist = degeneracy_histogram(dispersion(spec))
         assert sum(m for _, m in hist.bins) == n
+
+    def test_a_run_of_small_gaps_is_cut_at_the_tolerance(self):
+        # sorted: -3.2, 0, 0, 0.8, 0.8, 1.6; every gap after the first is
+        # below tol = 1, but the run spans 1.6, so it may not be one bin
+        spectrum = Spectrum((-3.2, 0.0, 0.8, 1.6, 0.8, 0.0), 6)
+        hist = degeneracy_histogram(spectrum, 1.0)
+        assert [m for _, m in hist.bins] == [1, 4, 1]
+        assert [v for v, _ in hist.bins] == pytest.approx([-3.2, 0.4, 1.6], abs=1e-15)
+
+    def test_loose_tolerance_on_the_evanescent_ring(self):
+        # the lowest five eigenvalues span 0.069 in gaps below tol = 0.05
+        spectrum = dispersion(_spec(12, evanescent_profile(0.815, 6)))
+        hist = degeneracy_histogram(spectrum, 0.05)
+        assert [m for _, m in hist.bins] == [3, 2, 4, 2, 1]
+        assert [m for _, m in degeneracy_histogram(spectrum).bins] == [1, 2, 2, 2, 2, 2, 1]
 
     def test_type_validates_total(self):
         with pytest.raises(ValueError):
