@@ -70,6 +70,14 @@ class CatState:
         object.__setattr__(self, "phi", float(self.phi))
         object.__setattr__(self, "normalization", norm)
 
+    def fidelity(self, u):
+        """Transfer fidelity for the amplitude u, elementwise over an array."""
+        a2 = self.alpha * self.alpha
+        norm = self.normalization
+        uc = np.conj(u)
+        bracket = np.exp(uc * a2) + math.cos(self.phi) * np.exp(-uc * a2)
+        return np.abs(2.0 * norm * norm * math.exp(-a2) * bracket) ** 2
+
 
 def photon_numbers(spec: NetworkSpec, input_mode: int, z: float) -> np.ndarray:
     """Occupation of every mode for a single photon injected in ``input_mode``."""
@@ -78,13 +86,6 @@ def photon_numbers(spec: NetworkSpec, input_mode: int, z: float) -> np.ndarray:
         raise ValueError(f"input_mode {input_mode} out of range for N={n}")
     amps = offset_amplitudes(spec, [z])[0]
     return np.abs(amps[(np.arange(n) - input_mode) % n]) ** 2
-
-
-def _fidelity_from_amplitude(u, alpha: float, phi: float, norm: float):
-    a2 = alpha * alpha
-    uc = np.conj(u)
-    bracket = np.exp(uc * a2) + math.cos(phi) * np.exp(-uc * a2)
-    return np.abs(2.0 * norm * norm * math.exp(-a2) * bracket) ** 2
 
 
 def _clamped(f: float) -> float:
@@ -103,19 +104,14 @@ def cat_fidelity(
 ) -> float:
     """Transfer fidelity of a cat from ``source`` onto ``target`` at distance z."""
     d = mode_offset(spec, source, target)
-    a = _real_scalar(alpha, "alpha")
-    p = _real_scalar(phi, "phi")
-    norm = cat_normalization(a, p)
+    cat = CatState(alpha, phi)
     u = offset_amplitudes(spec, [z], offset=d)[0]
-    return _clamped(float(_fidelity_from_amplitude(u, a, p, norm)))
+    return _clamped(float(cat.fidelity(u)))
 
 
 def pst_cat_fidelity(alpha: float, phi: float) -> float:
     """Closed-form fidelity at a perfect-transfer distance (amplitude -1)."""
-    a = _real_scalar(alpha, "alpha")
-    p = _real_scalar(phi, "phi")
-    norm = cat_normalization(a, p)
-    return _clamped(float(_fidelity_from_amplitude(-1.0, a, p, norm)))
+    return _clamped(float(CatState(alpha, phi).fidelity(-1.0)))
 
 
 def cat_fidelity_scan(
@@ -132,10 +128,5 @@ def cat_fidelity_scan(
     Same grid and refinement policy as the transfer-probability scan.
     """
     d = mode_offset(spec, source, target)
-    a = _real_scalar(alpha, "alpha")
-    p = _real_scalar(phi, "phi")
-    norm = cat_normalization(a, p)
-    scan = scan_offset(
-        spec, d, lambda u: _fidelity_from_amplitude(u, a, p, norm), z_max, dz
-    )
+    scan = scan_offset(spec, d, CatState(alpha, phi).fidelity, z_max, dz)
     return replace(scan, max_value=_clamped(scan.max_value))

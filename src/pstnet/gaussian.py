@@ -4,7 +4,8 @@ Quadratures are Q_j = (a_j + a_j^dag) / sqrt(2) and
 P_j = (a_j - a_j^dag) / (i sqrt(2)), giving vacuum variance 1/2 per
 quadrature.  Covariance matrices are 2N x 2N real symmetric in the
 interleaved ordering (Q_0, P_0, ..., Q_{N-1}, P_{N-1}); the symplectic
-form Omega is block diagonal with [[0, 1], [-1, 0]] per mode.
+form Omega is block diagonal with [[0, 1], [-1, 0]] per mode.  A
+``CovarianceState`` may hold a whole stack (..., 2N, 2N) of them.
 
 A linear-optics propagator U maps quadratures through the real
 symplectic-orthogonal matrix with 2 x 2 blocks
@@ -39,7 +40,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix (each value once).
+    """Symplectic spectrum of a covariance matrix or stack (each value once).
 
     With V = L L^T (Cholesky), i Omega V is similar to the Hermitian
     i L^T Omega L, so the singular values of L^T Omega L are the nu_k,
@@ -47,8 +48,8 @@ def symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     every V.  A V that is not positive definite raises LinAlgError.
     """
     lower = np.linalg.cholesky(matrix)
-    a = lower.T @ symplectic_form(matrix.shape[0] // 2) @ lower
-    return np.sort(np.linalg.svd(a, compute_uv=False))[::2]
+    a = np.swapaxes(lower, -1, -2) @ symplectic_form(matrix.shape[-1] // 2) @ lower
+    return np.sort(np.linalg.svd(a, compute_uv=False))[..., ::2]
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,7 @@ class TmsvParams:
 class CovarianceState:
     """Real symmetric 2N x 2N covariance matrix, vacuum variance 1/2.
 
+    ``matrix`` may be a stack (..., 2N, 2N); every member is checked.
     Construction enforces symmetry (1e-12) and physicality: the minimum
     symplectic eigenvalue must reach the vacuum floor 1/2 up to 1e-9.
     ``z`` accumulates the propagation distance of applied evolutions.
@@ -87,9 +89,9 @@ class CovarianceState:
 
     def __post_init__(self):
         v = np.array(self.matrix, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
+        if v.ndim < 2 or v.shape[-2] != v.shape[-1] or v.shape[-1] % 2:
             raise ValueError("covariance matrix must be square with even dimension")
-        if np.abs(v - v.T).max() > 1e-12:
+        if np.abs(v - np.swapaxes(v, -1, -2)).max() > 1e-12:
             raise ValueError("covariance matrix must be symmetric")
         nu_min = symplectic_eigenvalues(v).min()
         if nu_min < 0.5 - 1e-9:
@@ -101,7 +103,7 @@ class CovarianceState:
 
     @property
     def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
+        return self.matrix.shape[-1] // 2
 
 
 @dataclass(frozen=True)
@@ -181,21 +183,21 @@ def symplectic_from_propagator(u: Propagator) -> SymplecticEvolution:
 def evolve_covariance(
     state: CovarianceState, evolution: SymplecticEvolution
 ) -> CovarianceState:
-    """Propagate a covariance matrix: V -> M V M^T."""
-    if evolution.matrix.shape[0] != state.matrix.shape[0]:
+    """Propagate a covariance matrix or each member of a stack: V -> M V M^T."""
+    if evolution.matrix.shape[-1] != state.matrix.shape[-1]:
         raise ValueError("dimension mismatch between state and evolution")
     v = evolution.matrix @ state.matrix @ evolution.matrix.T
-    return CovarianceState(0.5 * (v + v.T), state.z + evolution.z)
+    return CovarianceState(0.5 * (v + np.swapaxes(v, -1, -2)), state.z + evolution.z)
 
 
 def squeezing_factor(
     state: CovarianceState, j: int, k: int, quadrature: str = "Q"
-) -> float:
+) -> float | np.ndarray:
     """EPR-combination variance minus the vacuum level 1/2.
 
     quadrature "Q" uses the relative position (Q_j - Q_k)/sqrt(2),
     "P" the total momentum (P_j + P_k)/sqrt(2).  Negative values mean
-    squeezing below vacuum; zero is the vacuum level.
+    squeezing below vacuum; zero is the vacuum level; a stack gives one per member.
     """
     n = state.n_modes
     if j == k:
@@ -210,8 +212,8 @@ def squeezing_factor(
         a, b, sign = 2 * j + 1, 2 * k + 1, 1.0
     else:
         raise ValueError("quadrature must be 'Q' or 'P'")
-    variance = 0.5 * (v[a, a] + v[b, b] + 2.0 * sign * v[a, b])
-    return float(variance - 0.5)
+    variance = 0.5 * (v[..., a, a] + v[..., b, b] + 2.0 * sign * v[..., a, b])
+    return variance - 0.5
 
 
 def pair_squeezing(amps, params: TmsvParams, pairs) -> list[np.ndarray]:
@@ -223,7 +225,7 @@ def pair_squeezing(amps, params: TmsvParams, pairs) -> list[np.ndarray]:
     realified block U[j|k, m|n] (Weedbrook et al., RMP 84, 621, Sec. II).
     Each row must be unitary, max | |fft(row)|^2 - 1 | <= 1e-10 (the FFT
     of a circulant's column is its spectrum), and each two-mode
-    covariance physical.
+    covariance physical, every z-step in one stacked ``CovarianceState``.
     """
     amps = np.atleast_2d(amps)
     n = amps.shape[1]
@@ -240,6 +242,6 @@ def pair_squeezing(amps, params: TmsvParams, pairs) -> list[np.ndarray]:
             raise ValueError("mode indices out of range")
         r = _realify(amps[:, np.subtract.outer((j, k), params.mode_pair) % n])
         v = r @ excess @ r.transpose(0, 2, 1)
-        states = [CovarianceState(half + 0.5 * (x + x.T)) for x in v]
-        columns += [[squeezing_factor(s, 0, 1, q) for s in states] for q in "QP"]
-    return [np.array(c) for c in columns]
+        state = CovarianceState(half + 0.5 * (v + v.transpose(0, 2, 1)))
+        columns += [squeezing_factor(state, 0, 1, q) for q in "QP"]
+    return columns

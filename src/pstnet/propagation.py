@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import NetworkSpec, circulant, coupling_matrix
+from .lattice import NetworkSpec, circulant, coupling_matrix, coupling_row
 from .spectral import default_bin_tolerance, degenerate_groups, dispersion
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -319,12 +319,15 @@ def scan_offset(
     step defaults to ``min(0.01 / C_max, z_max)``.  The best grid point
     is refined by 40 golden-section iterations in a +-2dz window, one
     single-z amplitude evaluation per point.  A ring whose couplings are
-    all zero has no default step.
+    all zero has no default step, nor one whose Gershgorin row sum (the
+    bound on every |lambda_p|) overflows.
     """
     if dz is None:
         c_max = spec.profile.max_strength
         if not c_max > 0:
             raise ValueError("every coupling is zero: the scan needs an explicit dz")
+        if not math.isfinite(sum(np.abs(coupling_row(spec)).tolist())):
+            raise ValueError("spectrum is not finite: the couplings overflow")
         dz = min(0.01 / c_max, z_max)
     zs = z_grid(z_max, dz, dz)
     values = merit(offset_amplitudes(spec, zs, offset=offset))

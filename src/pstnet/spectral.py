@@ -28,9 +28,9 @@ class Spectrum:
     """Eigenvalues of a circulant coupling matrix, ordered by Fourier index p.
 
     The eigenvalues must be finite, real symmetric circulants satisfy
-    ``lambda_p == lambda_{N-p}`` and have zero trace (the coupling
-    matrix has an empty diagonal); all three are checked on construction.  The read-only array that ``as_array``
-    returns is built once, here.
+    ``lambda_p == lambda_{N-p}`` and have zero trace (the coupling matrix
+    has an empty diagonal); all three are checked on construction.  The
+    read-only array that ``as_array`` returns is built once, here.
     """
 
     eigenvalues: tuple[float, ...]

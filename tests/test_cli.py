@@ -613,8 +613,10 @@ class TestCliPlumbing:
             ["pst-check", "--source", "1"],
             ["tmsv", "--w", "0.5", "--pair", "1,2", "--z-max", "1", "--dz", "0.5"],
             ["transport", "--source", "1", "--z-max", "1", "--dz", "0.5"],
+            # no --dz: the default step 0.01 / C_max would size a 1e310-point grid
+            ["cat", "--source", "1", "--alpha", "0.5", "--phi", "0", "--z-max", "1"],
         ],
-        ids=["spectrum", "pst-check", "tmsv", "transport"],
+        ids=["spectrum", "pst-check", "tmsv", "transport", "cat-default-dz"],
     )
     def test_overflowing_couplings_are_domain_error(self, tmp_path, argv):
         network = ["--n", "4", "--profile", "custom:1e308,1e308"]
@@ -622,6 +624,16 @@ class TestCliPlumbing:
         assert result.returncode == 3
         assert result.stderr == "pstnet: error: spectrum is not finite: the couplings overflow\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_trace_removes_only_the_directories_it_created(self, tmp_path, capsys):
+        (tmp_path / "kept").mkdir()
+        argv = ["transport", "--n", "4", "--profile", "custom:1e308,1e308", "--source", "1",
+                "--z-max", "1", "--dz", "0.1"]
+        for outdir in ("a/new", "kept/new", "kept"):
+            assert main([*argv, "--outdir", str(tmp_path / outdir)]) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
+        assert capsys.readouterr().err.count("the couplings overflow\n") == 3
 
     @pytest.mark.parametrize(
         "spelling,before",

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -241,3 +242,66 @@ class TestConservationLaws:
             for j in range(8):
                 product = v[2 * j, 2 * j] * v[2 * j + 1, 2 * j + 1]
                 assert product >= 0.25 - 1e-9
+
+
+def random_covariances(rng, count, n_modes):
+    """Mixed physical covariances M D M^T, M a random symplectic map.
+
+    D is thermal (nu_k >= 1/2 per mode) and M a realified random unitary
+    after single-mode squeezers, so the symplectic spectrum is the nu_k.
+    """
+    stack = []
+    for _ in range(count):
+        z = rng.normal(size=(2, n_modes, n_modes))
+        u = np.linalg.qr(z[0] + 1j * z[1])[0]
+        squeeze = np.diag(np.exp(np.kron(rng.uniform(-1, 1, n_modes), [1.0, -1.0])))
+        passive = symplectic_from_propagator(SimpleNamespace(matrix=u, z=0.0))
+        m = passive.matrix @ squeeze
+        thermal = np.diag(np.repeat(0.5 + rng.exponential(size=n_modes), 2))
+        v = m @ thermal @ m.T
+        stack.append(0.5 * (v + v.T))
+    return np.array(stack)
+
+
+class TestStackedStates:
+    def test_eigenvalues_and_squeezing_match_each_member(self):
+        stack = random_covariances(np.random.default_rng(7), 9, 3)
+        nus = symplectic_eigenvalues(stack)
+        assert nus.shape == (9, 3)
+        assert np.array_equal(nus, [symplectic_eigenvalues(v) for v in stack])
+        state = CovarianceState(stack)
+        assert state.n_modes == 3
+        for j, k, q in [(0, 1, "Q"), (2, 0, "P"), (1, 2, "p")]:
+            values = squeezing_factor(state, j, k, q)
+            assert values.shape == (9,)
+            each = [squeezing_factor(CovarianceState(v), j, k, q) for v in stack]
+            assert np.array_equal(values, each)
+
+    def test_nested_stack(self):
+        stack = random_covariances(np.random.default_rng(8), 6, 2)
+        nested = CovarianceState(stack.reshape(2, 3, 4, 4))
+        nus = symplectic_eigenvalues(stack).reshape(2, 3, 2)
+        assert np.array_equal(symplectic_eigenvalues(nested.matrix), nus)
+        assert squeezing_factor(nested, 0, 1).shape == (2, 3)
+
+    def test_one_unphysical_member_rejects_the_stack(self):
+        stack = random_covariances(np.random.default_rng(9), 5, 2)
+        stack[3] = 0.1 * np.eye(4)
+        with pytest.raises(ValueError, match="covariance matrix is unphysical"):
+            CovarianceState(stack)
+
+    def test_one_asymmetric_member_rejects_the_stack(self):
+        stack = random_covariances(np.random.default_rng(10), 5, 2)
+        stack[4, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="must be symmetric"):
+            CovarianceState(stack)
+
+    @pytest.mark.parametrize("count", [3, 8])  # 8 = 2N: a stack as long as a side
+    def test_evolution_matches_each_member(self, count):
+        spec = NetworkSpec(4, uniform_profile(1.0, 2))
+        evo = symplectic_from_propagator(propagator(spec, 0.7))
+        stack = random_covariances(np.random.default_rng(count), count, 4)
+        out = evolve_covariance(CovarianceState(stack, 0.2), evo)
+        each = [evolve_covariance(CovarianceState(v, 0.2), evo).matrix for v in stack]
+        assert np.array_equal(out.matrix, each)
+        assert out.z == pytest.approx(0.9)
