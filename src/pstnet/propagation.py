@@ -26,9 +26,20 @@ before the inverse FFT; one offset (the scans) sums them once per group:
     w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p d / N)
 
 Replacing each member by mu_g moves its phase by at most tol * |z| <=
-1e-13, so both forms differ from the sum over all N modes by at most
-1e-13 plus rounding, and eigenvalues that are distinct at that
-resolution are never merged.
+1e-13, and eigenvalues that are distinct at that resolution are never
+merged.  Both forms differ from the sum over all N modes by at most
+
+    tol * max|z| + c * eps * max|mu z|
+
+with c a small constant: the second term is the rounding of the phase
+arguments mu z themselves, which any floating-point exp(-i mu z)
+carries, and it dominates on long grids (6.6e-12 at z = 5000 on the
+evanescent N = 12, mu = 0.815 ring).  On an evenly spaced grid the
+one-offset sum reads its phases from a two-level table, anchor phases
+times a shared table of step phases, with a first-order correction for
+the rounding gap between the grid and the table; a block of points off
+the grid, single points and the all-offsets form take one exp per
+phase.
 
 With the uniform profile of range N/2 - 1 the spectrum collapses onto
 three values and the propagator has a closed form.  At the distances
@@ -49,6 +60,9 @@ from .spectral import default_bin_tolerance, degenerate_groups, dispersion
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # phase factors exp(-i mu_g z) held at once by the single-offset sum
 _BLOCK = 1 << 16
+# largest first-order phase gap |mu_g delta| that the two-level table
+# corrects; the neglected second-order term (mu delta)^2 / 2 is below 1e-16
+_GRID_DRIFT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -145,11 +159,16 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
     Both forms evaluate the phases at the distinct eigenvalues only
     (see the module docstring): every offset gathers them back to the N
     modes for one inverse FFT per z, one offset sums them against its
-    group weights in blocks of at most ``_BLOCK`` entries, so its memory
-    stays O(len(zs)) for any N.  Each merged eigenvalue moves by at most
-    its group's span s_g <= tol, so either result differs from the sum
-    over all N modes by at most ``max_g s_g * max|z| <= 1e-13`` plus
-    rounding.
+    group weights in blocks of about ``_BLOCK`` entries, so its memory
+    stays O(len(zs)) for any N.  Where ``zs`` is evenly spaced, the one
+    offset reads its phases from a two-level table (``_group_sum``),
+    block by block; a block whose points leave the grid by more than
+    the first-order correction allows, and a grid too short for a
+    table, use one ``exp`` per phase.  Each merged eigenvalue moves by
+    at most its group's span s_g <= tol, so either result differs from
+    the sum over all N modes by at most ``tol * max|z| + c * eps *
+    max|mu z|``, tol * max|z| <= 1e-13 and c a small constant (the
+    rounding of the phase arguments).
     """
     spectrum = dispersion(spec)
     lam = spectrum.as_array()
@@ -167,10 +186,58 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
         return np.fft.ifft(np.exp(-1j * np.outer(zs, mu))[:, group], axis=1)
     # (p d) mod N in integers keeps the Fourier phase exact for large p d
     weights = np.add.reduceat(np.exp(2j * np.pi / n * (order * offset % n)), starts) / n
+    return _group_sum(zs, mu, weights)
+
+
+def _direct_sum(zs, mu, weights, out) -> None:
+    """``out = sum_g weights_g exp(-i mu_g zs)``, one ``exp`` per phase."""
     rows = max(1, _BLOCK // mu.size)
-    out = np.empty(zs.size, dtype=complex)
     for i in range(0, zs.size, rows):
         out[i : i + rows] = np.exp(-1j * np.outer(zs[i : i + rows], mu)) @ weights
+
+
+def _group_sum(zs, mu, weights) -> np.ndarray:
+    """``sum_g weights_g exp(-i mu_g z)`` at every z, from a two-level table on grids.
+
+    The points are taken in rows of ``width = min(isqrt(len(zs)),
+    _BLOCK // G)``, so z_k with k = a width + b lies near the row's first
+    point plus ``t_b = b h``, h the mean spacing.  A row's phases are the
+    products of its G anchor phases and a shared ``G x width`` table of
+    exp(-i mu_g t_b), one matrix product, and the first-order term
+    ``-i delta_k sum_g weights_g mu_g (...)`` (a second product) restores
+    the gap delta_k between z_k and anchor + t_b, so an evenly spaced
+    grid computes O(len(zs) / width + width) exponentials per group
+    instead of len(zs).  A block whose ``max|delta| * max|mu|`` exceeds
+    ``_GRID_DRIFT`` (its points are not evenly spaced), a short grid and
+    the tail of fewer than ``width`` points use one ``exp`` per phase.
+    A block holds about ``_BLOCK / 4`` points (anchor phases, where G
+    exceeds width) of four complex temporaries each, the memory of one
+    direct block.
+    """
+    out = np.empty(zs.size, dtype=complex)
+    width = min(math.isqrt(zs.size), _BLOCK // mu.size)
+    if width < 2:
+        _direct_sum(zs, mu, weights, out)
+        return out
+    steps = np.arange(width) * ((zs[-1] - zs[0]) / (zs.size - 1))
+    table = np.exp(-1j * np.outer(mu, steps))
+    mu_max = float(np.abs(mu).max())
+    span = max(1, _BLOCK // (4 * max(width, mu.size))) * width
+    full = zs.size - zs.size % width
+    for i in range(0, full, span):
+        z = zs[i : min(i + span, full)].reshape(-1, width)
+        block = out[i : i + z.size].reshape(z.shape)
+        delta = z - z[:, :1] - steps
+        # written so that nan (a non-finite grid) fails the test
+        if not float(np.abs(delta).max()) * mu_max <= _GRID_DRIFT:
+            _direct_sum(z.ravel(), mu, weights, block.reshape(-1))
+            continue
+        anchors = np.exp(-1j * np.outer(z[:, 0], mu)) * weights
+        np.matmul(anchors, table, out=block)
+        slope = (anchors * mu) @ table
+        slope *= delta
+        block -= 1j * slope
+    _direct_sum(zs[full:], mu, weights, out[full:])
     return out
 
 
@@ -279,8 +346,9 @@ def z_grid(z_max: float, dz: float, first: float) -> np.ndarray:
     """Grid ``first, first + dz, ...`` up to ``z_max`` inclusive.
 
     Scans start at ``first = dz``; the CLI traces start at 0.  This is
-    the one place that checks that both are finite, ``z_max > 0`` and
-    ``0 < dz <= z_max``.
+    the one place that checks that both are finite, ``z_max > 0``,
+    ``0 < dz <= z_max`` and that numpy can index the
+    ``(z_max - first) / dz`` points.
     """
     if not math.isfinite(z_max):
         raise ValueError("z_max must be finite")
@@ -290,6 +358,13 @@ def z_grid(z_max: float, dz: float, first: float) -> np.ndarray:
         raise ValueError("dz must be finite")
     if not 0 < dz <= z_max:
         raise ValueError("dz must satisfy 0 < dz <= z_max")
+    # Python floats: the quotient may overflow to inf, which is refused
+    points = (float(z_max) - float(first)) / float(dz)
+    if not points <= np.iinfo(np.intp).max:
+        raise ValueError(
+            f"dz = {dz:g} is too small for z_max = {z_max:g}: the grid would "
+            f"have {points:.3g} points, more than numpy can index"
+        )
     grid = np.arange(first, z_max + 0.5 * dz, dz)
     return grid[grid <= z_max * (1.0 + 1e-12)]
 

@@ -609,6 +609,29 @@ class TestCliPlumbing:
     @pytest.mark.parametrize(
         "argv",
         [
+            # no --dz: the default step 0.01 / C_max is 1e-310, a 1e310-point grid
+            ["cat", "--n", "2", "--profile", "custom:1e308", "--source", "1", "--alpha", "0.5",
+             "--phi", "0", "--z-max", "1"],
+            ["transport", "--n", "4", "--profile", "uniform:C=1,R=1", "--source", "1",
+             "--z-max", "1", "--dz", "1e-300"],
+            ["tmsv", "--n", "4", "--profile", "uniform:C=1,R=1", "--w", "0.5", "--pair", "1,2",
+             "--z-max", "1", "--dz", "1e-300"],
+            ["evanescent", "--n", "12", "--mu", "0.5", "--r", "6", "--source", "1",
+             "--z-max", "1", "--dz", "1e-300"],
+        ],
+        ids=["cat-default-dz", "transport", "tmsv", "evanescent"],
+    )
+    def test_grid_numpy_cannot_index_is_domain_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--outdir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("pstnet: error: dz = 1e-")
+        assert "is too small for z_max = 1: the grid would have" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["spectrum"],
             ["pst-check", "--source", "1"],
             ["tmsv", "--w", "0.5", "--pair", "1,2", "--z-max", "1", "--dz", "0.5"],

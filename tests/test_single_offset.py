@@ -5,11 +5,19 @@ inverse FFT of the phases of all N modes, evaluated here: every offset
 at once (bit for bit on exactly degenerate uniform rings) and one offset
 ``d``, which must also stay bounded in memory on long grids and reject
 offsets that name no mode.
+
+One offset on an evenly spaced grid reads its phases from a two-level
+table; on other points it takes one ``exp`` per phase.  Both paths are
+held to the documented bound ``tol * max|z| + c * eps * max|mu z|``
+against ``reference`` and against the exact sum over all N modes in
+mpmath, and a block whose points leave the grid must take the direct
+path.
 """
 
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +38,9 @@ from pstnet import (
 )
 from pstnet.cli import main
 from pstnet.fock import cat_fidelity_scan
+from pstnet.propagation import z_grid
+
+EPS = np.finfo(float).eps
 
 
 def reference(spec, zs):
@@ -116,6 +127,115 @@ def test_matches_the_ode_oracle():
         assert offset_amplitudes(spec, [z], offset=d)[0] == pytest.approx(arrived[d], abs=1e-9)
 
 
+def bound(spec, zs):
+    """``tol * max|z| + c * eps * max|mu z|`` with tol * max|z| <= 1e-13, c = 4."""
+    lam = dispersion(spec).as_array()
+    return 1e-13 + 4 * EPS * np.abs(lam).max() * np.abs(zs).max()
+
+
+def exact_column(spec, zs, d):
+    """Column d of the sum over all N modes, every phase exact in mpmath.
+
+    Bitwise-equal eigenvalues share one phase; their Fourier factors
+    exp(i 2 pi p d / N) are summed first.
+    """
+    lam = dispersion(spec).as_array()
+    n = spec.n_modes
+    values, inverse = np.unique(lam, return_inverse=True)
+    with mpmath.workdps(30):
+        weights = [mpmath.mpc(0)] * values.size
+        for p, g in enumerate(inverse):
+            weights[g] += mpmath.expjpi(mpmath.mpf(2 * (p * d % n)) / n)
+        terms = [(w / n, mpmath.mpf(float(v))) for w, v in zip(weights, values)]
+        return np.array([
+            complex(mpmath.fsum(w * mpmath.expj(-mu * mpmath.mpf(float(z))) for w, mu in terms))
+            for z in zs
+        ])
+
+
+def default_grid(spec, z_max):
+    """The grid of a scan with the default step."""
+    dz = min(0.01 / spec.profile.max_strength, z_max)
+    return z_grid(z_max, dz, dz)
+
+
+LONG_GRIDS = {
+    # the README evanescent trace at z_max = 5000: 407,500 points, 10 groups
+    "evanescent-n12-z5000": (NetworkSpec(12, evanescent_profile(0.815, 6)), 5000.0, 6, 240),
+    # the scan inside pst-check --n 1022: 1,256 points, 512 groups
+    "evanescent-n1022": (
+        NetworkSpec(1022, evanescent_profile(0.815, 511)),
+        8 * propagation.pst_distance(evanescent_profile(0.815, 511).max_strength),
+        511,
+        60,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LONG_GRIDS)
+def test_both_paths_match_mpmath_on_long_grids(name):
+    spec, z_max, d, points = LONG_GRIDS[name]
+    zs = default_grid(spec, z_max)
+    rng = np.random.default_rng(11)
+    idx = np.unique(np.r_[
+        np.linspace(0, zs.size - 1, points // 2).astype(int),
+        rng.integers(0, zs.size, points // 2),
+    ])
+    want = exact_column(spec, zs[idx], d)
+    on_grid = offset_amplitudes(spec, zs, offset=d)[idx]
+    # one z per call never reads the table
+    direct = np.array([offset_amplitudes(spec, [z], offset=d)[0] for z in zs[idx]])
+    assert np.abs(on_grid - want).max() <= bound(spec, zs)
+    assert np.abs(direct - want).max() <= bound(spec, zs)
+
+
+@st.composite
+def even_grids(draw):
+    n, couplings, offset, _ = draw(rings())
+    count = draw(st.integers(4, 3000))
+    first = draw(st.floats(0.0, 1e4))
+    step = draw(st.floats(0.0, (1e4 - first) / (count - 1)))
+    return n, couplings, offset, first + step * np.arange(count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(even_grids())
+@example((16, [1.0, 1.0 + 1e-10, 1.0, 1.0 - 1e-10, 1.0, 1.0, 1.0], 3, np.arange(8500.0, 1e4, 0.5)))
+@example((32, [2.0] * 16, 16, z_grid(1e4, 3.4, 3.4)))
+@example((12, [1.0] * 5, 6, np.full(9, 777.7)))
+def test_evenly_spaced_grids_match_the_reference(grid):
+    n, couplings, offset, zs = grid
+    spec = NetworkSpec(n, custom_profile(couplings))
+    got = offset_amplitudes(spec, zs, offset=offset)
+    assert np.abs(got - reference(spec, zs)[:, offset]).max() <= bound(spec, zs)
+
+
+def test_points_off_the_grid_are_corrected_or_computed_directly(monkeypatch):
+    spec = NetworkSpec(12, evanescent_profile(0.815, 6))
+    zs = 100.0 + 0.5 * np.arange(40000)  # rows of 200 points, blocks of 81 rows
+    seen = []
+    direct = propagation._direct_sum
+
+    def spy(z, *rest):
+        if z.size:
+            seen.append(z.copy())
+        direct(z, *rest)
+
+    monkeypatch.setattr(propagation, "_direct_sum", spy)
+    # |mu delta| up to 5e-9: only the first-order term keeps this within the bound
+    jittered = zs + np.random.default_rng(5).uniform(-4e-10, 4e-10, zs.size)
+    got = offset_amplitudes(spec, jittered, offset=6)
+    assert np.abs(got - reference(spec, jittered)[:, 6]).max() <= bound(spec, jittered)
+    assert not seen
+    # a point 1e-3 off: its block alone takes one exp per phase
+    moved = zs.copy()
+    moved[20000] += 1e-3
+    got = offset_amplitudes(spec, moved, offset=6)
+    assert np.abs(got - reference(spec, moved)[:, 6]).max() <= bound(spec, moved)
+    assert [z.size for z in seen] == [16200]
+    assert moved[20000] in seen[0]
+
+
 @pytest.mark.parametrize("offset", [-1, 8, 2.0, "1", 8.5])
 def test_rejects_an_offset_that_names_no_mode(offset):
     spec = NetworkSpec(8, uniform_profile(1.0, 3))
@@ -159,3 +279,13 @@ def test_wide_cat_scan_stays_within_fixed_memory():
     )
     assert scan.zs.size == 20000
     assert peak < PEAK_LIMIT
+
+
+def test_long_grid_amplitudes_stay_within_two_mib():
+    # the table path holds about _BLOCK / 4 points of four complex
+    # temporaries at a time, no more than one block of the direct path
+    spec = NetworkSpec(12, evanescent_profile(0.815, 6))
+    zs = default_grid(spec, 5000.0)
+    out, peak = _peak_bytes(lambda: offset_amplitudes(spec, zs, offset=6))
+    assert zs.size == 407500
+    assert peak - out.nbytes <= 2 * 2**20
