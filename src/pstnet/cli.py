@@ -6,11 +6,13 @@ produce identical bytes.  CSV floats carry 17 significant digits: each
 chunk of rows is formatted a column at a time by ``g17.g17_fields``,
 whose bytes equal ``"%.17g" % x``, and streamed to the file.  JSON
 summaries are written by ``json.dumps``, whose floats are the shortest
-repr that reads back to the same value.  An optional ``--config`` file
-(the flag spelled out in full) of ``key = value`` lines becomes
-``--key=value`` flags placed right after the subcommand: keys are flag
-names (``z_max`` or ``z-max``), argparse parses them exactly like
-flags, and explicit flags win.  A bad grid, an unwritable output or an
+repr that reads back to the same value; a dataclass in a summary is
+written as its ``dataclasses.asdict`` and a complex number as
+``[re, im]``.  An optional ``--config`` file (the flag spelled out in
+full) of ``key = value`` lines becomes ``--key=value`` flags placed
+right after the subcommand: keys are flag names (``z_max`` or
+``z-max``), argparse parses them exactly like flags, and explicit
+flags win.  A bad grid, an unwritable output or an
 allocation numpy refuses ends with exit 3 and a one-line message.
 
 Mode labels on the command line are 1-based; the library uses 0-based
@@ -22,6 +24,7 @@ token (``--theta -pi/2``) or joined (``--theta=-pi/2``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -155,6 +158,15 @@ def _csv_chunks(*columns, size=_CHUNK_ROWS):
         yield _csv_text([_fields(c[start : start + size]) for c in columns])
 
 
+def _jsonable(value):
+    """``json.dumps`` default: dataclasses as ``asdict``, complex as ``[re, im]``."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.asdict(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, header, chunks, summary, note: str = "") -> int:
     """Write the CSV trace and the JSON summary that ``--format`` selects.
 
@@ -186,7 +198,7 @@ def _emit(args, header, chunks, summary, note: str = "") -> int:
         written.append(path)
     if summary is not None and fmt in ("json", "both"):
         path = outdir / f"{base}.json"
-        path.write_text(json.dumps(summary, indent=2) + "\n")
+        path.write_text(json.dumps(summary, indent=2, default=_jsonable) + "\n")
         written.append(path)
     print("wrote " + " ".join(str(p) for p in written) + note)
     return 0
@@ -194,9 +206,9 @@ def _emit(args, header, chunks, summary, note: str = "") -> int:
 
 def _report_labels(report):
     """Shift a transfer report to the 1-based labels used on the CLI."""
-    from dataclasses import replace
-
-    return replace(report, source=report.source + 1, target=report.target + 1)
+    return dataclasses.replace(
+        report, source=report.source + 1, target=report.target + 1
+    )
 
 
 def _label_to_index(label: int, n: int, name: str) -> int:
@@ -248,7 +260,7 @@ def _cmd_pst_check(args) -> int:
     source = _label_to_index(args.source, args.n, "source")
     report = check_pst(spec, source, tol=args.tol)
     note = f" (is_pst={str(report.is_pst).lower()})"
-    return _emit(args, None, None, _report_labels(report).to_dict(), note)
+    return _emit(args, None, None, _report_labels(report), note)
 
 
 def _cmd_cat(args) -> int:
@@ -337,8 +349,8 @@ def _cmd_synth(args) -> int:
         "n_modes": args.n,
         "n_aux_pairs": args.m,
         "strength": args.c,
-        "solution": solution.to_dict(),
-        "pst_report": _report_labels(report).to_dict(),
+        "solution": solution,
+        "pst_report": _report_labels(report),
     }
     note = f" (is_pst={str(report.is_pst).lower()})"
     return _emit(args, None, None, summary, note)

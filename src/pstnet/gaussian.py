@@ -45,7 +45,8 @@ def symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     With V = L L^T (Cholesky), i Omega V is similar to the Hermitian
     i L^T Omega L, so the singular values of L^T Omega L are the nu_k,
     each twice.  Unlike a general eigensolver this costs the same for
-    every V.  A V that is not positive definite raises LinAlgError.
+    every V.  A V that is not positive definite raises LinAlgError;
+    ``CovarianceState`` reports that as an unphysical covariance.
     """
     lower = np.linalg.cholesky(matrix)
     a = np.swapaxes(lower, -1, -2) @ symplectic_form(matrix.shape[-1] // 2) @ lower
@@ -79,21 +80,25 @@ class CovarianceState:
     """Real symmetric 2N x 2N covariance matrix, vacuum variance 1/2.
 
     ``matrix`` may be a stack (..., 2N, 2N); every member is checked.
-    Construction enforces symmetry (1e-12) and physicality: the minimum
+    Construction enforces finite entries, symmetry (1e-12) and
+    physicality: the matrix must be positive definite and its minimum
     symplectic eigenvalue must reach the vacuum floor 1/2 up to 1e-9.
-    ``z`` accumulates the propagation distance of applied evolutions.
     """
 
     matrix: np.ndarray
-    z: float = 0.0
 
     def __post_init__(self):
         v = np.array(self.matrix, dtype=float)
         if v.ndim < 2 or v.shape[-2] != v.shape[-1] or v.shape[-1] % 2:
             raise ValueError("covariance matrix must be square with even dimension")
+        if not np.isfinite(v).all():
+            raise ValueError("covariance matrix is not finite")
         if np.abs(v - np.swapaxes(v, -1, -2)).max() > 1e-12:
             raise ValueError("covariance matrix must be symmetric")
-        nu_min = symplectic_eigenvalues(v).min()
+        try:
+            nu_min = symplectic_eigenvalues(v).min()
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"covariance matrix is unphysical ({exc})") from None
         if nu_min < 0.5 - 1e-9:
             raise ValueError(
                 f"covariance matrix is unphysical (min symplectic eigenvalue {nu_min})"
@@ -111,7 +116,6 @@ class SymplecticEvolution:
     """Real 2N x 2N quadrature map; M Omega M^T = Omega to 1e-10."""
 
     matrix: np.ndarray
-    z: float
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -155,8 +159,14 @@ def tmsv_covariance(params: TmsvParams, n_modes: int) -> CovarianceState:
     m, n = params.mode_pair
     if not (0 <= m < n_modes and 0 <= n < n_modes):
         raise ValueError(f"mode pair {params.mode_pair} out of range for N={n_modes}")
-    s = _squeeze_map(params.w, params.theta, m, n, int(n_modes))
-    return CovarianceState(0.5 * s @ s.T)
+    try:
+        s = _squeeze_map(params.w, params.theta, m, n, int(n_modes))
+    except OverflowError:  # math.cosh(w) beyond w = 710
+        raise ValueError("covariance matrix is not finite") from None
+    # a strong squeezer overflows to inf, which CovarianceState refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = 0.5 * s @ s.T
+    return CovarianceState(v)
 
 
 def _realify(u: np.ndarray) -> np.ndarray:
@@ -177,7 +187,7 @@ def symplectic_from_propagator(u: Propagator) -> SymplecticEvolution:
     as U U^dag = I, so the symplectic check of ``SymplecticEvolution``
     also rejects a non-unitary input.
     """
-    return SymplecticEvolution(_realify(u.matrix), u.z)
+    return SymplecticEvolution(_realify(u.matrix))
 
 
 def evolve_covariance(
@@ -187,7 +197,7 @@ def evolve_covariance(
     if evolution.matrix.shape[-1] != state.matrix.shape[-1]:
         raise ValueError("dimension mismatch between state and evolution")
     v = evolution.matrix @ state.matrix @ evolution.matrix.T
-    return CovarianceState(0.5 * (v + np.swapaxes(v, -1, -2)), state.z + evolution.z)
+    return CovarianceState(0.5 * (v + np.swapaxes(v, -1, -2)))
 
 
 def squeezing_factor(

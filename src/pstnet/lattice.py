@@ -4,7 +4,9 @@ A network is a ring of ``n_modes`` identical single-mode waveguides in
 which every mode couples to its r-th neighbours, r = 1..R, with strength
 ``C_r`` (units of inverse propagation length).  The resulting coupling
 matrix is real, symmetric and circulant; everything else in the package
-builds on it.
+builds on it.  A profile is its tuple of couplings and nothing more:
+``uniform_profile``, ``evanescent_profile`` and ``custom_profile`` only
+differ in how they fill it.
 
 Modes are indexed 0..N-1 internally.  The command line front end
 translates to and from 1-based labels.
@@ -17,22 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PROFILE_KINDS = ("uniform", "evanescent", "custom")
-
 
 @dataclass(frozen=True)
 class CouplingProfile:
     """Coupling strengths for neighbour separations r = 1..R.
 
     ``couplings[r-1]`` is the strength between modes r apart on the
-    ring.  The ``kind`` tag records how the profile was constructed and
-    is validated on construction: a uniform profile repeats a single
-    positive value, an evanescent profile follows ``mu**r`` for some
-    0 < mu < 1, and a custom profile only needs finite entries.
+    ring.  Construction only requires at least one entry, all finite;
+    ``uniform_profile`` and ``evanescent_profile`` check their own
+    parameters.
     """
 
     couplings: tuple[float, ...]
-    kind: str = "custom"
 
     def __post_init__(self):
         values = tuple(float(c) for c in self.couplings)
@@ -41,18 +39,6 @@ class CouplingProfile:
             raise ValueError("profile needs at least one coupling")
         if not all(math.isfinite(c) for c in values):
             raise ValueError("couplings must be finite")
-        if self.kind not in PROFILE_KINDS:
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "uniform":
-            if values[0] <= 0 or any(c != values[0] for c in values):
-                raise ValueError("uniform profile must repeat a single C > 0")
-        elif self.kind == "evanescent":
-            mu = values[0]
-            if not 0.0 < mu < 1.0:
-                raise ValueError("evanescent profile needs 0 < mu < 1")
-            expected = mu ** np.arange(1, len(values) + 1)
-            if not np.allclose(values, expected, rtol=1e-12, atol=0.0):
-                raise ValueError("evanescent profile must follow mu**r")
 
     @property
     def interaction_range(self) -> int:
@@ -70,7 +56,7 @@ def uniform_profile(strength: float, interaction_range: int) -> CouplingProfile:
         raise ValueError("interaction_range must be a positive integer")
     if not strength > 0:
         raise ValueError("uniform coupling strength must be positive")
-    return CouplingProfile((float(strength),) * int(interaction_range), "uniform")
+    return CouplingProfile((float(strength),) * int(interaction_range))
 
 
 def evanescent_profile(mu: float, interaction_range: int) -> CouplingProfile:
@@ -80,12 +66,12 @@ def evanescent_profile(mu: float, interaction_range: int) -> CouplingProfile:
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie strictly between 0 and 1")
     couplings = tuple(float(mu) ** r for r in range(1, int(interaction_range) + 1))
-    return CouplingProfile(couplings, "evanescent")
+    return CouplingProfile(couplings)
 
 
 def custom_profile(couplings) -> CouplingProfile:
     """Profile with explicitly listed couplings for r = 1..len(couplings)."""
-    return CouplingProfile(tuple(float(c) for c in couplings), "custom")
+    return CouplingProfile(tuple(float(c) for c in couplings))
 
 
 def mu_from_separation(kappa: float, spacing: float) -> float:

@@ -67,14 +67,14 @@ _GRID_DRIFT = 1e-8
 
 @dataclass(frozen=True)
 class Propagator:
-    """Complex N x N transition-amplitude matrix at distance z.
+    """Complex N x N transition-amplitude matrix.
 
-    Unitarity (to 1e-10) is checked on construction; the matrix is
-    circulant by construction and frozen against accidental writes.
+    Unitarity (to 1e-10) is checked on construction and the matrix is
+    frozen against accidental writes.  ``propagator(spec, z)`` builds
+    the circulant one of a network at distance z.
     """
 
     matrix: np.ndarray
-    z: float
 
     def __post_init__(self):
         u = np.array(self.matrix, dtype=complex)
@@ -85,10 +85,6 @@ class Propagator:
             raise ValueError(f"propagator is not unitary (defect {defect:.2e})")
         u.setflags(write=False)
         object.__setattr__(self, "matrix", u)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -114,20 +110,6 @@ class PstReport:
     def __post_init__(self):
         if not -1e-12 <= self.max_transfer <= 1.0 + 1e-12:
             raise ValueError("max_transfer must lie in [0, 1] up to rounding slack")
-
-    def to_dict(self) -> dict:
-        return {
-            "is_pst": self.is_pst,
-            "z_pst": self.z_pst,
-            "source": self.source,
-            "target": self.target,
-            "amplitude_at_zpst": [
-                self.amplitude_at_zpst.real,
-                self.amplitude_at_zpst.imag,
-            ],
-            "max_transfer": self.max_transfer,
-            "z_at_max": self.z_at_max,
-        }
 
 
 @dataclass(frozen=True)
@@ -245,7 +227,7 @@ def propagator(spec: NetworkSpec, z: float) -> Propagator:
     """Exact propagator built from the Fourier-mode phase factors."""
     if not math.isfinite(z):
         raise ValueError("z must be finite")
-    return Propagator(circulant(offset_amplitudes(spec, [z])[0]), float(z))
+    return Propagator(circulant(offset_amplitudes(spec, [z])[0]))
 
 
 def closed_form_amplitude(n_modes: int, strength: float, offset: int, z: float) -> complex:
@@ -284,13 +266,7 @@ def pst_distance(strength: float, s: int = 0) -> float:
     return (2 * s + 1) * math.pi / (2.0 * strength)
 
 
-def check_pst(
-    spec: NetworkSpec,
-    source: int,
-    tol: float = 1e-9,
-    z_scan_max: float | None = None,
-    dz: float | None = None,
-) -> PstReport:
+def check_pst(spec: NetworkSpec, source: int, tol: float = 1e-9) -> PstReport:
     """Check for perfect transfer from ``source`` to its antipode.
 
     Perfect transfer at z means ``|U_{N/2,0}(z)| = 1``.  The check
@@ -298,7 +274,8 @@ def check_pst(
     at the candidate distance ``pi / (2 C_max)`` reaches 1 - tol, with
     0 < tol < 1 (tol >= 1 would let every ring pass).  The report
     always carries the candidate amplitude and the maximum transfer
-    found by a bounded scan (default reach: eight candidate distances).
+    found by a scan of (0, 8 pi / (2 C_max)], eight candidate distances,
+    at the default step of ``scan_offset``.
     """
     n = spec.n_modes
     if not 0 <= source < n:
@@ -310,9 +287,7 @@ def check_pst(
     z_ref = pst_distance(c_ref)
     amp = complex(offset_amplitudes(spec, [z_ref], offset=n // 2)[0])
     is_pst = abs(amp) ** 2 >= 1.0 - tol
-    if z_scan_max is None:
-        z_scan_max = 8.0 * z_ref
-    scan = transfer_scan(spec, source, target, z_scan_max, dz)
+    scan = transfer_scan(spec, source, target, 8.0 * z_ref)
     return PstReport(
         is_pst=is_pst,
         z_pst=z_ref if is_pst else None,

@@ -40,6 +40,8 @@ class SynthesisProblem:
             raise ValueError("synthesis requires even n_modes >= 4")
         if self.n_aux_pairs < 1:
             raise ValueError("need at least one auxiliary mode pair")
+        if not math.isfinite(self.strength):
+            raise ValueError("target strength must be finite")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
@@ -71,22 +73,6 @@ class SynthesisSolution:
     min_dispersive_ratio: float | None = None
     dispersive_ok: bool | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": list(self.weights),
-            "couplings": list(self.couplings),
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "physical": None
-            if self.physical is None
-            else [
-                {"g": mode.g, "detuning": mode.detuning, "ratio": mode.ratio}
-                for mode in self.physical
-            ],
-            "min_dispersive_ratio": self.min_dispersive_ratio,
-            "dispersive_ok": self.dispersive_ok,
-        }
-
 
 def constraint_matrix(n_modes: int, n_aux_pairs: int) -> np.ndarray:
     """Rows are the cosine constraints for r = 1..N/2.
@@ -113,7 +99,8 @@ def solve_weights(problem: SynthesisProblem) -> SynthesisSolution:
     Exactly determined for M = N/2; minimum-norm for M > N/2;
     least-squares with a reported residual for M < N/2.  An
     infeasible target shows up as a residual above the problem
-    tolerance, never as an exception.
+    tolerance, never as an exception; so does a target whose couplings
+    overflow (a residual of inf or nan).
     """
     n = problem.n_modes
     half = n // 2
@@ -121,8 +108,9 @@ def solve_weights(problem: SynthesisProblem) -> SynthesisSolution:
     target = np.full(half, float(problem.strength))
     target[-1] = 0.0
     weights, *_ = np.linalg.lstsq(b, target, rcond=None)
-    couplings = b @ weights
-    residual = float(np.abs(couplings - target).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        couplings = b @ weights
+        residual = float(np.abs(couplings - target).max())
     return SynthesisSolution(
         weights=tuple(float(a) for a in weights),
         couplings=tuple(float(j) for j in couplings),
@@ -170,14 +158,15 @@ def verify_synthesis(solution: SynthesisSolution, n_modes: int) -> PstReport:
     """Run the transfer check on the synthesized profile.
 
     Builds a custom profile from the couplings J_r and delegates to the
-    antipodal transfer check.  Refuses when the stored residual exceeds
-    the solution tolerance: such couplings do not realize the target.
+    antipodal transfer check.  Refuses unless the stored residual is at
+    most the solution tolerance (a nan residual is refused too): other
+    couplings do not realize the target.
     """
     if 2 * len(solution.couplings) != n_modes:
         raise ValueError("coupling count does not match n_modes / 2")
-    if solution.residual > solution.tolerance:
+    if not solution.residual <= solution.tolerance:
         raise ValueError(
-            f"synthesis residual {solution.residual:.3e} exceeds tolerance "
+            f"synthesis residual {solution.residual:.3e} is not within tolerance "
             f"{solution.tolerance:.3e}; add auxiliary pairs (M >= N/2) or relax the target"
         )
     spec = NetworkSpec(n_modes, custom_profile(solution.couplings))

@@ -367,6 +367,20 @@ class TestTmsvCommand:
         )
         assert not list(tmp_path.iterdir())
 
+    # w = 20 loses cosh^2 - sinh^2 = 1 to rounding, 400 overflows the
+    # covariance, 800 overflows cosh(w) itself
+    @pytest.mark.parametrize("w", ["20", "400", "800"])
+    def test_strong_squeezing_is_a_covariance_error(self, tmp_path, w):
+        result = run_cli(
+            ["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--w", w,
+             "--pair", "1,2", "--z-max", "1", "--dz", "0.5"],
+            tmp_path,
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("pstnet: error: covariance matrix ")
+        assert result.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_chunks_write_the_bytes_of_one_grid(self, tmp_path, monkeypatch):
         argv = ["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--w", "0.881374",
                 "--pair", "1,2", "--z-max", "pi", "--dz", "0.01"]
@@ -434,6 +448,17 @@ class TestSynthCommand:
         result = run_cli(["synth", "--n", "8", "--m", "2", "--c", "1"], tmp_path)
         assert result.returncode == 3
         assert "residual" in result.stderr
+
+    @pytest.mark.parametrize(
+        "strength,message",
+        [("1e308", "synthesis residual "), ("nan", "target strength must be finite")],
+    )
+    def test_non_finite_target_is_one_line_error(self, tmp_path, strength, message):
+        result = run_cli(["synth", "--n", "8", "--m", "4", "--c", strength], tmp_path)
+        assert result.returncode == 3
+        assert result.stderr.startswith(f"pstnet: error: {message}")
+        assert result.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliPlumbing:

@@ -57,6 +57,12 @@ other points, so values moved by at most 3.3e-16 in ``cat.csv``, 2.6e-14
 in ``evanescent.csv`` and 6.1e-13 in the z = 5000 trace, inside the
 bound ``c * eps * max|mu z|`` that rounding the arguments carries either
 way.  Every JSON digest is unchanged, maxima and ``z_at_max`` included.
+
+``pst-check --n 8 ... --source 2`` pins the one JSON shape that no other
+digest covers, a report with ``is_pst: true`` and a numeric ``z_pst``.
+It was recorded before the ``pst-check`` and ``synth`` summaries switched
+from hand-written ``to_dict`` methods to ``dataclasses.asdict`` (through
+the ``json.dumps`` default), and no digest moved with that switch.
 """
 
 import hashlib
@@ -75,6 +81,9 @@ GOLDEN = {
     },
     "pst-check --n 10 --profile uniform:C=1,R=4 --source 1": {
         "pst-check.json": "cd56c9a1144b165b4b12535f96dc545e01c3598c6154e0e7c2632809070d8f8e",
+    },
+    "pst-check --n 8 --profile uniform:C=1,R=3 --source 2": {
+        "pst-check.json": "ec77c05b4ebdb136a1e2d713a0b2fa2af203b73a6b25d831cd3026d509a37e64",
     },
     "cat --n 12 --profile uniform:C=1,R=5 --source 1 --alpha 0.5 --phi pi/2 --z-max 2pi": {
         "cat.csv": "556c9dd881c7e61d48b8188331d160058eb3199a1f7d3aa5718a1d2c98e04c79",

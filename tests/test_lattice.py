@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pstnet import (
-    CouplingProfile,
     NetworkSpec,
     coupling_matrix,
     custom_profile,
@@ -19,9 +18,6 @@ class TestUniformProfile:
         assert uniform_profile(1.0, 3).couplings == (1.0, 1.0, 1.0)
         assert uniform_profile(1.0, 1).couplings == (1.0,)
         assert uniform_profile(2.0, 5).couplings == (2.0,) * 5
-
-    def test_kind_tag(self):
-        assert uniform_profile(1.0, 3).kind == "uniform"
 
     @pytest.mark.parametrize("strength", [0.0, -1.0])
     def test_rejects_nonpositive_strength(self, strength):
@@ -69,7 +65,6 @@ class TestMuFromSeparation:
 
 class TestProfileValidation:
     def test_custom_allows_arbitrary_finite(self):
-        assert custom_profile([0.5, 0.25, 0.1]).kind == "custom"
         assert custom_profile([1.0, -0.3, 0.0]).couplings == (1.0, -0.3, 0.0)
 
     def test_rejects_empty_and_nonfinite(self):
@@ -77,18 +72,6 @@ class TestProfileValidation:
             custom_profile([])
         with pytest.raises(ValueError):
             custom_profile([1.0, math.inf])
-
-    def test_uniform_tag_must_be_constant(self):
-        with pytest.raises(ValueError):
-            CouplingProfile((1.0, 2.0), "uniform")
-
-    def test_evanescent_tag_must_follow_power_law(self):
-        with pytest.raises(ValueError):
-            CouplingProfile((0.5, 0.3), "evanescent")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            CouplingProfile((1.0,), "linear")
 
 
 class TestNetworkSpec:

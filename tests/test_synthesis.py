@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,11 @@ class TestSolveWeights:
             SynthesisProblem(7, 4, 1.0)
         with pytest.raises(ValueError):
             SynthesisProblem(8, 0, 1.0)
+
+    @pytest.mark.parametrize("strength", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_strength(self, strength):
+        with pytest.raises(ValueError, match="target strength must be finite"):
+            SynthesisProblem(8, 4, strength)
 
 
 class TestEffectiveCouplings:
@@ -154,6 +160,11 @@ class TestVerifySynthesis:
         starved = solve_weights(SynthesisProblem(8, 2, 1.0))
         with pytest.raises(ValueError, match="residual"):
             verify_synthesis(starved, 8)
+
+    def test_refuses_nan_residual(self):
+        exact = solve_weights(SynthesisProblem(8, 4, 1.0))
+        with pytest.raises(ValueError, match="residual nan"):
+            verify_synthesis(replace(exact, residual=math.nan), 8)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
