@@ -463,7 +463,12 @@ def build_parser():
     p.add_argument("--c", type=float, required=True, help="target coupling strength")
     p.add_argument("--delta-scale", type=float, default=200.0)
     p.add_argument("--dispersive-min", type=float, default=10.0)
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument(
+        "--tolerance",
+        type=float,
+        default=1e-8,
+        help="largest synthesis residual accepted, relative to max(1, |c|)",
+    )
     p.set_defaults(func=_cmd_synth)
 
     return parser

@@ -449,6 +449,20 @@ class TestSynthCommand:
         assert result.returncode == 3
         assert "residual" in result.stderr
 
+    @pytest.mark.parametrize("n,m", [("1024", "512"), ("8", "6")])
+    def test_large_target_is_held_to_a_relative_tolerance(self, tmp_path, n, m):
+        result = run_cli(["synth", "--n", n, "--m", m, "--c", "1e8"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        payload = json.loads((tmp_path / "synth.json").read_text())
+        assert payload["solution"]["tolerance"] == 1.0
+        assert payload["pst_report"]["is_pst"] is True
+
+    def test_large_starved_target_is_domain_error(self, tmp_path):
+        result = run_cli(["synth", "--n", "8", "--m", "2", "--c", "1e8"], tmp_path)
+        assert result.returncode == 3
+        assert result.stderr.startswith("pstnet: error: synthesis residual ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "strength,message",
         [("1e308", "synthesis residual "), ("nan", "target strength must be finite")],

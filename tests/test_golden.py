@@ -63,6 +63,14 @@ digest covers, a report with ``is_pst: true`` and a numeric ``z_pst``.
 It was recorded before the ``pst-check`` and ``synth`` summaries switched
 from hand-written ``to_dict`` methods to ``dataclasses.asdict`` (through
 the ``json.dumps`` default), and no digest moved with that switch.
+
+``synth.json`` was last recorded when the square system M = N/2 came to
+be solved by one inverse real FFT (a type-I cosine transform) instead of
+``lstsq`` on the dense cosine matrix, and the couplings came from the FFT
+of the evenly folded weights.  The weights became exactly (-1.5, -2,
+-1.5, -1), the couplings exactly (1, 1, 1, 0) and the residual went from
+8.9e-16 to 0.0; ``z_pst`` is now pi/2 to the last bit.  No other digest
+moved.
 """
 
 import hashlib
@@ -97,7 +105,7 @@ GOLDEN = {
         "evanescent.json": "b5ed2f6a1887a0fc4b1e07346e00c7a74058fb4b2a9ad4eba5666c3ef6701fc8",
     },
     "synth --n 8 --m 4 --c 1": {
-        "synth.json": "9eadee4305f0d365a8dbf185f1cd72b5faaa4961a67379a923dadb1a5890ac7f",
+        "synth.json": "f9a0699ae2fd22698da81334049392f336a7657fa5dcb58190307d350da63e70",
     },
 }
 

@@ -26,13 +26,12 @@ from hypothesis import strategies as st
 import pstnet.propagation as propagation
 from pstnet import (
     NetworkSpec,
-    SynthesisProblem,
+    constraint_matrix,
     custom_profile,
     dispersion,
     evanescent_profile,
     offset_amplitudes,
     ode_oracle,
-    solve_weights,
     transfer_scan,
     uniform_profile,
 )
@@ -103,13 +102,21 @@ def test_every_offset_is_bitwise_the_reference_on_uniform_rings(n):
 
 
 def test_a_run_of_tiny_gaps_is_cut_at_the_tolerance():
-    # The synthesized N = 1024 couplings spread the -2 block of the
-    # collapse spectrum over about 2e-12 in gaps below the grouping
-    # tolerance (6e-14 at z = pi/2).  Split only at wider gaps, the block
-    # chained into one group, and the antipodal amplitude was 1.2e-12 off.
-    problem = SynthesisProblem(1024, 512, 1.0, 1e-8)
-    spec = NetworkSpec(1024, custom_profile(solve_weights(problem).couplings))
+    # N = 1024 couplings synthesized by lstsq on the dense cosine matrix
+    # spread the -2 block of the collapse spectrum over about 4.5e-12 in
+    # gaps below the grouping tolerance (3.3e-14 at max|z| = 3).  Split
+    # only at wider gaps, the block chained into one group, and the
+    # antipodal amplitude was 1.2e-12 off.  solve_weights returns exact
+    # couplings with no spread, so the fixture comes from the dense solve.
+    b = constraint_matrix(1024, 512)
+    target = np.ones(512)
+    target[-1] = 0.0
+    weights, *_ = np.linalg.lstsq(b, target, rcond=None)
+    spec = NetworkSpec(1024, custom_profile(b @ weights))
     zs = [math.pi / 2, 3.0]
+    lam = dispersion(spec).as_array()
+    block = lam[np.abs(lam + 2.0) < 1e-6]
+    assert block.max() - block.min() > 1e-13 / max(zs)
     want = reference(spec, zs)
     for d in (1, 512):
         got = offset_amplitudes(spec, zs, offset=d)

@@ -1,18 +1,34 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
+import pstnet.synthesis as synthesis
 from pstnet import (
+    NetworkSpec,
     SynthesisProblem,
     SynthesisSolution,
+    check_pst,
     constraint_matrix,
+    custom_profile,
+    degeneracy_histogram,
+    dispersion,
     effective_couplings,
     physical_parameters,
     solve_weights,
+    uniform_profile,
     verify_synthesis,
 )
+
+
+def dense_square_weights(n):
+    """Square-system weights from lstsq on the dense cosine matrix."""
+    target = np.ones(n // 2)
+    target[-1] = 0.0
+    weights, *_ = np.linalg.lstsq(constraint_matrix(n, n // 2), target, rcond=None)
+    return weights
 
 
 class TestSolveWeights:
@@ -27,6 +43,12 @@ class TestSolveWeights:
     def test_square_systems_solve_exactly(self, n):
         solution = solve_weights(SynthesisProblem(n, n // 2, 1.0))
         assert solution.residual < 1e-10
+
+    def test_eight_modes_give_exact_dyadic_weights(self):
+        solution = solve_weights(SynthesisProblem(8, 4, 1.0))
+        assert solution.weights == (-1.5, -2.0, -1.5, -1.0)
+        assert solution.couplings == (1.0, 1.0, 1.0, 0.0)
+        assert solution.residual == 0.0
 
     def test_zero_target_gives_zero_weights(self):
         solution = solve_weights(SynthesisProblem(8, 4, 0.0))
@@ -59,7 +81,73 @@ class TestSolveWeights:
             SynthesisProblem(8, 4, strength)
 
 
+class TestSquareTransform:
+    """M = N/2 is solved by one inverse real FFT, not by lstsq."""
+
+    def test_weights_match_dense_lstsq(self):
+        for n in range(4, 129, 2):
+            got = np.asarray(solve_weights(SynthesisProblem(n, n // 2, 1.0)).weights)
+            assert np.abs(got - dense_square_weights(n)).max() <= 1e-12 * n, n
+
+    def test_exact_cosine_sums_at_1024_modes(self):
+        n, half = 1024, 512
+        weights = solve_weights(SynthesisProblem(n, half, 1.0)).weights
+        with mpmath.workdps(30):
+            table = [mpmath.cospi(mpmath.mpf(2 * j) / n) for j in range(n)]
+            a = [mpmath.mpf(w) for w in weights]
+            sums = [
+                mpmath.fdot(a, [table[k * r % n] for k in range(1, half + 1)])
+                for r in range(1, half + 1)
+            ]
+        target = [1] * (half - 1) + [0]
+        assert max(float(abs(j - t)) for j, t in zip(sums, target)) <= 1e-13
+
+    def test_square_systems_build_no_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense solve of a square system")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        monkeypatch.setattr(synthesis, "constraint_matrix", refuse)
+        for n in (4, 10, 1024):
+            assert solve_weights(SynthesisProblem(n, n // 2, 1.0)).residual <= 1e-14
+
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_synthesized_ring_is_the_uniform_ring(self, n):
+        solution = solve_weights(SynthesisProblem(n, n // 2, 1.0))
+        synthesized = NetworkSpec(n, custom_profile(solution.couplings))
+        uniform = NetworkSpec(n, uniform_profile(1.0, n // 2 - 1))
+        assert (
+            degeneracy_histogram(dispersion(synthesized)).bins
+            == degeneracy_histogram(dispersion(uniform)).bins
+        )
+        report = check_pst(synthesized, 0)
+        assert report.is_pst
+        assert abs(report.z_pst - math.pi / 2) <= 1e-14
+        assert abs(report.amplitude_at_zpst + 1.0) <= 1e-14
+
+
+class TestRelativeTolerance:
+    @pytest.mark.parametrize(
+        "strength,tolerance", [(0.5, 1e-8), (1.0, 1e-8), (1e8, 1.0), (-1e8, 1.0)]
+    )
+    def test_tolerance_scales_with_the_target(self, strength, tolerance):
+        assert solve_weights(SynthesisProblem(8, 6, strength)).tolerance == tolerance
+
+    def test_large_target_passes_on_its_rounding(self):
+        solution = solve_weights(SynthesisProblem(8, 6, 1e8))
+        assert 1e-8 < solution.residual <= 1e-15 * 1e8 * 8
+        assert verify_synthesis(solution, 8).is_pst
+
+
 class TestEffectiveCouplings:
+    @pytest.mark.parametrize("n", [8, 12, 64, 1024])
+    def test_fft_matches_the_cosine_matrix(self, n):
+        rng = np.random.default_rng(n)
+        for m in (1, 3, n // 2, n // 2 + 3, n + 5, 3 * n):
+            a = rng.normal(size=m)
+            want = constraint_matrix(n, m) @ a
+            assert np.abs(effective_couplings(a, n) - want).max() <= 1e-12 * np.abs(a).sum(), m
+
     def test_zero_weights(self):
         assert np.abs(effective_couplings(np.zeros(4), 8)).max() == 0.0
 
