@@ -4,11 +4,12 @@ Subcommands: spectrum, transport, pst-check, cat, tmsv, evanescent,
 synth.  Every run is fully determined by its flags, so identical runs
 produce identical bytes.  CSV floats carry 17 significant digits: each
 chunk of rows is formatted a column at a time by ``g17.g17_fields``,
-whose bytes equal ``"%.17g" % x``, and streamed to the file.  JSON
-summaries are written by ``json.dumps``, whose floats are the shortest
-repr that reads back to the same value; a dataclass in a summary is
-written as its ``dataclasses.asdict`` and a complex number as
-``[re, im]``.  An optional ``--config`` file (the flag spelled out in
+whose bytes equal ``"%.17g" % x``, and streamed to the file; a scan
+(``cat``, ``evanescent``) writes each block of its grid before it
+computes the next.  JSON summaries are written by ``json.dumps``, whose
+floats are the shortest repr that reads back to the same value; a
+dataclass in a summary is written as the mapping of its fields and a
+complex number as ``[re, im]``.  An optional ``--config`` file (the flag spelled out in
 full) of ``key = value`` lines becomes ``--key=value`` flags placed
 right after the subcommand: keys are flag names (``z_max`` or
 ``z-max``), argparse parses them exactly like flags, and explicit
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -159,22 +161,31 @@ def _csv_chunks(*columns, size=_CHUNK_ROWS):
 
 
 def _jsonable(value):
-    """``json.dumps`` default: dataclasses as ``asdict``, complex as ``[re, im]``."""
+    """``json.dumps`` default: a dataclass as a mapping of its fields, complex as ``[re, im]``.
+
+    The mapping is shallow; ``json.dumps`` calls this again for each
+    nested dataclass or complex value it meets.
+    """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, complex):
         return [value.real, value.imag]
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(args, header, chunks, summary, note: str = "") -> int:
-    """Write the CSV trace and the JSON summary that ``--format`` selects.
+def _emit(args, header, run, note: str = "") -> int:
+    """Run a command and write the CSV trace and JSON summary that ``--format`` selects.
 
-    A command without a trace or a summary passes None for it.  ``chunks``
-    (from ``_csv_chunks``) is iterated only when the CSV is written, so
-    nothing is formatted under ``--format json``.  A trace that fails
-    part way (``transport`` computes its amplitudes while it writes)
-    leaves no partial CSV behind, nor the directories the run created.
+    ``run(write)`` computes the command's results and returns its
+    summary, None for a command without one.  It hands its CSV text to
+    ``write`` chunk by chunk (from ``_csv_chunks``) as it computes it,
+    so a scan writes each block's rows before it computes the next
+    block.  When no CSV is written (``--format json``, or a command
+    without a trace) ``write`` is None and nothing is formatted.  The
+    CSV is opened at the first ``write``, so a run refused before it
+    has rows leaves an earlier file of the same name alone.  A run
+    that fails part way leaves no partial CSV behind, nor the
+    directories it created.
     """
     fmt = getattr(args, "format", "both")
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
@@ -182,20 +193,29 @@ def _emit(args, header, chunks, summary, note: str = "") -> int:
     # the directories this run creates, deepest first
     created = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if header is not None and fmt in ("csv", "both"):
-        path = outdir / f"{base}.csv"
-        with open(path, "w", newline="") as fh:
+    csv_path = outdir / f"{base}.csv"
+    fh = None
+
+    def write(chunks):
+        nonlocal fh
+        if fh is None:
+            fh = open(csv_path, "w", newline="")
             fh.write(",".join(header) + "\r\n")
-            try:
-                fh.writelines(chunks)
-            except BaseException:
-                fh.close()
-                path.unlink()
-                for d in created:
-                    d.rmdir()
-                raise
-        written.append(path)
+        fh.writelines(chunks)
+
+    try:
+        summary = run(None if header is None or fmt == "json" else write)
+    except BaseException:
+        if fh is not None:
+            fh.close()
+            csv_path.unlink()
+        for d in created:
+            d.rmdir()
+        raise
+    written = []
+    if fh is not None:
+        fh.close()
+        written.append(csv_path)
     if summary is not None and fmt in ("json", "both"):
         path = outdir / f"{base}.json"
         path.write_text(json.dumps(summary, indent=2, default=_jsonable) + "\n")
@@ -221,9 +241,14 @@ def _cmd_spectrum(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
     spectrum = dispersion(spec)
     lam = spectrum.as_array()
-    chunks = _csv_chunks(np.arange(len(lam)), lam)
     hist = degeneracy_histogram(spectrum, args.tol)
-    return _emit(args, ("p", "lambda_p"), chunks, hist.to_dict())
+
+    def run(write):
+        if write is not None:
+            write(_csv_chunks(np.arange(len(lam)), lam))
+        return hist.to_dict()
+
+    return _emit(args, ("p", "lambda_p"), run)
 
 
 def _amplitude_chunks(spec: NetworkSpec, zs, size=_CHUNK_ROWS):
@@ -252,7 +277,7 @@ def _cmd_transport(args) -> int:
             mode_fields = np.tile(labels, (len(z), 1))
             yield _csv_text([z_fields, mode_fields, _fields(probs.ravel())])
 
-    return _emit(args, ("z", "mode", "probability"), chunks(), None)
+    return _emit(args, ("z", "mode", "probability"), lambda write: write(chunks()))
 
 
 def _cmd_pst_check(args) -> int:
@@ -260,7 +285,7 @@ def _cmd_pst_check(args) -> int:
     source = _label_to_index(args.source, args.n, "source")
     report = check_pst(spec, source, tol=args.tol)
     note = f" (is_pst={str(report.is_pst).lower()})"
-    return _emit(args, None, None, _report_labels(report), note)
+    return _emit(args, None, lambda write: _report_labels(report), note)
 
 
 def _cmd_cat(args) -> int:
@@ -270,21 +295,24 @@ def _cmd_cat(args) -> int:
         target = antipode(args.n, source)
     else:
         target = _label_to_index(args.target, args.n, "target")
-    result = cat_fidelity_scan(
-        spec, source, target, args.alpha, args.phi, args.z_max, args.dz
-    )
-    chunks = _csv_chunks(result.zs, result.values)
-    summary = {
-        "alpha": args.alpha,
-        "phi": args.phi,
-        "source": source + 1,
-        "target": target + 1,
-        "max_fidelity": result.max_value,
-        "z_at_max": result.z_at_max,
-        "z_max": args.z_max,
-        "dz": result.dz,
-    }
-    return _emit(args, ("z", "fidelity"), chunks, summary)
+
+    def run(write):
+        on_block = None if write is None else lambda zs, v: write(_csv_chunks(zs, v))
+        result = cat_fidelity_scan(
+            spec, source, target, args.alpha, args.phi, args.z_max, args.dz, on_block
+        )
+        return {
+            "alpha": args.alpha,
+            "phi": args.phi,
+            "source": source + 1,
+            "target": target + 1,
+            "max_fidelity": result.max_value,
+            "z_at_max": result.z_at_max,
+            "z_max": args.z_max,
+            "dz": result.dz,
+        }
+
+    return _emit(args, ("z", "fidelity"), run)
 
 
 def _cmd_tmsv(args) -> int:
@@ -315,7 +343,7 @@ def _cmd_tmsv(args) -> int:
         f"S_Q_{tr_label}",
         f"S_P_{tr_label}",
     )
-    return _emit(args, header, _csv_chunks(zs, *columns), None)
+    return _emit(args, header, lambda write: write(_csv_chunks(zs, *columns)))
 
 
 def _cmd_evanescent(args) -> int:
@@ -323,20 +351,23 @@ def _cmd_evanescent(args) -> int:
     spec = NetworkSpec(args.n, profile)
     source = _label_to_index(args.source, args.n, "source")
     target = antipode(args.n, source)
-    result = transfer_scan(spec, source, target, args.z_max, args.dz)
-    chunks = _csv_chunks(result.zs, result.values)
-    summary = {
-        "n_modes": args.n,
-        "mu": args.mu,
-        "r": args.r,
-        "source": source + 1,
-        "target": target + 1,
-        "max_transfer": result.max_value,
-        "z_at_max": result.z_at_max,
-        "z_max": args.z_max,
-        "dz": result.dz,
-    }
-    return _emit(args, ("z", "probability"), chunks, summary)
+
+    def run(write):
+        on_block = None if write is None else lambda zs, v: write(_csv_chunks(zs, v))
+        result = transfer_scan(spec, source, target, args.z_max, args.dz, on_block)
+        return {
+            "n_modes": args.n,
+            "mu": args.mu,
+            "r": args.r,
+            "source": source + 1,
+            "target": target + 1,
+            "max_transfer": result.max_value,
+            "z_at_max": result.z_at_max,
+            "z_max": args.z_max,
+            "dz": result.dz,
+        }
+
+    return _emit(args, ("z", "probability"), run)
 
 
 def _cmd_synth(args) -> int:
@@ -353,7 +384,7 @@ def _cmd_synth(args) -> int:
         "pst_report": _report_labels(report),
     }
     note = f" (is_pst={str(report.is_pst).lower()})"
-    return _emit(args, None, None, summary, note)
+    return _emit(args, None, lambda write: summary, note)
 
 
 class _ConfigPrefix(argparse.Action):
@@ -368,7 +399,12 @@ class _ConfigPrefix(argparse.Action):
         raise argparse.ArgumentError(self, "spell out --config in full")
 
 
+@functools.cache
 def build_parser():
+    """The ``pstnet`` argument parser, built once per process.
+
+    argparse does not change a parser while it parses, so ``main`` reuses it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--config",

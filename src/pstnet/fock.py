@@ -122,11 +122,13 @@ def cat_fidelity_scan(
     phi: float,
     z_max: float,
     dz: float | None = None,
+    on_block=None,
 ) -> ScanResult:
     """Scan cat-transfer fidelity over (0, z_max] with local refinement.
 
-    Same grid and refinement policy as the transfer-probability scan.
+    Same grid, refinement and ``on_block`` blocks as the
+    transfer-probability scan (``scan_offset``).
     """
     d = mode_offset(spec, source, target)
-    scan = scan_offset(spec, d, CatState(alpha, phi).fidelity, z_max, dz)
+    scan = scan_offset(spec, d, CatState(alpha, phi).fidelity, z_max, dz, on_block)
     return replace(scan, max_value=_clamped(scan.max_value))

@@ -58,7 +58,8 @@ from .lattice import NetworkSpec, circulant, coupling_matrix, coupling_row
 from .spectral import default_bin_tolerance, degenerate_groups, dispersion
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# phase factors exp(-i mu_g z) held at once by the single-offset sum
+# grid points per scan block, and phase factors exp(-i mu_g z) held at
+# once by the single-offset sum
 _BLOCK = 1 << 16
 # largest first-order phase gap |mu_g delta| that the two-level table
 # corrects; the neglected second-order term (mu delta)^2 / 2 is below 1e-16
@@ -116,16 +117,15 @@ class PstReport:
 class ScanResult:
     """Grid scan of a figure of merit over propagation distance.
 
-    ``zs`` and ``values`` hold the grid trace; ``max_value`` and
-    ``z_at_max`` include the local golden-section refinement around the
-    best grid point, so they may improve slightly on the grid maximum.
-    ``dz`` is the grid step the scan used.
+    ``max_value`` and ``z_at_max`` include the local golden-section
+    refinement around the best grid point, so they may improve slightly
+    on the grid maximum.  ``dz`` is the grid step the scan used.  The
+    grid trace itself is not kept: ``scan_offset`` hands it to its
+    ``on_block`` callback one block at a time.
     """
 
     max_value: float
     z_at_max: float
-    zs: np.ndarray
-    values: np.ndarray
     dz: float
 
 
@@ -317,13 +317,14 @@ def _golden_max(f, lo: float, hi: float, iterations: int = 40):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def z_grid(z_max: float, dz: float, first: float) -> np.ndarray:
-    """Grid ``first, first + dz, ...`` up to ``z_max`` inclusive.
+def _check_grid(z_max: float, dz: float, first: float) -> None:
+    """Refuse a grid ``first, first + dz, ...`` up to ``z_max`` that cannot be built.
 
-    Scans start at ``first = dz``; the CLI traces start at 0.  This is
-    the one place that checks that both are finite, ``z_max > 0``,
-    ``0 < dz <= z_max`` and that numpy can index the
-    ``(z_max - first) / dz`` points.
+    Both bounds must be finite, ``z_max > 0`` and ``0 < dz <= z_max``;
+    numpy must be able to index the ``(z_max - first) / dz`` points, and
+    there may be at most 2^52 of them: beyond that dz is below the
+    float64 spacing of z near z_max and neighbouring points round to
+    the same z.
     """
     if not math.isfinite(z_max):
         raise ValueError("z_max must be finite")
@@ -340,8 +341,48 @@ def z_grid(z_max: float, dz: float, first: float) -> np.ndarray:
             f"dz = {dz:g} is too small for z_max = {z_max:g}: the grid would "
             f"have {points:.3g} points, more than numpy can index"
         )
+    if not points <= 2.0**52:
+        raise ValueError(
+            f"dz = {dz:g} is too small for z_max = {z_max:g}: the grid would "
+            f"have {points:.3g} points, more than 2^52, so neighbouring points "
+            f"would round to the same z"
+        )
+
+
+def z_grid(z_max: float, dz: float, first: float) -> np.ndarray:
+    """Grid ``first, first + dz, ...`` up to ``z_max`` inclusive, as one array.
+
+    The CLI traces (``transport``, ``tmsv``) start at 0; scans read the
+    same grid in blocks from ``z_blocks``.  ``_check_grid`` refuses a
+    grid that cannot be built.
+    """
+    _check_grid(z_max, dz, first)
     grid = np.arange(first, z_max + 0.5 * dz, dz)
     return grid[grid <= z_max * (1.0 + 1e-12)]
+
+
+def z_blocks(z_max: float, dz: float, first: float):
+    """Yield ``z_grid(z_max, dz, first)`` in consecutive blocks of at most ``_BLOCK`` points.
+
+    Point i is ``first + i * ((first + dz) - first)``, the value numpy's
+    ``arange`` fills in (it writes point 1 as ``first + dz``, the same
+    value for the starts 0 and dz used here), and the count is
+    ``arange``'s, so the blocks join to ``z_grid``'s array bit for bit.
+    Only one block is held at a time, whatever the grid's size.
+    """
+    z_max, dz, first = float(z_max), float(dz), float(first)
+    _check_grid(z_max, dz, first)
+    count = math.ceil((z_max + 0.5 * dz - first) / dz)
+    step = (first + dz) - first
+    limit = z_max * (1.0 + 1e-12)
+    for start in range(0, count, _BLOCK):
+        zs = first + np.arange(start, min(start + _BLOCK, count)) * step
+        # the grid increases, so the points beyond the limit are its tail
+        kept = zs[zs <= limit]
+        if kept.size:
+            yield kept
+        if kept.size < zs.size:
+            return
 
 
 def mode_offset(spec: NetworkSpec, source: int, target: int) -> int:
@@ -360,17 +401,28 @@ def antipode(n_modes: int, index: int) -> int:
 
 
 def scan_offset(
-    spec: NetworkSpec, offset: int, merit, z_max: float, dz: float | None = None
+    spec: NetworkSpec,
+    offset: int,
+    merit,
+    z_max: float,
+    dz: float | None = None,
+    on_block=None,
 ) -> ScanResult:
     """Scan ``merit(u)`` of the amplitude u at ``offset`` over (0, z_max].
 
-    ``merit`` maps amplitudes to values elementwise: it receives the grid
-    column as an array and each refinement amplitude as a scalar.  The
-    step defaults to ``min(0.01 / C_max, z_max)``.  The best grid point
-    is refined by 40 golden-section iterations in a +-2dz window, one
-    single-z amplitude evaluation per point.  A ring whose couplings are
-    all zero has no default step, nor one whose Gershgorin row sum (the
-    bound on every |lambda_p|) overflows.
+    The grid ``dz, 2 dz, ...`` of ``z_grid(z_max, dz, dz)`` is evaluated
+    one block of at most ``_BLOCK`` points at a time (``z_blocks``), one
+    ``offset_amplitudes`` call per block, so the scan's memory stays
+    bounded for any z_max and dz.  ``merit`` maps amplitudes to values
+    elementwise: it receives a block's amplitudes as an array and each
+    refinement amplitude as a scalar.  ``on_block(zs, values)``, when
+    given, receives every block in grid order; only the running maximum
+    is kept, the first of equal values as with ``np.argmax`` over the
+    whole grid.  The step defaults to ``min(0.01 / C_max, z_max)``.  The
+    best grid point is refined by 40 golden-section iterations in a
+    +-2dz window, one single-z amplitude evaluation per point.  A ring
+    whose couplings are all zero has no default step, nor one whose
+    Gershgorin row sum (the bound on every |lambda_p|) overflows.
     """
     if dz is None:
         c_max = spec.profile.max_strength
@@ -379,17 +431,22 @@ def scan_offset(
         if not math.isfinite(sum(np.abs(coupling_row(spec)).tolist())):
             raise ValueError("spectrum is not finite: the couplings overflow")
         dz = min(0.01 / c_max, z_max)
-    zs = z_grid(z_max, dz, dz)
-    values = merit(offset_amplitudes(spec, zs, offset=offset))
-    i = int(np.argmax(values))
-    lo = max(zs[i] - 2.0 * dz, zs[0] * 1e-3)
-    hi = min(zs[i] + 2.0 * dz, z_max)
+    grid_z = grid_v = None
+    for zs in z_blocks(z_max, dz, dz):
+        values = merit(offset_amplitudes(spec, zs, offset=offset))
+        i = int(np.argmax(values))
+        if grid_v is None or values[i] > grid_v:
+            grid_z, grid_v = zs[i], values[i]
+        if on_block is not None:
+            on_block(zs, values)
+    lo = max(grid_z - 2.0 * dz, dz * 1e-3)
+    hi = min(grid_z + 2.0 * dz, z_max)
     z_best, v_best = _golden_max(
         lambda z: merit(offset_amplitudes(spec, [z], offset=offset)[0]), lo, hi
     )
-    if v_best < values[i]:
-        z_best, v_best = zs[i], values[i]
-    return ScanResult(float(v_best), float(z_best), zs, values, float(dz))
+    if v_best < grid_v:
+        z_best, v_best = grid_z, grid_v
+    return ScanResult(float(v_best), float(z_best), float(dz))
 
 
 def transfer_scan(
@@ -398,15 +455,16 @@ def transfer_scan(
     target: int,
     z_max: float,
     dz: float | None = None,
+    on_block=None,
 ) -> ScanResult:
     """Scan the transfer probability |U_target,source|^2 over (0, z_max].
 
-    Grid and refinement as in ``scan_offset``.
+    Grid, refinement and ``on_block`` as in ``scan_offset``.
     """
     d = mode_offset(spec, source, target)
     # builtin abs, not np.abs: on the scalar refinement points the two can
     # round differently, and one ulp moves the argmax of a flat peak
-    return scan_offset(spec, d, lambda u: abs(u) ** 2, z_max, dz)
+    return scan_offset(spec, d, lambda u: abs(u) ** 2, z_max, dz, on_block)
 
 
 def ode_oracle(spec: NetworkSpec, amplitudes, z: float, steps: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pstnet.cli
+import pstnet.propagation as propagation
 from pstnet.cli import _CHUNK_ROWS, _csv_chunks, _emit, main, parse_length
 
 
@@ -91,7 +92,7 @@ class TestCsvChunks:
         header = ("mode", "x", "y")
         args = argparse.Namespace(outdir=str(tmp_path), output="t", command="t", format="csv")
         chunks = _csv_chunks(labels, x, y)
-        assert _emit(args, header, chunks, None) == 0
+        assert _emit(args, header, lambda write: write(chunks)) == 0
         rows = zip(labels.tolist(), x.tolist(), y.tolist())
         assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, rows)
 
@@ -430,6 +431,54 @@ class TestEvanescentCommand:
         header, _ = read_csv(tmp_path / "evanescent.csv")
         assert header == ["z", "probability"]
 
+    # 81,500 grid points: two scan blocks
+    MULTI_BLOCK = ["evanescent", "--n", "12", "--mu", "0.815", "--r", "6", "--source", "1",
+                   "--z-max", "1000"]
+
+    def test_json_only_runs_the_same_blocks_unformatted(self, tmp_path, monkeypatch):
+        assert main([*self.MULTI_BLOCK, "--outdir", str(tmp_path / "both")]) == 0
+
+        def refuse(*columns, **kwargs):
+            raise AssertionError("--format json formatted CSV text")
+
+        monkeypatch.setattr(pstnet.cli, "_csv_chunks", refuse)
+        argv = [*self.MULTI_BLOCK, "--format", "json", "--outdir", str(tmp_path / "json")]
+        assert main(argv) == 0
+        assert [p.name for p in (tmp_path / "json").iterdir()] == ["evanescent.json"]
+        both = (tmp_path / "both" / "evanescent.json").read_bytes()
+        assert (tmp_path / "json" / "evanescent.json").read_bytes() == both
+        rows = (tmp_path / "both" / "evanescent.csv").read_bytes().count(b"\n") - 1
+        assert rows == 81500
+
+    def test_a_refused_scan_leaves_an_earlier_trace_alone(self, tmp_path, capsys):
+        argv = [*self.MULTI_BLOCK[:-1], "20", "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main([*argv, "--dz", "30"]) == 3
+        assert "dz must satisfy 0 < dz <= z_max" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_a_trace_failing_after_its_first_block_leaves_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        csv_path = tmp_path / "a" / "new" / "evanescent.csv"
+        sizes = []
+        amplitudes = propagation.offset_amplitudes
+
+        def fail_on_second_block(spec, zs, **kwargs):
+            if len(zs) > 1:
+                sizes.append(csv_path.stat().st_size if csv_path.exists() else 0)
+                if len(sizes) == 2:
+                    raise MemoryError("second block refused")
+            return amplitudes(spec, zs, **kwargs)
+
+        monkeypatch.setattr(propagation, "offset_amplitudes", fail_on_second_block)
+        assert main([*self.MULTI_BLOCK, "--outdir", str(tmp_path / "a" / "new")]) == 3
+        assert capsys.readouterr().err == "pstnet: error: second block refused\n"
+        # the first block's 65,536 rows had reached the file
+        assert sizes[0] < 100 < 2**20 < sizes[1]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSynthCommand:
     def test_full_pipeline(self, tmp_path):
@@ -632,18 +681,36 @@ class TestCliPlumbing:
     @pytest.mark.parametrize(
         "argv",
         [
-            # 1e15 and 1e18 grid points: PiB and EiB, refused before allocating.
+            # 1e15 grid points: PiB, refused before allocating.
             ["transport", "--n", "8", "--profile", "uniform:C=1,R=3", "--source", "1",
              "--z-max", "1e6", "--dz", "1e-9"],
-            ["evanescent", "--n", "12", "--mu", "0.5", "--r", "6", "--source", "1",
-             "--z-max", "1e12", "--dz", "1e-6"],
         ],
-        ids=["transport-PiB", "evanescent-EiB"],
+        ids=["transport-PiB"],
     )
     def test_unallocatable_grid_is_domain_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--outdir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("pstnet: error: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 1e18 grid points: a scan streams its grid and would allocate
+            # nothing, but near z = 1e12 float64 steps by 1.2e-4, not 1e-6
+            ["evanescent", "--n", "12", "--mu", "0.5", "--r", "6", "--source", "1",
+             "--z-max", "1e12", "--dz", "1e-6"],
+            ["transport", "--n", "8", "--profile", "uniform:C=1,R=3", "--source", "1",
+             "--z-max", "1e12", "--dz", "1e-6"],
+        ],
+        ids=["evanescent-EiB", "transport-EiB"],
+    )
+    def test_grid_finer_than_float_spacing_is_domain_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--outdir", str(tmp_path / "new")]) == 3
+        assert capsys.readouterr().err == (
+            "pstnet: error: dz = 1e-06 is too small for z_max = 1e+12: the grid would have "
+            "1e+18 points, more than 2^52, so neighbouring points would round to the same z\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

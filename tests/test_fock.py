@@ -158,10 +158,10 @@ class TestCatFidelityScan:
         assert result.max_value == pytest.approx(1.0, abs=1e-9)
         assert result.z_at_max == pytest.approx(ZPST, abs=1e-5)
 
-    def test_trace_is_bounded(self):
-        result = cat_fidelity_scan(N12, 1, 7, 0.8, 0.3, z_max=3.0, dz=0.01)
-        assert np.all(result.values <= 1.0 + 1e-12)
-        assert np.all(result.values >= 0.0)
+    def test_trace_is_bounded(self, scan_trace):
+        _, _, values = scan_trace(cat_fidelity_scan, N12, 1, 7, 0.8, 0.3, z_max=3.0, dz=0.01)
+        assert np.all(values <= 1.0 + 1e-12)
+        assert np.all(values >= 0.0)
 
 
 class TestChecksWithoutAssert:

@@ -172,12 +172,12 @@ class TestTransferScan:
         assert result.max_value == pytest.approx(1.0, abs=1e-10)
         assert result.z_at_max == pytest.approx(math.pi / 2, abs=1e-6)
 
-    def test_trace_shape_and_bounds(self):
-        result = transfer_scan(N12, 0, 6, z_max=2.0, dz=0.01)
-        assert result.zs[0] == pytest.approx(0.01)
-        assert result.zs[-1] <= 2.0 + 1e-9
-        assert np.all(result.values >= 0.0)
-        assert np.all(result.values <= 1.0 + 1e-12)
+    def test_trace_shape_and_bounds(self, scan_trace):
+        _, zs, values = scan_trace(transfer_scan, N12, 0, 6, z_max=2.0, dz=0.01)
+        assert zs[0] == pytest.approx(0.01)
+        assert zs[-1] <= 2.0 + 1e-9
+        assert np.all(values >= 0.0)
+        assert np.all(values <= 1.0 + 1e-12)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -199,18 +199,18 @@ class TestTransferScan:
         with pytest.raises(ValueError, match=message):
             transfer_scan(N8, 0, 4, z_max=z_max, dz=dz)
 
-    def test_all_zero_couplings_need_an_explicit_step(self):
+    def test_all_zero_couplings_need_an_explicit_step(self, scan_trace):
         spec = NetworkSpec(4, custom_profile([0.0, 0.0]))
         with pytest.raises(ValueError, match="every coupling is zero: the scan needs an explicit dz"):
             transfer_scan(spec, 0, 2, z_max=1.0)
-        result = transfer_scan(spec, 0, 2, z_max=1.0, dz=0.25)
-        assert result.zs.size == 4 and result.values.max() <= 1e-30
+        _, zs, values = scan_trace(transfer_scan, spec, 0, 2, z_max=1.0, dz=0.25)
+        assert zs.size == 4 and values.max() <= 1e-30
 
-    def test_default_step_is_clamped_to_the_range(self):
+    def test_default_step_is_clamped_to_the_range(self, scan_trace):
         assert transfer_scan(N8, 0, 4, z_max=1.0).dz == 0.01
-        result = transfer_scan(N8, 0, 4, z_max=1e-3)
+        result, zs, _ = scan_trace(transfer_scan, N8, 0, 4, z_max=1e-3)
         assert result.dz == 1e-3
-        assert result.zs.tolist() == [1e-3]
+        assert zs.tolist() == [1e-3]
 
 
 class TestOdeOracle:

@@ -268,23 +268,48 @@ def _peak_bytes(run):
         tracemalloc.stop()
 
 
-PEAK_LIMIT = 32 * 2**20
+# a scan holds one block of at most 2^16 points: 3.4 MiB measured at z_max = 5000
+PEAK_LIMIT = 6 * 2**20
+
+
+def _counted(points):
+    """An ``on_block`` that adds up the points it is handed; keeps no block."""
+    return lambda zs, values: points.append(zs.size)
 
 
 def test_long_transfer_scan_stays_within_fixed_memory():
     # the README evanescent trace at z_max = 5000: 407,500 grid points
     spec = NetworkSpec(12, evanescent_profile(0.815, 6))
-    scan, peak = _peak_bytes(lambda: transfer_scan(spec, 0, 6, 5000.0))
-    assert scan.zs.size > 4e5
+    points = []
+    _, peak = _peak_bytes(lambda: transfer_scan(spec, 0, 6, 5000.0, on_block=_counted(points)))
+    assert sum(points) > 4e5
     assert peak < PEAK_LIMIT
+
+
+def test_scan_memory_does_not_grow_with_the_grid():
+    # 407,500 and 4,075,000 points: the peak is that of one block
+    spec = NetworkSpec(12, evanescent_profile(0.815, 6))
+    peaks = []
+    for z_max, count in ((5000.0, 407500), (50000.0, 4075000)):
+        points = []
+        _, peak = _peak_bytes(
+            lambda: transfer_scan(spec, 0, 6, z_max, on_block=_counted(points))
+        )
+        assert sum(points) == count
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= 2**20
+    assert max(peaks) < PEAK_LIMIT
 
 
 def test_wide_cat_scan_stays_within_fixed_memory():
     spec = NetworkSpec(256, uniform_profile(1.0, 127))
-    scan, peak = _peak_bytes(
-        lambda: cat_fidelity_scan(spec, 0, 128, 0.5, math.pi / 2, 200.0, 0.01)
+    points = []
+    _, peak = _peak_bytes(
+        lambda: cat_fidelity_scan(
+            spec, 0, 128, 0.5, math.pi / 2, 200.0, 0.01, on_block=_counted(points)
+        )
     )
-    assert scan.zs.size == 20000
+    assert sum(points) == 20000
     assert peak < PEAK_LIMIT
 
 
