@@ -4,16 +4,17 @@ Subcommands: spectrum, transport, pst-check, cat, tmsv, evanescent,
 synth.  Every run is fully determined by its flags, so identical runs
 produce identical bytes.  CSV floats carry 17 significant digits: each
 chunk of rows is formatted a column at a time by ``g17.g17_fields``,
-whose bytes equal ``"%.17g" % x``, and streamed to the file; a scan
-(``cat``, ``evanescent``) writes each block of its grid before it
-computes the next.  JSON summaries are written by ``json.dumps``, whose
-floats are the shortest repr that reads back to the same value; a
-dataclass in a summary is written as the mapping of its fields and a
-complex number as ``[re, im]``.  An optional ``--config`` file (the flag spelled out in
-full) of ``key = value`` lines becomes ``--key=value`` flags placed
-right after the subcommand: keys are flag names (``z_max`` or
-``z-max``), argparse parses them exactly like flags, and explicit
-flags win.  A bad grid, an unwritable output or an
+whose bytes equal ``"%.17g" % x``, and streamed to the file; every
+trace (``transport``, ``tmsv``, ``cat``, ``evanescent``) writes each
+block of its grid before it computes the next.  JSON summaries are
+written by ``json.dumps``, whose floats are the shortest repr that
+reads back to the same value; a dataclass in a summary is written as
+the mapping of its fields and a complex number as ``[re, im]``.  An
+optional ``--config`` file (the flag spelled out in full) of
+``key = value`` lines becomes ``--key=value`` flags placed right after
+the subcommand: keys are flag names (``z_max`` or ``z-max``), argparse
+parses them exactly like flags, and explicit flags win.  A bad grid,
+an unwritable output, a trace larger than the free disk space or an
 allocation numpy refuses ends with exit 3 and a one-line message.
 
 Mode labels on the command line are 1-based; the library uses 0-based
@@ -31,6 +32,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -46,11 +48,13 @@ from .lattice import (
     uniform_profile,
 )
 from .propagation import (
+    _BLOCK,
     antipode,
     check_pst,
+    grid_points,
     offset_amplitudes,
     transfer_scan,
-    z_grid,
+    z_blocks,
 )
 from .spectral import degeneracy_histogram, dispersion
 from .synthesis import (
@@ -126,10 +130,6 @@ def parse_pair(text: str) -> tuple[int, int]:
 
 
 _CHUNK_ROWS = 4096  # table rows formatted into one chunk of CSV text
-# amplitudes (1 MiB) per tmsv chunk: offset_amplitudes plus pair_squeezing
-# cost about 1 ms per chunk even at N = 1024 and 4 z-steps, so 2001 steps in
-# _CHUNK_ROWS chunks take 0.52 s, in chunks of this size 0.12 s (2 vCPUs)
-_TMSV_ENTRIES = 1 << 16
 
 
 def _fields(column) -> np.ndarray:
@@ -173,19 +173,21 @@ def _jsonable(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(args, header, run, note: str = "") -> int:
+def _emit(args, header, run, note: str = "", rows: int = 0) -> int:
     """Run a command and write the CSV trace and JSON summary that ``--format`` selects.
 
     ``run(write)`` computes the command's results and returns its
     summary, None for a command without one.  It hands its CSV text to
-    ``write`` chunk by chunk (from ``_csv_chunks``) as it computes it,
-    so a scan writes each block's rows before it computes the next
-    block.  When no CSV is written (``--format json``, or a command
+    ``write`` chunk by chunk as it computes it, so a trace writes each
+    block's rows before it computes the next block.  When no CSV is written (``--format json``, or a command
     without a trace) ``write`` is None and nothing is formatted.  The
     CSV is opened at the first ``write``, so a run refused before it
     has rows leaves an earlier file of the same name alone.  A run
     that fails part way leaves no partial CSV behind, nor the
-    directories it created.
+    directories it created.  A trace of ``rows`` rows needs at least
+    ``rows * (2 len(header) + 1)`` bytes (every field and separator
+    takes one), so one that needs more than the output's free disk
+    space is refused before ``run`` starts.
     """
     fmt = getattr(args, "format", "both")
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
@@ -195,6 +197,7 @@ def _emit(args, header, run, note: str = "") -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{base}.csv"
     fh = None
+    write_csv = header is not None and fmt != "json"
 
     def write(chunks):
         nonlocal fh
@@ -204,7 +207,14 @@ def _emit(args, header, run, note: str = "") -> int:
         fh.writelines(chunks)
 
     try:
-        summary = run(None if header is None or fmt == "json" else write)
+        if write_csv and rows:
+            needed, free = rows * (2 * len(header) + 1), shutil.disk_usage(outdir).free
+            if needed > free:
+                raise ValueError(
+                    f"{csv_path} needs at least {needed} bytes, more than the "
+                    f"{free} bytes free on its disk"
+                )
+        summary = run(write if write_csv else None)
     except BaseException:
         if fh is not None:
             fh.close()
@@ -251,33 +261,22 @@ def _cmd_spectrum(args) -> int:
     return _emit(args, ("p", "lambda_p"), run)
 
 
-def _amplitude_chunks(spec: NetworkSpec, zs, size=_CHUNK_ROWS):
-    """Yield ``(z_chunk, amplitudes)`` for ``size // N`` z-steps (at least one) at a time.
-
-    Only one chunk's ``(steps, N)`` amplitude array is held at a time.
-    """
-    steps = max(1, size // spec.n_modes)
-    for start in range(0, len(zs), steps):
-        z = zs[start : start + steps]
-        yield z, offset_amplitudes(spec, z)
-
-
 def _cmd_transport(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
     source = _label_to_index(args.source, args.n, "source")
-    zs = z_grid(args.z_max, args.dz, 0.0)
+    rows = grid_points(args.z_max, args.dz, 0.0) * args.n
     modes = (np.arange(args.n) - source) % args.n
     labels = _fields(np.arange(1, args.n + 1))
 
-    def chunks():
+    def run(write):
         # Each z is formatted once and its bytes repeated for the N modes.
-        for z, amps in _amplitude_chunks(spec, zs):
-            probs = np.abs(amps[:, modes]) ** 2
+        for z in z_blocks(args.z_max, args.dz, 0.0, max(1, _CHUNK_ROWS // args.n)):
+            probs = np.abs(offset_amplitudes(spec, z)[:, modes]) ** 2
             z_fields = np.repeat(_fields(z), args.n, axis=0)
             mode_fields = np.tile(labels, (len(z), 1))
-            yield _csv_text([z_fields, mode_fields, _fields(probs.ravel())])
+            write([_csv_text([z_fields, mode_fields, _fields(probs.ravel())])])
 
-    return _emit(args, ("z", "mode", "probability"), lambda write: write(chunks()))
+    return _emit(args, ("z", "mode", "probability"), run, rows=rows)
 
 
 def _cmd_pst_check(args) -> int:
@@ -327,13 +326,7 @@ def _cmd_tmsv(args) -> int:
             _label_to_index(args.track[1], args.n, "track"),
         )
     params = TmsvParams(args.w, args.theta, (m, n_))
-    zs = z_grid(args.z_max, args.dz, 0.0)
-    # four floats per z are kept; each chunk's amplitudes are dropped
-    parts = [
-        pair_squeezing(amps, params, ((m, n_), track))
-        for _, amps in _amplitude_chunks(spec, zs, _TMSV_ENTRIES)
-    ]
-    columns = [np.concatenate(c) for c in zip(*parts)]
+    rows = grid_points(args.z_max, args.dz, 0.0)
     in_label = f"{m + 1}{n_ + 1}"
     tr_label = f"{track[0] + 1}{track[1] + 1}"
     header = (
@@ -343,7 +336,13 @@ def _cmd_tmsv(args) -> int:
         f"S_Q_{tr_label}",
         f"S_P_{tr_label}",
     )
-    return _emit(args, header, lambda write: write(_csv_chunks(zs, *columns)))
+
+    def run(write):
+        for z in z_blocks(args.z_max, args.dz, 0.0, max(1, _BLOCK // args.n)):
+            squeezing = pair_squeezing(offset_amplitudes(spec, z), params, ((m, n_), track))
+            write(_csv_chunks(z, *squeezing))
+
+    return _emit(args, header, run, rows=rows)
 
 
 def _cmd_evanescent(args) -> int:

@@ -317,15 +317,17 @@ def _golden_max(f, lo: float, hi: float, iterations: int = 40):
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _check_grid(z_max: float, dz: float, first: float) -> None:
-    """Refuse a grid ``first, first + dz, ...`` up to ``z_max`` that cannot be built.
+def grid_points(z_max: float, dz: float, first: float) -> int:
+    """Number of points of the grid ``first, first + dz, ...`` up to ``z_max``.
 
     Both bounds must be finite, ``z_max > 0`` and ``0 < dz <= z_max``;
-    numpy must be able to index the ``(z_max - first) / dz`` points, and
-    there may be at most 2^52 of them: beyond that dz is below the
-    float64 spacing of z near z_max and neighbouring points round to
-    the same z.
+    numpy must be able to index the points, and there may be at most
+    2^52 of them: beyond that dz is below the float64 spacing of z near
+    z_max and neighbouring points round to the same z.  The count is
+    ``np.arange(first, z_max + 0.5 dz, dz)``'s, less the points of its
+    last half step that lie beyond ``z_max``.
     """
+    z_max, dz, first = float(z_max), float(dz), float(first)
     if not math.isfinite(z_max):
         raise ValueError("z_max must be finite")
     if not z_max > 0:
@@ -335,7 +337,7 @@ def _check_grid(z_max: float, dz: float, first: float) -> None:
     if not 0 < dz <= z_max:
         raise ValueError("dz must satisfy 0 < dz <= z_max")
     # Python floats: the quotient may overflow to inf, which is refused
-    points = (float(z_max) - float(first)) / float(dz)
+    points = (z_max + 0.5 * dz - first) / dz
     if not points <= np.iinfo(np.intp).max:
         raise ValueError(
             f"dz = {dz:g} is too small for z_max = {z_max:g}: the grid would "
@@ -347,42 +349,41 @@ def _check_grid(z_max: float, dz: float, first: float) -> None:
             f"have {points:.3g} points, more than 2^52, so neighbouring points "
             f"would round to the same z"
         )
+    count = math.ceil(points)
+    step = (first + dz) - first
+    # the grid increases, so the points beyond z_max are its last ones
+    while first + (count - 1) * step > z_max * (1.0 + 1e-12):
+        count -= 1
+    return count
 
 
 def z_grid(z_max: float, dz: float, first: float) -> np.ndarray:
     """Grid ``first, first + dz, ...`` up to ``z_max`` inclusive, as one array.
 
-    The CLI traces (``transport``, ``tmsv``) start at 0; scans read the
-    same grid in blocks from ``z_blocks``.  ``_check_grid`` refuses a
+    The reference that the tests hold ``z_blocks`` to bit for bit; every
+    run reads its grid from ``z_blocks``.  ``grid_points`` refuses a
     grid that cannot be built.
     """
-    _check_grid(z_max, dz, first)
+    grid_points(z_max, dz, first)
     grid = np.arange(first, z_max + 0.5 * dz, dz)
     return grid[grid <= z_max * (1.0 + 1e-12)]
 
 
-def z_blocks(z_max: float, dz: float, first: float):
-    """Yield ``z_grid(z_max, dz, first)`` in consecutive blocks of at most ``_BLOCK`` points.
+def z_blocks(z_max: float, dz: float, first: float, size: int = _BLOCK):
+    """Yield ``z_grid(z_max, dz, first)`` in consecutive blocks of ``size`` points.
 
-    Point i is ``first + i * ((first + dz) - first)``, the value numpy's
-    ``arange`` fills in (it writes point 1 as ``first + dz``, the same
-    value for the starts 0 and dz used here), and the count is
-    ``arange``'s, so the blocks join to ``z_grid``'s array bit for bit.
-    Only one block is held at a time, whatever the grid's size.
+    Only the last block may be shorter.  Point i is
+    ``first + i * ((first + dz) - first)``, the value numpy's ``arange``
+    fills in (it writes point 1 as ``first + dz``, the same value for
+    the starts 0 and dz used here), and there are ``grid_points`` of
+    them, so the blocks join to ``z_grid``'s array bit for bit.  Only
+    one block is held at a time, whatever the grid's size.
     """
-    z_max, dz, first = float(z_max), float(dz), float(first)
-    _check_grid(z_max, dz, first)
-    count = math.ceil((z_max + 0.5 * dz - first) / dz)
-    step = (first + dz) - first
-    limit = z_max * (1.0 + 1e-12)
-    for start in range(0, count, _BLOCK):
-        zs = first + np.arange(start, min(start + _BLOCK, count)) * step
-        # the grid increases, so the points beyond the limit are its tail
-        kept = zs[zs <= limit]
-        if kept.size:
-            yield kept
-        if kept.size < zs.size:
-            return
+    first = float(first)
+    count = grid_points(z_max, dz, first)
+    step = (first + float(dz)) - first
+    for start in range(0, count, size):
+        yield first + np.arange(start, min(start + size, count)) * step
 
 
 def mode_offset(spec: NetworkSpec, source: int, target: int) -> int:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,29 @@ def run_cli(args, cwd, env_extra=None, python_flags=()):
         capture_output=True,
         text=True,
     )
+
+
+def counting_amplitudes(monkeypatch):
+    """Patch the CLI's ``offset_amplitudes`` to record the grid length of every call."""
+    calls = []
+    amplitudes = pstnet.cli.offset_amplitudes
+
+    def counted(spec, zs, **kwargs):
+        calls.append(len(zs))
+        return amplitudes(spec, zs, **kwargs)
+
+    monkeypatch.setattr(pstnet.cli, "offset_amplitudes", counted)
+    return calls
+
+
+def peak_bytes(argv):
+    """``tracemalloc`` peak of one in-process run of ``argv``."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_csv(path):
@@ -186,6 +210,56 @@ class TestTransportCommand:
         assert peak_p > 0.999
         assert peak_z == pytest.approx(math.pi / 2, abs=0.005)
         assert all(abs(t - 1.0) < 1e-9 for t in totals.values())
+
+    # the README trace: 629 z-steps of 8 modes
+    README = ["transport", "--n", "8", "--profile", "uniform:C=1,R=3", "--source", "1",
+              "--z-max", "pi", "--dz", "0.005"]
+
+    def test_chunks_write_the_bytes_of_one_grid(self, tmp_path, monkeypatch):
+        calls = counting_amplitudes(monkeypatch)
+        monkeypatch.setattr(pstnet.cli, "_CHUNK_ROWS", 8 * 629)
+        assert main([*self.README, "--outdir", str(tmp_path / "one")]) == 0
+        assert calls == [629]
+        one = (tmp_path / "one" / "transport.csv").read_bytes()
+        # 4 z-steps per chunk and a one-step last chunk (629 = 4 * 157 + 1)
+        calls.clear()
+        monkeypatch.setattr(pstnet.cli, "_CHUNK_ROWS", 32)
+        assert main([*self.README, "--outdir", str(tmp_path / "many")]) == 0
+        assert calls == [4] * 157 + [1]
+        assert (tmp_path / "many" / "transport.csv").read_bytes() == one
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # 20,001 and 200,001 z-steps: the trace is written block by block
+        argv = ["transport", "--n", "8", "--profile", "uniform:C=1,R=3", "--source", "1",
+                "--dz", "0.01", "--outdir", str(tmp_path)]
+        short = peak_bytes([*argv, "--z-max", "200"])
+        long = peak_bytes([*argv, "--z-max", "2000"])
+        assert long - short < 2**20
+        assert (tmp_path / "transport.csv").read_bytes().count(b"\n") == 1 + 8 * 200_001
+
+    def test_a_trace_larger_than_the_free_disk_is_refused(self, tmp_path, monkeypatch, capsys):
+        csv_path = tmp_path / "transport.csv"
+        csv_path.write_bytes(b"an earlier trace\n")
+        # every row takes at least "z,m,p\r\n": 7 bytes
+        needed = 7 * 8 * 629
+
+        def free_bytes(free):
+            monkeypatch.setattr(
+                pstnet.cli.shutil, "disk_usage", lambda path: SimpleNamespace(free=free)
+            )
+
+        free_bytes(needed - 1)
+        assert main([*self.README, "--outdir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"pstnet: error: {csv_path} needs at least {needed} bytes, "
+            f"more than the {needed - 1} bytes free on its disk\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["transport.csv"]
+        assert csv_path.read_bytes() == b"an earlier trace\n"
+        # the bound is a lower bound: a disk with exactly that much free runs
+        free_bytes(needed)
+        assert main([*self.README, "--outdir", str(tmp_path)]) == 0
+        assert csv_path.read_bytes().count(b"\n") == 1 + 8 * 629
 
 
 class TestPstCheckCommand:
@@ -385,24 +459,31 @@ class TestTmsvCommand:
     def test_chunks_write_the_bytes_of_one_grid(self, tmp_path, monkeypatch):
         argv = ["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--w", "0.881374",
                 "--pair", "1,2", "--z-max", "pi", "--dz", "0.01"]
+        calls = counting_amplitudes(monkeypatch)
         assert main([*argv, "--outdir", str(tmp_path / "one")]) == 0
+        assert calls == [315]
         # 4 z-steps per chunk and a shorter last chunk (315 = 4 * 78 + 3)
-        monkeypatch.setattr(pstnet.cli, "_TMSV_ENTRIES", 32)
+        calls.clear()
+        monkeypatch.setattr(pstnet.cli, "_BLOCK", 32)
         assert main([*argv, "--outdir", str(tmp_path / "many")]) == 0
+        assert calls == [4] * 78 + [3]
         one = (tmp_path / "one" / "tmsv.csv").read_bytes()
         assert (tmp_path / "many" / "tmsv.csv").read_bytes() == one
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # 10,001 and 100,001 z-steps: each block's rows are written as computed
+        argv = ["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--w", "0.5",
+                "--pair", "1,2", "--dz", "0.01", "--outdir", str(tmp_path)]
+        short = peak_bytes([*argv, "--z-max", "100"])
+        long = peak_bytes([*argv, "--z-max", "1000"])
+        assert long - short < 2**20
+        assert (tmp_path / "tmsv.csv").read_bytes().count(b"\n") == 1 + 100_001
 
     def test_wide_ring_stays_within_fixed_memory(self, tmp_path):
         # 2001 z-steps x 1024 modes: the whole amplitude grid would be 32.8 MB
         argv = ["tmsv", "--n", "1024", "--profile", "uniform:C=1,R=511", "--w", "0.5",
                 "--pair", "1,2", "--z-max", "2", "--dz", "0.001", "--outdir", str(tmp_path)]
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak_bytes(argv) < 8 * 2**20
         assert len((tmp_path / "tmsv.csv").read_bytes().splitlines()) == 2002
 
 
@@ -679,18 +760,31 @@ class TestCliPlumbing:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,needed",
         [
-            # 1e15 grid points: PiB, refused before allocating.
-            ["transport", "--n", "8", "--profile", "uniform:C=1,R=3", "--source", "1",
-             "--z-max", "1e6", "--dz", "1e-9"],
+            # 1e15 + 1 grid points: rows of at least 7 and 11 bytes, PiB of
+            # CSV, refused before anything is computed or written
+            (["transport", "--n", "8", "--profile", "uniform:C=1,R=3", "--source", "1",
+              "--z-max", "1e6", "--dz", "1e-9"], 7 * 8 * (10**15 + 1)),
+            (["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--w", "0.5",
+              "--pair", "1,2", "--z-max", "1e6", "--dz", "1e-9"], 11 * (10**15 + 1)),
         ],
-        ids=["transport-PiB"],
+        ids=["transport-PiB", "tmsv-PiB"],
     )
-    def test_unallocatable_grid_is_domain_error(self, tmp_path, capsys, argv):
-        assert main([*argv, "--outdir", str(tmp_path)]) == 3
+    def test_unallocatable_grid_is_domain_error(
+        self, tmp_path, capsys, monkeypatch, argv, needed
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused trace computed amplitudes")
+
+        monkeypatch.setattr(pstnet.cli, "offset_amplitudes", refuse)
+        outdir = tmp_path / "new"
+        assert main([*argv, "--outdir", str(outdir)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("pstnet: error: Unable to allocate") and err.count("\n") == 1
+        prefix = f"pstnet: error: {outdir / argv[0]}.csv needs at least {needed} bytes, "
+        assert err.startswith(prefix) and err.endswith(" bytes free on its disk\n")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,8 +1,9 @@
-"""Scans read their grid in blocks.
+"""Every run reads its grid in blocks.
 
-``z_blocks`` hands out the points of ``z_grid`` at most ``_BLOCK`` at a
-time, bit for bit, and ``scan_offset`` keeps the first of equal maxima
-across blocks, as ``np.argmax`` over the whole grid does.
+``z_blocks`` hands out the ``grid_points`` points of the reference
+``z_grid`` a block of ``size`` (default ``_BLOCK``) at a time, bit for
+bit, and ``scan_offset`` keeps the first of equal maxima across blocks,
+as ``np.argmax`` over the whole grid does.
 """
 
 import math
@@ -13,15 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pstnet import NetworkSpec, uniform_profile
-from pstnet.propagation import _BLOCK, scan_offset, z_blocks, z_grid
+from pstnet.propagation import _BLOCK, grid_points, scan_offset, z_blocks, z_grid
 
 
-def assert_blocks_join_to_the_grid(z_max, dz, first):
-    blocks = list(z_blocks(z_max, dz, first))
+def assert_blocks_join_to_the_grid(z_max, dz, first, size=_BLOCK):
+    blocks = list(z_blocks(z_max, dz, first, size))
     sizes = [b.size for b in blocks]
-    assert all(size == _BLOCK for size in sizes[:-1])
-    assert 0 < sizes[-1] <= _BLOCK
+    assert all(s == size for s in sizes[:-1])
+    assert 0 < sizes[-1] <= size
     grid = z_grid(z_max, dz, first)
+    assert grid_points(z_max, dz, first) == grid.size
     joined = np.concatenate(blocks)
     assert joined.dtype == grid.dtype
     assert joined.tobytes() == grid.tobytes()
@@ -35,20 +37,23 @@ def grids(draw):
     return z_max, dz, draw(st.sampled_from([0.0, dz]))
 
 
-@settings(max_examples=100, deadline=None)
-@given(grids())
-@example((_BLOCK - 0.4, 1.0, 0.0))  # the cut point is alone in a second block
-@example((_BLOCK + 0.6, 1.0, 1.0))
-@example((_BLOCK - 1.0, 1.0, 0.0))  # exactly one full block
-@example((1.0, 1.0, 1.0))
-def test_blocks_join_to_z_grid_bit_for_bit(grid):
-    assert_blocks_join_to_the_grid(*grid)
+@settings(max_examples=150, deadline=None)
+@given(grids(), st.sampled_from([_BLOCK, 1, 3, 4, 512, 8192]))
+@example((_BLOCK - 0.4, 1.0, 0.0), _BLOCK)  # the cut point would be alone in a second block
+@example((_BLOCK + 0.6, 1.0, 1.0), _BLOCK)
+@example((_BLOCK - 1.0, 1.0, 0.0), _BLOCK)  # exactly one full block
+@example((1.0, 1.0, 1.0), _BLOCK)
+@example((10.0 - 0.4, 1.0, 0.0), 10)
+@example((math.pi, 0.005, 0.0), 512)  # the README transport grid in two blocks
+def test_blocks_join_to_z_grid_bit_for_bit(grid, size):
+    assert_blocks_join_to_the_grid(*grid, size=size)
 
 
 def test_the_tail_beyond_z_max_is_cut():
     # arange(1, 65537.1, 1) ends at 65537 > z_max: z_grid drops it
     assert np.arange(1.0, _BLOCK + 0.6 + 0.5, 1.0)[-1] > _BLOCK + 0.6
     assert [b.size for b in z_blocks(_BLOCK + 0.6, 1.0, 1.0)] == [_BLOCK]
+    assert grid_points(_BLOCK + 0.6, 1.0, 1.0) == _BLOCK
 
 
 @pytest.mark.parametrize("first", ["zero", "dz"])
