@@ -53,6 +53,7 @@ from .propagation import (
     transfer_scan,
 )
 from .spectral import (
+    DegeneracyBin,
     DegeneracyHistogram,
     Spectrum,
     collapsed_spectrum,
@@ -79,6 +80,7 @@ __all__ = [
     "CatState",
     "CouplingProfile",
     "CovarianceState",
+    "DegeneracyBin",
     "DegeneracyHistogram",
     "DegenerateCatError",
     "NetworkSpec",

@@ -51,6 +51,7 @@ from .propagation import (
     _BLOCK,
     antipode,
     check_pst,
+    default_step,
     grid_points,
     offset_amplitudes,
     transfer_scan,
@@ -179,12 +180,13 @@ def _emit(args, header, run, note: str = "", rows: int = 0) -> int:
     ``run(write)`` computes the command's results and returns its
     summary, None for a command without one.  It hands its CSV text to
     ``write`` chunk by chunk as it computes it, so a trace writes each
-    block's rows before it computes the next block.  When no CSV is written (``--format json``, or a command
-    without a trace) ``write`` is None and nothing is formatted.  The
-    CSV is opened at the first ``write``, so a run refused before it
-    has rows leaves an earlier file of the same name alone.  A run
-    that fails part way leaves no partial CSV behind, nor the
-    directories it created.  A trace of ``rows`` rows needs at least
+    block's rows before it computes the next block.  When no CSV is
+    written (``--format json``, or a command without a trace) ``write``
+    is None and nothing is formatted.  The CSV is opened at the first
+    ``write``, so a run refused before it has rows leaves an earlier
+    file of the same name alone.  A run that fails part way leaves no
+    partial CSV behind, nor the directories it created.  Every trace
+    passes its row count: a trace of ``rows`` rows needs at least
     ``rows * (2 len(header) + 1)`` bytes (every field and separator
     takes one), so one that needs more than the output's free disk
     space is refused before ``run`` starts.
@@ -247,16 +249,21 @@ def _label_to_index(label: int, n: int, name: str) -> int:
     return label - 1
 
 
+def _scan_grid(spec: NetworkSpec, args) -> tuple[float, int]:
+    """Step and point count of a scan command's grid, ``--dz`` or ``default_step``."""
+    dz = default_step(spec, args.z_max) if args.dz is None else args.dz
+    return dz, grid_points(args.z_max, dz, dz)
+
+
 def _cmd_spectrum(args) -> int:
-    spec = NetworkSpec(args.n, args.profile)
-    spectrum = dispersion(spec)
-    lam = spectrum.as_array()
+    spectrum = dispersion(NetworkSpec(args.n, args.profile))
+    lam = spectrum.eigenvalues
     hist = degeneracy_histogram(spectrum, args.tol)
 
     def run(write):
         if write is not None:
             write(_csv_chunks(np.arange(len(lam)), lam))
-        return hist.to_dict()
+        return hist
 
     return _emit(args, ("p", "lambda_p"), run)
 
@@ -294,11 +301,12 @@ def _cmd_cat(args) -> int:
         target = antipode(args.n, source)
     else:
         target = _label_to_index(args.target, args.n, "target")
+    dz, rows = _scan_grid(spec, args)
 
     def run(write):
         on_block = None if write is None else lambda zs, v: write(_csv_chunks(zs, v))
         result = cat_fidelity_scan(
-            spec, source, target, args.alpha, args.phi, args.z_max, args.dz, on_block
+            spec, source, target, args.alpha, args.phi, args.z_max, dz, on_block
         )
         return {
             "alpha": args.alpha,
@@ -311,35 +319,24 @@ def _cmd_cat(args) -> int:
             "dz": result.dz,
         }
 
-    return _emit(args, ("z", "fidelity"), run)
+    return _emit(args, ("z", "fidelity"), run, rows=rows)
 
 
 def _cmd_tmsv(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
-    m = _label_to_index(args.pair[0], args.n, "pair")
-    n_ = _label_to_index(args.pair[1], args.n, "pair")
+    pair = tuple(_label_to_index(i, args.n, "pair") for i in args.pair)
     if args.track is None:
-        track = (antipode(args.n, m), antipode(args.n, n_))
+        track = tuple(antipode(args.n, i) for i in pair)
     else:
-        track = (
-            _label_to_index(args.track[0], args.n, "track"),
-            _label_to_index(args.track[1], args.n, "track"),
-        )
-    params = TmsvParams(args.w, args.theta, (m, n_))
+        track = tuple(_label_to_index(i, args.n, "track") for i in args.track)
+    params = TmsvParams(args.w, args.theta, pair)
     rows = grid_points(args.z_max, args.dz, 0.0)
-    in_label = f"{m + 1}{n_ + 1}"
-    tr_label = f"{track[0] + 1}{track[1] + 1}"
-    header = (
-        "z",
-        f"S_Q_{in_label}",
-        f"S_P_{in_label}",
-        f"S_Q_{tr_label}",
-        f"S_P_{tr_label}",
-    )
+    pairs = (pair, track)
+    header = ("z", *(f"S_{q}_{j + 1}{k + 1}" for j, k in pairs for q in "QP"))
 
     def run(write):
         for z in z_blocks(args.z_max, args.dz, 0.0, max(1, _BLOCK // args.n)):
-            squeezing = pair_squeezing(offset_amplitudes(spec, z), params, ((m, n_), track))
+            squeezing = pair_squeezing(offset_amplitudes(spec, z), params, pairs)
             write(_csv_chunks(z, *squeezing))
 
     return _emit(args, header, run, rows=rows)
@@ -350,10 +347,11 @@ def _cmd_evanescent(args) -> int:
     spec = NetworkSpec(args.n, profile)
     source = _label_to_index(args.source, args.n, "source")
     target = antipode(args.n, source)
+    dz, rows = _scan_grid(spec, args)
 
     def run(write):
         on_block = None if write is None else lambda zs, v: write(_csv_chunks(zs, v))
-        result = transfer_scan(spec, source, target, args.z_max, args.dz, on_block)
+        result = transfer_scan(spec, source, target, args.z_max, dz, on_block)
         return {
             "n_modes": args.n,
             "mu": args.mu,
@@ -366,7 +364,7 @@ def _cmd_evanescent(args) -> int:
             "dz": result.dz,
         }
 
-    return _emit(args, ("z", "probability"), run)
+    return _emit(args, ("z", "probability"), run, rows=rows)
 
 
 def _cmd_synth(args) -> int:

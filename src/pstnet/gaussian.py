@@ -122,7 +122,7 @@ class SymplecticEvolution:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise ValueError("symplectic matrix must be square with even dimension")
         omega = symplectic_form(m.shape[0] // 2)
-        if np.abs(m @ omega @ m.T - omega).max() > 1e-10:
+        if not np.abs(m @ omega @ m.T - omega).max() <= 1e-10:
             raise ValueError("matrix does not preserve the symplectic form")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -240,7 +240,7 @@ def pair_squeezing(amps, params: TmsvParams, pairs) -> list[np.ndarray]:
     amps = np.atleast_2d(amps)
     n = amps.shape[1]
     defect = np.abs(np.abs(np.fft.fft(amps, axis=1)) ** 2 - 1.0).max()
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise ValueError(f"propagator is not unitary (defect {defect:.2e})")
     half = 0.5 * np.eye(4)
     excess = tmsv_covariance(replace(params, mode_pair=(0, 1)), 2).matrix - half

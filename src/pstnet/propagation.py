@@ -64,6 +64,8 @@ _BLOCK = 1 << 16
 # largest first-order phase gap |mu_g delta| that the two-level table
 # corrects; the neglected second-order term (mu delta)^2 / 2 is below 1e-16
 _GRID_DRIFT = 1e-8
+# golden-section iterations that refine a scan's best grid point
+_GOLDEN_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class Propagator:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("propagator matrix must be square")
         defect = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
-        if defect > 1e-10:
+        if not defect <= 1e-10:
             raise ValueError(f"propagator is not unitary (defect {defect:.2e})")
         u.setflags(write=False)
         object.__setattr__(self, "matrix", u)
@@ -138,22 +140,15 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
     ``offset=d`` (an integer, 0 <= d < N) returns the 1-D array of
     column d alone.
 
-    Both forms evaluate the phases at the distinct eigenvalues only
-    (see the module docstring): every offset gathers them back to the N
-    modes for one inverse FFT per z, one offset sums them against its
-    group weights in blocks of about ``_BLOCK`` entries, so its memory
-    stays O(len(zs)) for any N.  Where ``zs`` is evenly spaced, the one
-    offset reads its phases from a two-level table (``_group_sum``),
-    block by block; a block whose points leave the grid by more than
-    the first-order correction allows, and a grid too short for a
-    table, use one ``exp`` per phase.  Each merged eigenvalue moves by
-    at most its group's span s_g <= tol, so either result differs from
-    the sum over all N modes by at most ``tol * max|z| + c * eps *
-    max|mu z|``, tol * max|z| <= 1e-13 and c a small constant (the
-    rounding of the phase arguments).
+    Both forms evaluate the phases at the distinct eigenvalues only and
+    differ from the sum over all N modes by at most the module
+    docstring's bound.  One offset sums them against its group weights
+    in blocks of about ``_BLOCK`` entries, so its memory stays
+    O(len(zs)) for any N; on an evenly spaced ``zs`` it reads its
+    phases from the two-level table of ``_group_sum``.
     """
     spectrum = dispersion(spec)
-    lam = spectrum.as_array()
+    lam = spectrum.eigenvalues
     n = spec.n_modes
     if offset is not None and not (isinstance(offset, (int, np.integer)) and 0 <= offset < n):
         raise ValueError(f"offset must be an integer in 0..{n - 1}, got {offset!r}")
@@ -275,7 +270,9 @@ def check_pst(spec: NetworkSpec, source: int, tol: float = 1e-9) -> PstReport:
     0 < tol < 1 (tol >= 1 would let every ring pass).  The report
     always carries the candidate amplitude and the maximum transfer
     found by a scan of (0, 8 pi / (2 C_max)], eight candidate distances,
-    at the default step of ``scan_offset``.
+    at the default step of ``scan_offset``.  Only the candidate decides
+    ``is_pst``: ``custom:1,0.5`` at N = 4 transfers fully at z = pi, so
+    it reports ``max_transfer`` 1.0 next to ``is_pst`` false.
     """
     n = spec.n_modes
     if not 0 <= source < n:
@@ -299,13 +296,13 @@ def check_pst(spec: NetworkSpec, source: int, tol: float = 1e-9) -> PstReport:
     )
 
 
-def _golden_max(f, lo: float, hi: float, iterations: int = 40):
+def _golden_max(f, lo: float, hi: float):
     """Golden-section maximization of a scalar function on [lo, hi]."""
     a, b = float(lo), float(hi)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iterations):
+    for _ in range(_GOLDEN_ITERATIONS):
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
@@ -401,6 +398,20 @@ def antipode(n_modes: int, index: int) -> int:
     return (index + n_modes // 2) % n_modes
 
 
+def default_step(spec: NetworkSpec, z_max: float) -> float:
+    """A scan's grid step when none is given: ``min(0.01 / C_max, z_max)``.
+
+    There is none for a ring whose couplings are all zero, nor for one
+    whose Gershgorin row sum (the bound on every |lambda_p|) overflows.
+    """
+    c_max = spec.profile.max_strength
+    if not c_max > 0:
+        raise ValueError("every coupling is zero: the scan needs an explicit dz")
+    if not math.isfinite(sum(np.abs(coupling_row(spec)).tolist())):
+        raise ValueError("spectrum is not finite: the couplings overflow")
+    return min(0.01 / c_max, z_max)
+
+
 def scan_offset(
     spec: NetworkSpec,
     offset: int,
@@ -419,19 +430,12 @@ def scan_offset(
     refinement amplitude as a scalar.  ``on_block(zs, values)``, when
     given, receives every block in grid order; only the running maximum
     is kept, the first of equal values as with ``np.argmax`` over the
-    whole grid.  The step defaults to ``min(0.01 / C_max, z_max)``.  The
-    best grid point is refined by 40 golden-section iterations in a
-    +-2dz window, one single-z amplitude evaluation per point.  A ring
-    whose couplings are all zero has no default step, nor one whose
-    Gershgorin row sum (the bound on every |lambda_p|) overflows.
+    whole grid.  The step defaults to ``default_step(spec, z_max)``.
+    The best grid point is refined by ``_GOLDEN_ITERATIONS``
+    golden-section iterations in a +-2dz window, one single-z amplitude
+    evaluation per point.
     """
-    if dz is None:
-        c_max = spec.profile.max_strength
-        if not c_max > 0:
-            raise ValueError("every coupling is zero: the scan needs an explicit dz")
-        if not math.isfinite(sum(np.abs(coupling_row(spec)).tolist())):
-            raise ValueError("spectrum is not finite: the couplings overflow")
-        dz = min(0.01 / c_max, z_max)
+    dz = default_step(spec, z_max) if dz is None else dz
     grid_z = grid_v = None
     for zs in z_blocks(z_max, dz, dz):
         values = merit(offset_amplitudes(spec, zs, offset=offset))

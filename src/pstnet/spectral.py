@@ -16,71 +16,66 @@ profile including r = N/2, which gives {C(N-1), -C}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import NetworkSpec, coupling_row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues of a circulant coupling matrix, ordered by Fourier index p.
 
-    The eigenvalues must be finite, real symmetric circulants satisfy
-    ``lambda_p == lambda_{N-p}`` and have zero trace (the coupling matrix
-    has an empty diagonal); all three are checked on construction.  The
-    read-only array that ``as_array`` returns is built once, here.
+    ``eigenvalues`` is a read-only 1-D float array, copied on
+    construction.  The eigenvalues must be finite, real symmetric
+    circulants satisfy ``lambda_p == lambda_{N-p}`` and have zero trace
+    (the coupling matrix has an empty diagonal); all three are checked
+    on construction.
     """
 
-    eigenvalues: tuple[float, ...]
-    n_modes: int
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.eigenvalues, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", tuple(arr.tolist()))
-        object.__setattr__(self, "_array", arr)
-        if arr.shape != (self.n_modes,):
-            raise ValueError("eigenvalue count must equal n_modes")
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("eigenvalues must be a nonempty 1-D array")
         if not np.isfinite(arr).all():
             raise ValueError("spectrum is not finite: the couplings overflow")
+        n = arr.size
         scale = max(1.0, float(np.abs(arr).max()))
-        mirrored = arr[(-np.arange(self.n_modes)) % self.n_modes]
+        mirrored = arr[(-np.arange(n)) % n]
         if np.abs(arr - mirrored).max() > 1e-9 * scale:
             raise ValueError("spectrum must satisfy lambda_p == lambda_{N-p}")
-        if abs(arr.sum()) > 1e-9 * scale * self.n_modes:
+        if abs(arr.sum()) > 1e-9 * scale * n:
             raise ValueError("spectrum of a zero-diagonal circulant must sum to 0")
+        arr.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", arr)
 
-    def as_array(self) -> np.ndarray:
-        return self._array
+    @property
+    def n_modes(self) -> int:
+        return len(self.eigenvalues)
+
+
+@dataclass(frozen=True)
+class DegeneracyBin:
+    """Eigenvalues merged into one bin: their mean and their count."""
+
+    eigenvalue: float
+    multiplicity: int
 
 
 @dataclass(frozen=True)
 class DegeneracyHistogram:
-    """Eigenvalues merged into degenerate bins.
+    """Eigenvalues merged into degenerate bins; multiplicities sum to ``n_modes``."""
 
-    Each bin is a (representative, multiplicity) pair; representatives
-    are bin means and multiplicities sum to the mode count.
-    """
-
-    bins: tuple[tuple[float, int], ...]
-    tolerance: float
     n_modes: int
+    tolerance: float
+    bins: tuple[DegeneracyBin, ...]
 
     def __post_init__(self):
-        if sum(m for _, m in self.bins) != self.n_modes:
+        if sum(b.multiplicity for b in self.bins) != self.n_modes:
             raise ValueError("bin multiplicities must sum to n_modes")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_modes": self.n_modes,
-            "tolerance": self.tolerance,
-            "bins": [
-                {"eigenvalue": v, "multiplicity": m} for v, m in self.bins
-            ],
-        }
 
 
 def dispersion(spec: NetworkSpec) -> Spectrum:
@@ -88,7 +83,7 @@ def dispersion(spec: NetworkSpec) -> Spectrum:
     # Spectrum rejects an overflowed sum; numpy need not warn about it too
     with np.errstate(over="ignore", invalid="ignore"):
         lam = np.fft.fft(coupling_row(spec)).real
-    return Spectrum(lam, spec.n_modes)
+    return Spectrum(lam)
 
 
 def collapsed_spectrum(n_modes: int, strength: float) -> Spectrum:
@@ -104,7 +99,7 @@ def collapsed_spectrum(n_modes: int, strength: float) -> Spectrum:
     p = np.arange(n_modes)
     lam = np.where(p % 2 == 1, 0.0, -2.0 * strength)
     lam[0] = strength * (n_modes - 2)
-    return Spectrum(tuple(lam), n_modes)
+    return Spectrum(lam)
 
 
 def opposite_site_spectrum(n_modes: int, strength: float) -> Spectrum:
@@ -118,11 +113,11 @@ def opposite_site_spectrum(n_modes: int, strength: float) -> Spectrum:
         raise ValueError("strength must be positive")
     lam = np.full(n_modes, -float(strength))
     lam[0] = strength * (n_modes - 1)
-    return Spectrum(tuple(lam), n_modes)
+    return Spectrum(lam)
 
 
 def default_bin_tolerance(spectrum: Spectrum) -> float:
-    return 1e-9 * max(1.0, float(np.abs(spectrum.as_array()).max()))
+    return 1e-9 * max(1.0, float(np.abs(spectrum.eigenvalues).max()))
 
 
 def degenerate_groups(spectrum: Spectrum, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +130,7 @@ def degenerate_groups(spectrum: Spectrum, tol: float) -> tuple[np.ndarray, np.nd
     no group spans more than ``tol`` and eigenvalues farther apart than
     ``tol`` never share one.
     """
-    lam = spectrum.as_array()
+    lam = spectrum.eigenvalues
     order = np.argsort(lam)
     values = lam[order]
     fresh = np.concatenate(([True], values[1:] - values[:-1] > tol))
@@ -159,12 +154,12 @@ def degeneracy_histogram(
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     order, starts = degenerate_groups(spectrum, tolerance)
-    values = spectrum.as_array()[order]
+    values = spectrum.eigenvalues[order]
     bins = tuple(
-        (float(chunk.mean()), int(chunk.size))
+        DegeneracyBin(float(chunk.mean()), int(chunk.size))
         for chunk in np.split(values, starts[1:])
     )
-    return DegeneracyHistogram(bins, float(tolerance), spectrum.n_modes)
+    return DegeneracyHistogram(spectrum.n_modes, float(tolerance), bins)
 
 
 def fourier_matrix(n_modes: int) -> np.ndarray:

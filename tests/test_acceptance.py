@@ -50,7 +50,7 @@ def _passed(number, name):
 def test_criterion_01_spectral_collapse():
     for n in (8, 12, 16):
         spec = NetworkSpec(n, uniform_profile(1.0, n // 2 - 1))
-        got = np.sort(dispersion(spec).as_array())
+        got = np.sort(dispersion(spec).eigenvalues)
         expected = np.sort(
             np.array([n - 2.0] + [0.0] * (n // 2) + [-2.0] * (n // 2 - 1))
         )
@@ -61,7 +61,7 @@ def test_criterion_01_spectral_collapse():
 def test_criterion_02_opposite_site_coupling_blocks_transfer():
     for n in (8, 12, 16):
         spec = NetworkSpec(n, uniform_profile(1.0, n // 2))
-        got = np.sort(dispersion(spec).as_array())
+        got = np.sort(dispersion(spec).eigenvalues)
         expected = np.sort(np.array([n - 1.0] + [-1.0] * (n - 1)))
         assert np.abs(got - expected).max() < 1e-10
         zs = np.arange(0.005, 30.0, 0.005)

@@ -768,8 +768,13 @@ class TestCliPlumbing:
               "--z-max", "1e6", "--dz", "1e-9"], 7 * 8 * (10**15 + 1)),
             (["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--w", "0.5",
               "--pair", "1,2", "--z-max", "1e6", "--dz", "1e-9"], 11 * (10**15 + 1)),
+            # a scan's grid starts at dz: 1e15 points of at least 5 bytes
+            (["cat", "--n", "12", "--profile", "uniform:C=1,R=5", "--source", "1",
+              "--alpha", "0.5", "--phi", "0", "--z-max", "1e6", "--dz", "1e-9"], 5 * 10**15),
+            (["evanescent", "--n", "12", "--mu", "0.5", "--r", "6", "--source", "1",
+              "--z-max", "1e6", "--dz", "1e-9"], 5 * 10**15),
         ],
-        ids=["transport-PiB", "tmsv-PiB"],
+        ids=["transport-PiB", "tmsv-PiB", "cat-PiB", "evanescent-PiB"],
     )
     def test_unallocatable_grid_is_domain_error(
         self, tmp_path, capsys, monkeypatch, argv, needed
@@ -778,6 +783,7 @@ class TestCliPlumbing:
             raise AssertionError("a refused trace computed amplitudes")
 
         monkeypatch.setattr(pstnet.cli, "offset_amplitudes", refuse)
+        monkeypatch.setattr(pstnet.propagation, "offset_amplitudes", refuse)
         outdir = tmp_path / "new"
         assert main([*argv, "--outdir", str(outdir)]) == 3
         err = capsys.readouterr().err
@@ -785,6 +791,42 @@ class TestCliPlumbing:
         assert err.startswith(prefix) and err.endswith(" bytes free on its disk\n")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [
+            # no --dz: the default step 0.01 / C_max gives 628 points
+            (["cat", "--n", "12", "--profile", "uniform:C=1,R=5", "--source", "1",
+              "--alpha", "0.5", "--phi", "pi/2", "--z-max", "2pi"], 628),
+            (["evanescent", "--n", "12", "--mu", "0.524", "--r", "6", "--source", "1",
+              "--z-max", "10", "--dz", "0.01"], 1000),
+        ],
+        ids=["cat-default-dz", "evanescent"],
+    )
+    def test_a_scan_larger_than_the_free_disk_is_refused(
+        self, tmp_path, monkeypatch, capsys, argv, rows
+    ):
+        # every row takes at least "z,v\r\n": 5 bytes
+        needed = 5 * rows
+        outdir = tmp_path / "new"
+        csv_path = outdir / f"{argv[0]}.csv"
+
+        def free_bytes(free):
+            monkeypatch.setattr(
+                pstnet.cli.shutil, "disk_usage", lambda path: SimpleNamespace(free=free)
+            )
+
+        free_bytes(needed - 1)
+        assert main([*argv, "--outdir", str(outdir)]) == 3
+        assert capsys.readouterr().err == (
+            f"pstnet: error: {csv_path} needs at least {needed} bytes, "
+            f"more than the {needed - 1} bytes free on its disk\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        # the bound is a lower bound: a disk with exactly that much free runs
+        free_bytes(needed)
+        assert main([*argv, "--outdir", str(outdir)]) == 0
+        assert csv_path.read_bytes().count(b"\n") == 1 + rows
 
     @pytest.mark.parametrize(
         "argv",

@@ -142,6 +142,11 @@ class TestSymplecticFromPropagator:
     def test_negated_identity_is_symplectic(self):
         SymplecticEvolution(-np.eye(6))
 
+    def test_rejects_nan(self):
+        # a nan defect compares false against any bound
+        with pytest.raises(ValueError, match="does not preserve the symplectic form"):
+            SymplecticEvolution(np.full((2, 2), np.nan))
+
     def test_rejects_non_unitary(self):
         from types import SimpleNamespace
 

@@ -110,6 +110,12 @@ def test_non_unitary_rows_are_rejected():
         pair_squeezing(1.001 * amps, params, [(4, 5)])
 
 
+def test_nan_rows_are_rejected_as_non_unitary():
+    amps = np.full((3, 8), np.nan, dtype=complex)
+    with pytest.raises(ValueError, match="propagator is not unitary"):
+        pair_squeezing(amps, TmsvParams(0.5, 0.0, (0, 1)), [(4, 5)])
+
+
 @pytest.mark.parametrize(
     "track,message",
     [((3, 3), "two distinct modes"), ((3, 8), "out of range"), ((-1, 2), "out of range")],

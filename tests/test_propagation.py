@@ -70,6 +70,11 @@ class TestPropagator:
         with pytest.raises(ValueError):
             Propagator(np.eye(4) * 2.0)
 
+    def test_type_rejects_nan(self):
+        # a nan defect compares false against any bound
+        with pytest.raises(ValueError, match="propagator is not unitary"):
+            Propagator(np.full((2, 2), np.nan))
+
     def test_rejects_non_finite_z(self):
         with pytest.raises(ValueError):
             propagator(N8, math.inf)

@@ -44,7 +44,7 @@ EPS = np.finfo(float).eps
 
 def reference(spec, zs):
     """Every offset from the phases of all N eigenvalues and one inverse FFT."""
-    lam = dispersion(spec).as_array()
+    lam = dispersion(spec).eigenvalues
     return np.fft.ifft(np.exp(-1j * np.outer(zs, lam)), axis=1)
 
 
@@ -96,7 +96,7 @@ def test_every_offset_is_bitwise_the_reference_on_uniform_rings(n):
     # the collapse spectrum has three bitwise-distinct values, so grouping
     # merges only equal eigenvalues and every phase is computed as before
     spec = NetworkSpec(n, uniform_profile(1.0, n // 2 - 1))
-    assert np.unique(dispersion(spec).as_array()).size == 3
+    assert np.unique(dispersion(spec).eigenvalues).size == 3
     zs = np.linspace(0.0, 50.0, 97)
     assert np.array_equal(offset_amplitudes(spec, zs), reference(spec, zs))
 
@@ -114,7 +114,7 @@ def test_a_run_of_tiny_gaps_is_cut_at_the_tolerance():
     weights, *_ = np.linalg.lstsq(b, target, rcond=None)
     spec = NetworkSpec(1024, custom_profile(b @ weights))
     zs = [math.pi / 2, 3.0]
-    lam = dispersion(spec).as_array()
+    lam = dispersion(spec).eigenvalues
     block = lam[np.abs(lam + 2.0) < 1e-6]
     assert block.max() - block.min() > 1e-13 / max(zs)
     want = reference(spec, zs)
@@ -136,7 +136,7 @@ def test_matches_the_ode_oracle():
 
 def bound(spec, zs):
     """``tol * max|z| + c * eps * max|mu z|`` with tol * max|z| <= 1e-13, c = 4."""
-    lam = dispersion(spec).as_array()
+    lam = dispersion(spec).eigenvalues
     return 1e-13 + 4 * EPS * np.abs(lam).max() * np.abs(zs).max()
 
 
@@ -146,7 +146,7 @@ def exact_column(spec, zs, d):
     Bitwise-equal eigenvalues share one phase; their Fourier factors
     exp(i 2 pi p d / N) are summed first.
     """
-    lam = dispersion(spec).as_array()
+    lam = dispersion(spec).eigenvalues
     n = spec.n_modes
     values, inverse = np.unique(lam, return_inverse=True)
     with mpmath.workdps(30):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pstnet import (
+    DegeneracyBin,
     DegeneracyHistogram,
     NetworkSpec,
     Spectrum,
@@ -24,13 +25,13 @@ def _spec(n, profile):
 
 class TestDispersion:
     def test_three_block_collapse_n8(self):
-        lam = dispersion(_spec(8, uniform_profile(1.0, 3))).as_array()
+        lam = dispersion(_spec(8, uniform_profile(1.0, 3))).eigenvalues
         assert lam[0] == pytest.approx(6.0, abs=1e-12)
         assert lam[[1, 3, 5, 7]] == pytest.approx([0.0] * 4, abs=1e-12)
         assert lam[[2, 4, 6]] == pytest.approx([-2.0] * 3, abs=1e-12)
 
     def test_nearest_neighbour_cosine(self):
-        lam = dispersion(_spec(4, uniform_profile(1.0, 1))).as_array()
+        lam = dispersion(_spec(4, uniform_profile(1.0, 1))).eigenvalues
         assert lam == pytest.approx([2.0, 0.0, -2.0, 0.0], abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -44,12 +45,12 @@ class TestDispersion:
     )
     def test_matches_dense_eigensolver(self, n, profile):
         spec = _spec(n, profile)
-        by_formula = np.sort(dispersion(spec).as_array())
+        by_formula = np.sort(dispersion(spec).eigenvalues)
         by_solver = np.sort(np.linalg.eigvalsh(coupling_matrix(spec)))
         assert np.abs(by_formula - by_solver).max() < 1e-9
 
     def test_mirror_symmetry_in_p(self):
-        lam = dispersion(_spec(12, evanescent_profile(0.5, 6))).as_array()
+        lam = dispersion(_spec(12, evanescent_profile(0.5, 6))).eigenvalues
         assert np.abs(lam[1:] - lam[1:][::-1]).max() < 1e-12
 
 
@@ -58,7 +59,7 @@ class TestCollapsedSpectrum:
         "n,top,zeros,lows", [(8, 6.0, 4, 3), (12, 10.0, 6, 5), (4, 2.0, 2, 1)]
     )
     def test_block_counts(self, n, top, zeros, lows):
-        lam = collapsed_spectrum(n, 1.0).as_array()
+        lam = collapsed_spectrum(n, 1.0).eigenvalues
         assert lam[0] == top
         assert int((lam == 0.0).sum()) == zeros
         assert int((lam == -2.0).sum()) == lows
@@ -66,8 +67,8 @@ class TestCollapsedSpectrum:
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 64, 1024, 4096])
     def test_matches_dispersion_elementwise(self, n):
         spec = _spec(n, uniform_profile(1.0, n // 2 - 1))
-        assert dispersion(spec).as_array() == pytest.approx(
-            collapsed_spectrum(n, 1.0).as_array(), abs=1e-12
+        assert dispersion(spec).eigenvalues == pytest.approx(
+            collapsed_spectrum(n, 1.0).eigenvalues, abs=1e-12
         )
 
     def test_rejects_odd(self):
@@ -77,17 +78,17 @@ class TestCollapsedSpectrum:
 
 class TestOppositeSiteSpectrum:
     def test_values(self):
-        lam8 = np.sort(opposite_site_spectrum(8, 1.0).as_array())
+        lam8 = np.sort(opposite_site_spectrum(8, 1.0).eigenvalues)
         assert lam8 == pytest.approx([-1.0] * 7 + [7.0], abs=1e-12)
-        lam4 = np.sort(opposite_site_spectrum(4, 1.0).as_array())
+        lam4 = np.sort(opposite_site_spectrum(4, 1.0).eigenvalues)
         assert lam4 == pytest.approx([-1.0] * 3 + [3.0], abs=1e-12)
 
     def test_dispersion_cross_check(self):
         # all-to-all profile, independent code path through the FFT
         for n in (4, 8, 64, 1024, 4096):
-            lam = dispersion(_spec(n, uniform_profile(1.0, n // 2))).as_array()
+            lam = dispersion(_spec(n, uniform_profile(1.0, n // 2))).eigenvalues
             assert lam == pytest.approx(
-                opposite_site_spectrum(n, 1.0).as_array(), abs=1e-12
+                opposite_site_spectrum(n, 1.0).eigenvalues, abs=1e-12
             )
 
     def test_rejects_odd(self):
@@ -98,12 +99,26 @@ class TestOppositeSiteSpectrum:
 class TestSpectrumType:
     def test_rejects_asymmetric_lists(self):
         with pytest.raises(ValueError):
-            Spectrum((1.0, 2.0, 3.0), 3)
+            Spectrum((1.0, 2.0, 3.0))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_eigenvalues(self, bad):
         with pytest.raises(ValueError, match="spectrum is not finite"):
-            Spectrum((bad, -1.0, -1.0, -1.0), 4)
+            Spectrum((bad, -1.0, -1.0, -1.0))
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 2)), (), 0.0])
+    def test_rejects_input_that_is_not_one_dimensional(self, bad):
+        with pytest.raises(ValueError, match="nonempty 1-D array"):
+            Spectrum(bad)
+
+    def test_eigenvalues_are_a_read_only_copy(self):
+        source = np.array([3.0, -1.0, -1.0, -1.0])
+        spectrum = Spectrum(source)
+        source[0] = 0.0
+        assert spectrum.eigenvalues.tolist() == [3.0, -1.0, -1.0, -1.0]
+        assert spectrum.n_modes == 4
+        with pytest.raises(ValueError):
+            spectrum.eigenvalues[0] = 0.0
 
     def test_overflowing_couplings_are_rejected(self):
         with pytest.raises(ValueError, match="spectrum is not finite"):
@@ -111,28 +126,28 @@ class TestSpectrumType:
 
     def test_rejects_nonzero_trace(self):
         with pytest.raises(ValueError):
-            Spectrum((1.0, 1.0, 1.0, 1.0), 4)
+            Spectrum((1.0, 1.0, 1.0, 1.0))
 
     @pytest.mark.parametrize(
         "profile", [uniform_profile(1.0, 3), evanescent_profile(0.5, 4)]
     )
     def test_trace_free(self, profile):
-        lam = dispersion(_spec(12, profile)).as_array()
+        lam = dispersion(_spec(12, profile)).eigenvalues
         assert abs(lam.sum()) < 1e-10
 
 
 class TestDegeneracyHistogram:
     def test_collapsed_n12_bins(self):
         hist = degeneracy_histogram(collapsed_spectrum(12, 1.0), 1e-9)
-        assert [m for _, m in hist.bins] == [5, 6, 1]
-        assert [v for v, _ in hist.bins] == pytest.approx([-2.0, 0.0, 10.0], abs=1e-12)
+        assert [b.multiplicity for b in hist.bins] == [5, 6, 1]
+        assert [b.eigenvalue for b in hist.bins] == pytest.approx([-2.0, 0.0, 10.0], abs=1e-12)
 
     def test_nearest_neighbour_band(self):
         # lambda_p = 2 cos(2 pi p / 12): doubly degenerate except both edges
         hist = degeneracy_histogram(dispersion(_spec(12, uniform_profile(1.0, 1))), 1e-9)
-        assert [m for _, m in hist.bins] == [1, 2, 2, 2, 2, 2, 1]
+        assert [b.multiplicity for b in hist.bins] == [1, 2, 2, 2, 2, 2, 1]
         expected = sorted(2.0 * np.cos(2.0 * np.pi * p / 12) for p in range(7))
-        assert [v for v, _ in hist.bins] == pytest.approx(expected, abs=1e-12)
+        assert [b.eigenvalue for b in hist.bins] == pytest.approx(expected, abs=1e-12)
 
     def test_evanescent_spectrum_is_broadened(self):
         hist = degeneracy_histogram(
@@ -145,26 +160,26 @@ class TestDegeneracyHistogram:
         rng = np.random.default_rng(n)
         spec = _spec(n, custom_profile(rng.uniform(0.1, 1.0, size=n // 2)))
         hist = degeneracy_histogram(dispersion(spec))
-        assert sum(m for _, m in hist.bins) == n
+        assert sum(b.multiplicity for b in hist.bins) == n
 
     def test_a_run_of_small_gaps_is_cut_at_the_tolerance(self):
         # sorted: -3.2, 0, 0, 0.8, 0.8, 1.6; every gap after the first is
         # below tol = 1, but the run spans 1.6, so it may not be one bin
-        spectrum = Spectrum((-3.2, 0.0, 0.8, 1.6, 0.8, 0.0), 6)
+        spectrum = Spectrum((-3.2, 0.0, 0.8, 1.6, 0.8, 0.0))
         hist = degeneracy_histogram(spectrum, 1.0)
-        assert [m for _, m in hist.bins] == [1, 4, 1]
-        assert [v for v, _ in hist.bins] == pytest.approx([-3.2, 0.4, 1.6], abs=1e-15)
+        assert [b.multiplicity for b in hist.bins] == [1, 4, 1]
+        assert [b.eigenvalue for b in hist.bins] == pytest.approx([-3.2, 0.4, 1.6], abs=1e-15)
 
     def test_loose_tolerance_on_the_evanescent_ring(self):
         # the lowest five eigenvalues span 0.069 in gaps below tol = 0.05
         spectrum = dispersion(_spec(12, evanescent_profile(0.815, 6)))
         hist = degeneracy_histogram(spectrum, 0.05)
-        assert [m for _, m in hist.bins] == [3, 2, 4, 2, 1]
-        assert [m for _, m in degeneracy_histogram(spectrum).bins] == [1, 2, 2, 2, 2, 2, 1]
+        assert [b.multiplicity for b in hist.bins] == [3, 2, 4, 2, 1]
+        assert [b.multiplicity for b in degeneracy_histogram(spectrum).bins] == [1, 2, 2, 2, 2, 2, 1]
 
     def test_type_validates_total(self):
         with pytest.raises(ValueError):
-            DegeneracyHistogram(((0.0, 2),), 1e-9, 3)
+            DegeneracyHistogram(3, 1e-9, (DegeneracyBin(0.0, 2),))
 
     def test_default_tolerance_scales(self):
         spectrum = collapsed_spectrum(12, 1.0)
@@ -187,7 +202,7 @@ class TestFourierMatrix:
         d = s.conj().T @ coupling_matrix(spec) @ s
         off = d - np.diag(np.diag(d))
         assert np.abs(off).max() < 1e-10
-        assert np.abs(np.diag(d).real - dispersion(spec).as_array()).max() < 1e-10
+        assert np.abs(np.diag(d).real - dispersion(spec).eigenvalues).max() < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 12, 16, 17])
@@ -211,8 +226,8 @@ def test_collapse_identity(n):
 def test_uniform_has_more_zero_modes_than_evanescent(n):
     reach = n // 2 - 1
     uniform_zeros = int(
-        (np.abs(collapsed_spectrum(n, 1.0).as_array()) < 1e-9).sum()
+        (np.abs(collapsed_spectrum(n, 1.0).eigenvalues) < 1e-9).sum()
     )
     assert uniform_zeros == n // 2
-    lam = dispersion(_spec(n, evanescent_profile(0.5, reach))).as_array()
+    lam = dispersion(_spec(n, evanescent_profile(0.5, reach))).eigenvalues
     assert int((np.abs(lam) < 1e-9).sum()) < uniform_zeros
