@@ -56,9 +56,17 @@ def cat_normalization(alpha: float, phi: float) -> float:
     return denom ** -0.5
 
 
+# largest alpha^2 whose exp(alpha^2) in the fidelity stays finite
+_MAX_ALPHA_SQUARED = 709.0
+
+
 @dataclass(frozen=True)
 class CatState:
-    """Superposition of coherent branches +alpha and -alpha with phase phi."""
+    """Superposition of coherent branches +alpha and -alpha with phase phi.
+
+    ``alpha^2`` may not exceed 709: the fidelity evaluates
+    ``exp(u* alpha^2)`` with |u| up to 1, which overflows beyond that.
+    """
 
     alpha: float
     phi: float
@@ -67,6 +75,11 @@ class CatState:
     def __post_init__(self):
         norm = cat_normalization(self.alpha, self.phi)
         object.__setattr__(self, "alpha", float(self.alpha))
+        if not self.alpha * self.alpha <= _MAX_ALPHA_SQUARED:
+            raise ValueError(
+                f"alpha = {self.alpha:g} is too large: the fidelity needs "
+                f"exp(alpha^2), which overflows for alpha^2 > {_MAX_ALPHA_SQUARED:g}"
+            )
         object.__setattr__(self, "phi", float(self.phi))
         object.__setattr__(self, "normalization", norm)
 

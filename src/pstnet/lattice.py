@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,9 @@ class NetworkSpec:
     """A circulant network: mode count plus coupling profile.
 
     The profile range may not exceed N // 2; the separation r = N/2
-    (even N) addresses each opposite-site pair once.
+    (even N) addresses each opposite-site pair once.  The spec is
+    immutable, so its ``spectrum`` is computed on first use and then
+    held: every amplitude of one run reads the same one.
     """
 
     n_modes: int
@@ -109,6 +112,21 @@ class NetworkSpec:
                 f"profile range {self.profile.interaction_range} exceeds "
                 f"N//2 = {self.n_modes // 2}"
             )
+
+    @cached_property
+    def spectrum(self):
+        """The ``spectral.Spectrum`` of the ring: the FFT of ``coupling_row``.
+
+        Computed once, on first use; ``spectral.dispersion`` returns it.
+        A spectrum that overflows raises on every use, since nothing is
+        held until the ``Spectrum`` has passed its checks.
+        """
+        from .spectral import Spectrum  # spectral builds on this module
+
+        # Spectrum rejects an overflowed sum; numpy need not warn about it too
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = np.fft.fft(coupling_row(self)).real
+        return Spectrum(lam)
 
 
 def coupling_row(spec: NetworkSpec) -> np.ndarray:

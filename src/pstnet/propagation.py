@@ -25,6 +25,13 @@ before the inverse FFT; one offset (the scans) sums them once per group:
     u_d(z) = sum_g w_g(d) exp(-i mu_g z),
     w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p d / N)
 
+A ``NetworkSpec`` computes its spectrum once and holds it, and the
+spectrum holds its sort order, its sorted eigenvalues and the N roots
+of unity exp(i 2 pi k / N), so a call computes only the groups at its
+own tol and the phase sum: the weights gather the roots at (p d) mod N.
+The single-z calls of a golden-section refinement and the per-block
+calls of a trace share one FFT and one sort.
+
 Replacing each member by mu_g moves its phase by at most tol * |z| <=
 1e-13, and eigenvalues that are distinct at that resolution are never
 merged.  Both forms differ from the sum over all N modes by at most
@@ -142,13 +149,14 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
 
     Both forms evaluate the phases at the distinct eigenvalues only and
     differ from the sum over all N modes by at most the module
-    docstring's bound.  One offset sums them against its group weights
-    in blocks of about ``_BLOCK`` entries, so its memory stays
-    O(len(zs)) for any N; on an evenly spaced ``zs`` it reads its
-    phases from the two-level table of ``_group_sum``.
+    docstring's bound.  The spectrum, its sort order and its roots of
+    unity are the ones ``spec`` holds; each call groups them at its own
+    tol.  One offset sums them against its group weights in blocks of
+    about ``_BLOCK`` entries, so its memory stays O(len(zs)) for any N;
+    on an evenly spaced ``zs`` it reads its phases from the two-level
+    table of ``_group_sum``.
     """
     spectrum = dispersion(spec)
-    lam = spectrum.eigenvalues
     n = spec.n_modes
     if offset is not None and not (isinstance(offset, (int, np.integer)) and 0 <= offset < n):
         raise ValueError(f"offset must be an integer in 0..{n - 1}, got {offset!r}")
@@ -156,13 +164,13 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
     reach = float(np.abs(zs).max(initial=1.0))
     tol = min(default_bin_tolerance(spectrum), 1e-13 / reach)
     order, starts = degenerate_groups(spectrum, tol)
-    mu = lam[order[starts]]
+    mu = spectrum.sorted_eigenvalues[starts]
     if offset is None:
         group = np.empty(n, dtype=np.intp)
         group[order] = np.repeat(np.arange(mu.size), np.diff(starts, append=n))
         return np.fft.ifft(np.exp(-1j * np.outer(zs, mu))[:, group], axis=1)
     # (p d) mod N in integers keeps the Fourier phase exact for large p d
-    weights = np.add.reduceat(np.exp(2j * np.pi / n * (order * offset % n)), starts) / n
+    weights = np.add.reduceat(spectrum.roots[order * offset % n], starts) / n
     return _group_sum(zs, mu, weights)
 
 
@@ -481,12 +489,15 @@ def ode_oracle(spec: NetworkSpec, amplitudes, z: float, steps: int) -> np.ndarra
     independent cross-check of the spectral propagator, never as the
     primary path.
 
-    The step size must resolve the fastest phase: |z| / steps times the
-    largest eigenvalue magnitude (bounded by the Gershgorin row sum)
-    has to stay below 0.1, otherwise the call is refused.
+    ``z`` must be finite.  The step size must resolve the fastest
+    phase: |z| / steps times the largest eigenvalue magnitude (bounded
+    by the Gershgorin row sum) has to stay below 0.1, otherwise the
+    call is refused.
     """
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError("steps must be a positive integer")
+    if not math.isfinite(z):
+        raise ValueError("z must be finite")
     a = np.asarray(amplitudes, dtype=complex)
     if a.shape[0] != spec.n_modes:
         raise ValueError("amplitude vector length must equal n_modes")

@@ -2,8 +2,9 @@
 
 A circulant matrix is diagonalized by the discrete Fourier transform,
 so its eigenvalues are the DFT of its first row: ``dispersion`` is one
-FFT of ``coupling_row``.  Because the row holds C_r at columns r and
-N - r, the FFT equals the cosine sum
+FFT of ``coupling_row``, computed once per ``NetworkSpec`` and held by
+it (``NetworkSpec.spectrum``).  Because the row holds C_r at columns r
+and N - r, the FFT equals the cosine sum
 
     lambda_p = sum_r w_r * C_r * cos(2 pi p r / N),   p = 0..N-1
 
@@ -17,10 +18,11 @@ profile including r = N/2, which gives {C(N-1), -C}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .lattice import NetworkSpec, coupling_row
+from .lattice import NetworkSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,7 +33,9 @@ class Spectrum:
     construction.  The eigenvalues must be finite, real symmetric
     circulants satisfy ``lambda_p == lambda_{N-p}`` and have zero trace
     (the coupling matrix has an empty diagonal); all three are checked
-    on construction.
+    on construction.  What the amplitudes derive from it, the sort
+    order, the sorted eigenvalues and the N roots of unity, is computed
+    on first use and held as read-only arrays too.
     """
 
     eigenvalues: np.ndarray
@@ -49,12 +53,31 @@ class Spectrum:
             raise ValueError("spectrum must satisfy lambda_p == lambda_{N-p}")
         if abs(arr.sum()) > 1e-9 * scale * n:
             raise ValueError("spectrum of a zero-diagonal circulant must sum to 0")
-        arr.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", arr)
+        object.__setattr__(self, "eigenvalues", _read_only(arr))
 
     @property
     def n_modes(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """``argsort(eigenvalues)``."""
+        return _read_only(np.argsort(self.eigenvalues))
+
+    @cached_property
+    def sorted_eigenvalues(self) -> np.ndarray:
+        """``eigenvalues[order]``, ascending."""
+        return _read_only(self.eigenvalues[self.order])
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """The N roots of unity ``exp(2j pi k / N)``, k = 0..N-1."""
+        return _read_only(np.exp(2j * np.pi / self.n_modes * np.arange(self.n_modes)))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -79,11 +102,12 @@ class DegeneracyHistogram:
 
 
 def dispersion(spec: NetworkSpec) -> Spectrum:
-    """All N eigenvalues of the coupling matrix: the FFT of its first row."""
-    # Spectrum rejects an overflowed sum; numpy need not warn about it too
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = np.fft.fft(coupling_row(spec)).real
-    return Spectrum(lam)
+    """All N eigenvalues of the coupling matrix: the FFT of its first row.
+
+    The spec computes its spectrum once and holds it, so every call on
+    the same spec returns the same ``Spectrum``.
+    """
+    return spec.spectrum
 
 
 def collapsed_spectrum(n_modes: int, strength: float) -> Spectrum:
@@ -123,21 +147,19 @@ def default_bin_tolerance(spectrum: Spectrum) -> float:
 def degenerate_groups(spectrum: Spectrum, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sort order of the eigenvalues and the start of each degenerate group.
 
-    Returns ``order = argsort(lambda)`` and the indices into
-    ``lambda[order]`` at which a group starts.  A group starts after a
-    sorted gap wider than ``tol``, and again wherever a run of smaller
-    gaps has drifted a further ``tol`` from the run's first member, so
-    no group spans more than ``tol`` and eigenvalues farther apart than
-    ``tol`` never share one.
+    Returns ``order = argsort(lambda)`` (the spectrum's read-only
+    ``order``) and the indices into ``lambda[order]`` at which a group
+    starts.  A group starts after a sorted gap wider than ``tol``, and
+    again wherever a run of smaller gaps has drifted a further ``tol``
+    from the run's first member, so no group spans more than ``tol``
+    and eigenvalues farther apart than ``tol`` never share one.
     """
-    lam = spectrum.eigenvalues
-    order = np.argsort(lam)
-    values = lam[order]
+    values = spectrum.sorted_eigenvalues
     fresh = np.concatenate(([True], values[1:] - values[:-1] > tol))
     base = np.maximum.accumulate(np.where(fresh, values, -np.inf))
     bins = np.floor((values - base) / tol)
     fresh[1:] |= bins[1:] != bins[:-1]
-    return order, np.flatnonzero(fresh)
+    return spectrum.order, np.flatnonzero(fresh)
 
 
 def degeneracy_histogram(
@@ -153,8 +175,8 @@ def degeneracy_histogram(
         tolerance = default_bin_tolerance(spectrum)
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
-    order, starts = degenerate_groups(spectrum, tolerance)
-    values = spectrum.eigenvalues[order]
+    _, starts = degenerate_groups(spectrum, tolerance)
+    values = spectrum.sorted_eigenvalues
     bins = tuple(
         DegeneracyBin(float(chunk.mean()), int(chunk.size))
         for chunk in np.split(values, starts[1:])

@@ -387,6 +387,18 @@ class TestCatCommand:
         assert result.stderr.startswith("pstnet: error: alpha must be finite")
         assert not list(tmp_path.iterdir())
 
+    def test_alpha_whose_exponential_overflows_is_one_line(self, tmp_path):
+        # no numpy RuntimeWarning and no nan fidelity, only the refusal
+        argv = ["cat", "--n", "12", "--profile", "uniform:C=1,R=5", "--source", "1",
+                "--alpha", "40", "--phi", "0", "--z-max", "1"]
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == 3
+        assert result.stderr == (
+            "pstnet: error: alpha = 40 is too large: the fidelity needs "
+            "exp(alpha^2), which overflows for alpha^2 > 709\n"
+        )
+        assert not list(tmp_path.iterdir())
+
     def test_all_zero_couplings_need_an_explicit_dz(self, tmp_path, capsys):
         argv = ["cat", "--n", "4", "--profile", "custom:0,0", "--source", "1",
                 "--alpha", "0.5", "--phi", "0", "--z-max", "1", "--outdir", str(tmp_path)]

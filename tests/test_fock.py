@@ -83,6 +83,21 @@ class TestCatNormalization:
         with pytest.raises(DegenerateCatError):
             CatState(0.0, math.pi)
 
+    @pytest.mark.parametrize("alpha", [40.0, -40.0, 26.7, 1e200])
+    def test_alpha_whose_exponential_overflows_is_refused(self, alpha):
+        # alpha^2 > 709: exp(alpha^2) in the fidelity would overflow to nan
+        with pytest.raises(ValueError, match="is too large"):
+            CatState(alpha, 0.0)
+        with pytest.raises(ValueError, match="is too large"):
+            cat_fidelity_scan(N12, 1, 7, alpha, 0.0, z_max=1.0)
+
+    def test_largest_alpha_stays_finite(self):
+        cat = CatState(26.6, 0.0)  # alpha^2 = 707.56
+        with np.errstate(over="raise", invalid="raise"):
+            values = cat.fidelity(np.array([1.0, -1.0, 1j, 0.3 - 0.2j]))
+        assert np.isfinite(values).all()
+        assert values[:2] == pytest.approx([1.0, 1.0], abs=1e-12)
+
 
 class TestPstCatFidelity:
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0])

@@ -244,6 +244,12 @@ class TestOdeOracle:
         with pytest.raises(ValueError, match="steps >="):
             ode_oracle(N8, np.ones(8, dtype=complex), 10.0, 100)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_distance(self, z):
+        # nan would slip past the step check and inf overflow its message
+        with pytest.raises(ValueError, match="^z must be finite$"):
+            ode_oracle(N8, np.ones(8, dtype=complex), z, 100)
+
     def test_matches_propagator_on_random_specs(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
