@@ -17,20 +17,24 @@ amplitude equation is provided purely as an independent cross-check.
 The spectrum has few distinct values (three for the collapse profile
 below), so the phase is evaluated once per distinct eigenvalue mu_g.
 ``spectral.degenerate_groups`` groups the sorted eigenvalues that lie
-within ``tol = min(default_bin_tolerance, 1e-13 / max(1, max|z|))`` of
-their group's first member mu_g.  All N offsets at once (``transport``,
-``tmsv``, the dense propagator) gather the G phases back to the N modes
-before the inverse FFT; one offset (the scans) sums them once per group:
+within ``tol`` of their group's first member mu_g, where tol is
+``1e-13 / max(1, max|z|)`` rounded down to a power of two.  All N
+offsets at once (``transport``, ``tmsv``, the dense propagator) gather
+the G phases back to the N modes before the inverse FFT; one offset
+(the scans) sums them once per group:
 
     u_d(z) = sum_g w_g(d) exp(-i mu_g z),
     w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p d / N)
 
 A ``NetworkSpec`` computes its spectrum once and holds it, and the
 spectrum holds its sort order, its sorted eigenvalues and the N roots
-of unity exp(i 2 pi k / N), so a call computes only the groups at its
-own tol and the phase sum: the weights gather the roots at (p d) mod N.
-The single-z calls of a golden-section refinement and the per-block
-calls of a trace share one FFT and one sort.
+of unity exp(i 2 pi k / N); the weights gather the roots at (p d) mod N.
+The spectrum also holds the last plan, the groups at one tol with the
+weights of one offset or the gather index of all N, and a call with
+the same tol and offset computes only the phase sum.  Every reach in
+one octave has the same tol, so the single-z calls of a golden-section
+refinement share one FFT, one sort and one plan, and the per-block
+calls of a trace one plan per octave of z.
 
 Replacing each member by mu_g moves its phase by at most tol * |z| <=
 1e-13, and eigenvalues that are distinct at that resolution are never
@@ -62,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import NetworkSpec, circulant, coupling_matrix, coupling_row
-from .spectral import default_bin_tolerance, degenerate_groups, dispersion
+from .spectral import dispersion
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # grid points per scan block, and phase factors exp(-i mu_g z) held at
@@ -149,12 +153,15 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
 
     Both forms evaluate the phases at the distinct eigenvalues only and
     differ from the sum over all N modes by at most the module
-    docstring's bound.  The spectrum, its sort order and its roots of
-    unity are the ones ``spec`` holds; each call groups them at its own
-    tol.  One offset sums them against its group weights in blocks of
-    about ``_BLOCK`` entries, so its memory stays O(len(zs)) for any N;
-    on an evenly spaced ``zs`` it reads its phases from the two-level
-    table of ``_group_sum``.
+    docstring's bound.  Every z must be finite.  The spectrum is the one
+    ``spec`` holds, grouped at the power of two ``tol`` at or below
+    ``1e-13 / max(1, max|z|)``; the spectrum holds the groups, and the
+    weights or gather index of this form, until a call with another tol
+    or offset replaces them (``Spectrum.plan``).  One offset sums the
+    phases against its group weights in blocks of about ``_BLOCK``
+    entries, so its memory stays O(len(zs)) for any N; on an evenly
+    spaced ``zs`` it reads its phases from the two-level table of
+    ``_group_sum``.
     """
     spectrum = dispersion(spec)
     n = spec.n_modes
@@ -162,16 +169,15 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
         raise ValueError(f"offset must be an integer in 0..{n - 1}, got {offset!r}")
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     reach = float(np.abs(zs).max(initial=1.0))
-    tol = min(default_bin_tolerance(spectrum), 1e-13 / reach)
-    order, starts = degenerate_groups(spectrum, tol)
-    mu = spectrum.sorted_eigenvalues[starts]
+    # nan propagates through max, so this refuses every non-finite z
+    if not math.isfinite(reach):
+        raise ValueError("z must be finite")
+    # 2^floor(log2(1e-13 / reach)): one tol for every reach of an octave
+    tol = math.ldexp(0.5, math.frexp(1e-13 / reach)[1])
+    plan = spectrum.plan(tol, offset)
     if offset is None:
-        group = np.empty(n, dtype=np.intp)
-        group[order] = np.repeat(np.arange(mu.size), np.diff(starts, append=n))
-        return np.fft.ifft(np.exp(-1j * np.outer(zs, mu))[:, group], axis=1)
-    # (p d) mod N in integers keeps the Fourier phase exact for large p d
-    weights = np.add.reduceat(spectrum.roots[order * offset % n], starts) / n
-    return _group_sum(zs, mu, weights)
+        return np.fft.ifft(np.exp(-1j * np.outer(zs, plan.mu))[:, plan.group], axis=1)
+    return _group_sum(zs, plan.mu, plan.weights)
 
 
 def _direct_sum(zs, mu, weights, out) -> None:
@@ -261,12 +267,21 @@ def closed_form_amplitude(n_modes: int, strength: float, offset: int, z: float) 
 
 
 def pst_distance(strength: float, s: int = 0) -> float:
-    """Perfect-transfer distances (2s + 1) pi / (2 C), s = 0, 1, 2, ..."""
+    """Perfect-transfer distances (2s + 1) pi / (2 C), s = 0, 1, 2, ...
+
+    A strength so small that the distance overflows is refused.
+    """
     if not strength > 0:
         raise ValueError("strength must be positive")
     if s < 0:
         raise ValueError("s must be a nonnegative integer")
-    return (2 * s + 1) * math.pi / (2.0 * strength)
+    z = (2 * s + 1) * math.pi / (2.0 * strength)
+    if not math.isfinite(z):
+        raise ValueError(
+            f"strength {strength:g} is too small: the distance "
+            "(2s + 1) pi / (2 C) overflows"
+        )
+    return z
 
 
 def check_pst(spec: NetworkSpec, source: int, tol: float = 1e-9) -> PstReport:

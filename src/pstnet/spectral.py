@@ -35,7 +35,8 @@ class Spectrum:
     (the coupling matrix has an empty diagonal); all three are checked
     on construction.  What the amplitudes derive from it, the sort
     order, the sorted eigenvalues and the N roots of unity, is computed
-    on first use and held as read-only arrays too.
+    on first use and held as read-only arrays too, and so is the last
+    ``plan`` asked for.
     """
 
     eigenvalues: np.ndarray
@@ -74,10 +75,53 @@ class Spectrum:
         """The N roots of unity ``exp(2j pi k / N)``, k = 0..N-1."""
         return _read_only(np.exp(2j * np.pi / self.n_modes * np.arange(self.n_modes)))
 
+    def plan(self, tol: float, offset: int | None) -> Plan:
+        """The ``Plan`` of the groups at ``tol`` for one offset, or every one.
+
+        ``offset`` is an offset d in 0..N-1, or None for every offset at
+        once.  One plan is held at a time: a call with the tol and offset
+        of the held plan returns it, and any other call builds its own and
+        holds that instead, so the spectrum never holds more than O(N).
+        """
+        plan = self.__dict__.get("_plan")
+        if plan is not None and plan.tol == tol and plan.offset == offset:
+            return plan
+        n = self.n_modes
+        order, starts = degenerate_groups(self, tol)
+        mu = self.sorted_eigenvalues[starts]
+        if offset is None:
+            group = np.empty(n, dtype=np.intp)
+            group[order] = np.repeat(np.arange(mu.size), np.diff(starts, append=n))
+            plan = Plan(tol, None, _read_only(mu), group=_read_only(group))
+        else:
+            # (p d) mod N in integers keeps the Fourier phase exact for large p d
+            weights = np.add.reduceat(self.roots[order * offset % n], starts) / n
+            plan = Plan(tol, int(offset), _read_only(mu), weights=_read_only(weights))
+        object.__setattr__(self, "_plan", plan)
+        return plan
+
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """A spectrum's degenerate groups at one tol, and what one amplitude form needs.
+
+    ``mu`` holds the first sorted eigenvalue of each group g.  For one
+    offset d, ``weights`` holds w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p
+    d / N); for every offset at once (``offset`` None), ``group`` holds
+    the group of each mode p, which gathers the G phases back to the N
+    modes.  The other field is None, and every array is read-only.
+    """
+
+    tol: float
+    offset: int | None
+    mu: np.ndarray
+    weights: np.ndarray | None = None
+    group: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

@@ -399,6 +399,25 @@ class TestCatCommand:
         )
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pst-check", "--n", "12", "--profile", "custom:1e-320", "--source", "1"],
+            ["synth", "--n", "8", "--m", "4", "--c", "1e-320"],
+        ],
+        ids=["pst-check", "synth"],
+    )
+    def test_coupling_whose_distance_overflows_is_one_line(self, tmp_path, argv):
+        # pi / (2 C) is inf: no numpy RuntimeWarning, no non-finite z, one line
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == 3
+        assert result.stderr == (
+            "pstnet: error: strength 9.99989e-321 is too small: the distance "
+            "(2s + 1) pi / (2 C) overflows\n"
+        )
+        assert result.stdout == ""
+        assert not list(tmp_path.iterdir())
+
     def test_all_zero_couplings_need_an_explicit_dz(self, tmp_path, capsys):
         argv = ["cat", "--n", "4", "--profile", "custom:0,0", "--source", "1",
                 "--alpha", "0.5", "--phi", "0", "--z-max", "1", "--outdir", str(tmp_path)]

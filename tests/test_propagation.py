@@ -115,6 +115,11 @@ class TestPstDistance:
         assert pst_distance(2.0) == pytest.approx(math.pi / 4, abs=0)
         assert pst_distance(1.0, s=1) == pytest.approx(3 * math.pi / 2, abs=0)
 
+    @pytest.mark.parametrize("strength,s", [(1e-320, 0), (5e-324, 0), (1e-300, 10**10)])
+    def test_refuses_a_distance_that_overflows(self, strength, s):
+        with pytest.raises(ValueError, match="is too small: the distance .* overflows"):
+            pst_distance(strength, s)
+
     def test_phase_synchronization(self):
         # all three spectral blocks acquire the phases needed for transfer
         for n in (4, 8, 12, 16):

@@ -160,6 +160,34 @@ def exact_column(spec, zs, d):
         ])
 
 
+# the tol 2^floor(log2(1e-13 / reach)) changes where 1e-13 / reach is a
+# power of two; powers of two are octave edges of the reach itself
+TOL_EDGES = [1e-13 * 2.0**45, 1e-13 * 2.0**50, 1e-13 * 2.0**51, 1e-13 * 2.0**55]
+REACH_EDGES = [2.0, 4.0, 1024.0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NetworkSpec(12, evanescent_profile(0.815, 6)),
+        NetworkSpec(16, custom_profile([1.0, 1.0 + 1e-15, 0.5, 1.0 - 3e-15, 0.25, 1.0, 2e-14])),
+    ],
+    ids=["evanescent", "nudged"],
+)
+@pytest.mark.parametrize("edge", TOL_EDGES + REACH_EDGES)
+def test_octave_edges_stay_within_the_bound(spec, edge):
+    # single-z calls in shuffled order on one spec: the held plan is reused
+    # within an octave and replaced across an edge
+    zs = [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    zs = [zs[i] for i in np.random.default_rng(int(edge)).permutation(3)] * 2
+    d = spec.n_modes // 2
+    want = exact_column(spec, zs, d)
+    one = np.array([offset_amplitudes(spec, [z], offset=d)[0] for z in zs])
+    every = np.array([offset_amplitudes(spec, [z])[0, d] for z in zs])
+    assert np.abs(one - want).max() <= bound(spec, zs)
+    assert np.abs(every - want).max() <= bound(spec, zs)
+
+
 def default_grid(spec, z_max):
     """The grid of a scan with the default step."""
     dz = min(0.01 / spec.profile.max_strength, z_max)
@@ -241,6 +269,15 @@ def test_points_off_the_grid_are_corrected_or_computed_directly(monkeypatch):
     assert np.abs(got - reference(spec, moved)[:, 6]).max() <= bound(spec, moved)
     assert [z.size for z in seen] == [16200]
     assert moved[20000] in seen[0]
+
+
+@pytest.mark.parametrize("zs", [[math.nan], [math.inf], [-math.inf], [0.5, math.nan, 2.0]])
+@pytest.mark.parametrize("offset", [None, 3])
+def test_refuses_a_non_finite_distance(zs, offset):
+    # before any tol: 1e-13 / inf is 0, whose power-of-two floor is no tol
+    spec = NetworkSpec(8, uniform_profile(1.0, 3))
+    with pytest.raises(ValueError, match="^z must be finite$"):
+        offset_amplitudes(spec, zs, offset=offset)
 
 
 @pytest.mark.parametrize("offset", [-1, 8, 2.0, "1", 8.5])

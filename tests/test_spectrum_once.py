@@ -2,21 +2,23 @@
 
 The spec computes the FFT of its coupling row on first use; the
 ``Spectrum`` computes its sort order, sorted eigenvalues and roots of
-unity on first use.  Everything held is read-only, a spectrum that
-overflows is refused on every use, and an amplitude read from a spec
-that has served earlier calls is bit for bit the one a fresh equal spec
-gives.
+unity on first use, and holds the plan (groups and weights or gather
+index) of the last tol and offset asked for.  Everything held is
+read-only, a spectrum that overflows is refused on every use, and an
+amplitude read from a spec that has served earlier calls, at any tol,
+is bit for bit the one a fresh equal spec gives.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pstnet.lattice as lattice
 import pstnet.propagation as propagation
+import pstnet.spectral as spectral
 from pstnet import (
     NetworkSpec,
     collapsed_spectrum,
@@ -44,7 +46,7 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize(
+COMMANDS = pytest.mark.parametrize(
     "argv,spectra",
     [
         ("pst-check --n 1024 --profile uniform:C=1,R=511 --source 1", 44),
@@ -54,6 +56,9 @@ def counting(monkeypatch, module, name):
     ],
     ids=["pst-check", "cat", "transport"],
 )
+
+
+@COMMANDS
 def test_one_fft_per_command(tmp_path, monkeypatch, argv, spectra):
     # the spectrum is the FFT of the row that the spec reads from lattice
     rows = counting(monkeypatch, lattice, "coupling_row")
@@ -61,6 +66,18 @@ def test_one_fft_per_command(tmp_path, monkeypatch, argv, spectra):
     assert main([*argv.split(), "--outdir", str(tmp_path)]) == 0
     assert len(rows) == 1
     assert len(reads) == spectra
+
+
+@COMMANDS
+def test_few_groupings_per_command(tmp_path, monkeypatch, argv, spectra):
+    # the refinement's single-z calls share one octave of reach, so one
+    # plan; pst-check also groups for its candidate and its grid, and
+    # transport for the chunks of each octave of z
+    groupings = counting(monkeypatch, spectral, "degenerate_groups")
+    reads = counting(monkeypatch, propagation, "dispersion")
+    assert main([*argv.split(), "--outdir", str(tmp_path)]) == 0
+    assert len(reads) == spectra
+    assert 1 <= len(groupings) <= 3
 
 
 def test_a_spec_holds_one_spectrum():
@@ -78,9 +95,14 @@ def test_a_spec_holds_one_spectrum():
     [dispersion(NetworkSpec(10, custom_profile([0.3, -1.0, 0.7]))), collapsed_spectrum(8, 1.0)],
     ids=["dispersion", "collapsed"],
 )
-@pytest.mark.parametrize("name", ["eigenvalues", "order", "sorted_eigenvalues", "roots"])
+@pytest.mark.parametrize(
+    "name", ["eigenvalues", "order", "sorted_eigenvalues", "roots", "mu", "weights", "group"]
+)
 def test_held_arrays_refuse_writes(spectrum, name):
-    arr = getattr(spectrum, name)
+    # mu and weights of the plan for one offset, group of the all-offsets plan
+    plans = {"mu": 1, "weights": 1, "group": None}
+    holder = spectrum.plan(2.0**-44, plans[name]) if name in plans else spectrum
+    arr = getattr(holder, name)
     assert not arr.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         arr[0] = arr[1]
@@ -94,6 +116,35 @@ def test_held_arrays_are_their_definitions():
     # the same exp of the same argument, so bit for bit
     k = np.arange(9)
     assert spectrum.roots.tobytes() == np.exp(2j * np.pi / 9 * k).tobytes()
+
+
+def test_one_plan_is_held_until_another_replaces_it():
+    spectrum = dispersion(NetworkSpec(10, custom_profile([0.3, -1.0, 0.7])))
+    plan = spectrum.plan(2.0**-44, 3)
+    assert spectrum.plan(2.0**-44, 3) is plan
+    assert spectrum.plan(2.0**-44, np.int64(3)) is plan
+    for tol, offset in [(2.0**-45, 3), (2.0**-44, 4), (2.0**-44, None), (2.0**-44, 0)]:
+        other = spectrum.plan(tol, offset)
+        assert (other.tol, other.offset) == (tol, offset)
+        assert spectrum.plan(tol, offset) is other
+    # the last plan replaced the first: O(N) is held, not one plan per call
+    assert spectrum.plan(2.0**-44, 3) is not plan
+
+
+def test_offset_amplitudes_groups_at_a_power_of_two(monkeypatch):
+    spec = NetworkSpec(12, custom_profile([0.3, -1.0, 0.7]))
+    spectrum = dispersion(spec)
+    groupings = counting(monkeypatch, spectral, "degenerate_groups")
+    # reach 1 and 1/2 share a tol, and so do 3 and the edge 1e-13 * 2^45
+    for zs, tol in [([0.5], 2.0**-44), ([1.0], 2.0**-44), ([-3.0, 2.0], 2.0**-45),
+                    ([1e-13 * 2.0**45], 2.0**-45), ([1e4], 2.0**-57)]:
+        offset_amplitudes(spec, zs, offset=5)
+        assert tol * max(1.0, *map(abs, zs)) <= 1e-13
+        # the call held the plan of its tol: asking for it groups nothing
+        plan = spectrum.plan(tol, 5)
+        offset_amplitudes(spec, zs, offset=5)
+        assert spectrum.plan(tol, 5) is plan
+    assert len(groupings) == 3
 
 
 def test_an_overflowing_ring_is_refused_on_every_use():
@@ -118,6 +169,18 @@ def test_an_overflowing_ring_exits_3_on_every_call(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# the tol 2^floor(log2(1e-13 / reach)) changes where 1e-13 / reach is a
+# power of two, at reach 1e-13 * 2^k; powers of two are octave edges of
+# the reach itself.  Each edge comes with its neighbouring floats.
+EDGES = [1e-13 * 2.0**k for k in range(44, 58)] + [2.0**k for k in range(1, 14)]
+NEAR_EDGES = [
+    sign * z
+    for edge in EDGES
+    for z in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
+    for sign in (1.0, -1.0)
+]
+
+
 @st.composite
 def reuses(draw):
     n = draw(st.integers(2, 40))
@@ -129,13 +192,20 @@ def reuses(draw):
     coupling = st.builds(float.__add__, coarse, nudge) | st.floats(-2.0, 2.0)
     couplings = draw(st.lists(coupling, min_size=reach, max_size=reach))
     offsets = st.none() | st.integers(0, n - 1)
-    grids = st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8)
-    earlier = draw(st.lists(st.tuples(offsets, grids), max_size=3))
+    grids = st.lists(st.floats(-1e4, 1e4) | st.sampled_from(NEAR_EDGES), min_size=1, max_size=8)
+    earlier = draw(st.lists(st.tuples(offsets, grids), max_size=4))
     return n, couplings, earlier, draw(offsets), draw(grids)
+
+
+# on the N = 16 ring with C_1 = -1, the floats either side of this edge
+# have tols that group the spectrum into 9 and 11 groups
+SPLIT = 1e-13 * 2.0**51
 
 
 @settings(max_examples=150, deadline=None)
 @given(reuses())
+@example((16, [-1.0], [(8, [math.nextafter(SPLIT, 0.0)])], 8, [math.nextafter(SPLIT, math.inf)]))
+@example((16, [-1.0], [(None, [-SPLIT])], None, [math.nextafter(SPLIT, math.inf)]))
 def test_a_reused_spec_gives_the_bits_of_a_fresh_one(case):
     n, couplings, earlier, offset, zs = case
     spec = NetworkSpec(n, custom_profile(couplings))
