@@ -2,20 +2,21 @@
 
 Subcommands: spectrum, transport, pst-check, cat, tmsv, evanescent,
 synth.  Every run is fully determined by its flags, so identical runs
-produce identical bytes.  CSV floats carry 17 significant digits: each
-chunk of rows is formatted a column at a time by ``g17.g17_fields``,
-whose bytes equal ``"%.17g" % x``, and streamed to the file; every
-trace (``transport``, ``tmsv``, ``cat``, ``evanescent``) writes each
-block of its grid before it computes the next.  JSON summaries are
-written by ``json.dumps``, whose floats are the shortest repr that
-reads back to the same value; a dataclass in a summary is written as
-the mapping of its fields and a complex number as ``[re, im]``.  An
-optional ``--config`` file (the flag spelled out in full) of
-``key = value`` lines becomes ``--key=value`` flags placed right after
-the subcommand: keys are flag names (``z_max`` or ``z-max``), argparse
-parses them exactly like flags, and explicit flags win.  A bad grid,
-an unwritable output, a trace larger than the free disk space or an
-allocation numpy refuses ends with exit 3 and a one-line message.
+produce identical bytes.  CSV floats carry 17 significant digits: the
+float columns of each chunk of rows take one ``g17.g17_fields`` call,
+whose bytes equal ``"%.17g" % x``, and the chunk is streamed to the
+file; every trace (``transport``, ``tmsv``, ``cat``, ``evanescent``)
+writes each block of its grid before it computes the next.  JSON
+summaries are written by ``json.dumps``, whose floats are the shortest
+repr that reads back to the same value; a dataclass in a summary is
+written as the mapping of its fields and a complex number as
+``[re, im]``.  An optional ``--config`` file (the flag spelled out in
+full) of ``key = value`` lines becomes ``--key=value`` flags placed
+right after the subcommand: keys are flag names (``z_max`` or
+``z-max``), argparse parses them exactly like flags, and explicit flags
+win.  A bad grid, an unwritable output, a trace larger than the free
+disk space or an allocation numpy refuses ends with exit 3 and a
+one-line message.
 
 Mode labels on the command line are 1-based; the library uses 0-based
 indices internally.  Distance and angle flags accept symbolic multiples
@@ -130,7 +131,7 @@ def parse_pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"pair {text!r} must be integers") from None
 
 
-_CHUNK_ROWS = 4096  # table rows formatted into one chunk of CSV text
+_CHUNK_ROWS = 4096  # floats formatted by one g17_fields call, one chunk of CSV text
 
 
 def _fields(column) -> np.ndarray:
@@ -151,14 +152,23 @@ def _csv_text(fields) -> str:
 
 
 def _csv_chunks(*columns, size=_CHUNK_ROWS):
-    """Yield the CSV text of ``columns`` in chunks of ``size`` rows.
+    """Yield the CSV text of ``columns`` one chunk of rows at a time.
 
     Integer columns are written as ``%d`` and float columns as ``%.17g``
     (``g17_fields``), so the bytes are those of ``csv.writer`` over
-    17-digit fields.  Only one chunk's text is held at a time.
+    17-digit fields.  A chunk of k >= 1 float columns holds
+    ``max(1, size // k)`` rows, and its float columns are formatted
+    together, end to end, by one ``g17_fields`` call.  Only one chunk's
+    text is held at a time.
     """
-    for start in range(0, len(columns[0]), size):
-        yield _csv_text([_fields(c[start : start + size]) for c in columns])
+    is_float = [c.dtype.kind not in "iu" for c in columns]
+    k = sum(is_float)
+    step = max(1, size // k)
+    for start in range(0, len(columns[0]), step):
+        chunk = [c[start : start + step] for c in columns]
+        fused = g17_fields(np.concatenate([c for c, f in zip(chunk, is_float) if f]))
+        blocks = iter(fused.reshape(k, len(chunk[0]), -1))  # one block per float column
+        yield _csv_text([next(blocks) if f else _fields(c) for c, f in zip(chunk, is_float)])
 
 
 def _jsonable(value):

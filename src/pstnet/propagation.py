@@ -295,7 +295,9 @@ def check_pst(spec: NetworkSpec, source: int, tol: float = 1e-9) -> PstReport:
     found by a scan of (0, 8 pi / (2 C_max)], eight candidate distances,
     at the default step of ``scan_offset``.  Only the candidate decides
     ``is_pst``: ``custom:1,0.5`` at N = 4 transfers fully at z = pi, so
-    it reports ``max_transfer`` 1.0 next to ``is_pst`` false.
+    it reports ``max_transfer`` 1.0 next to ``is_pst`` false.  A
+    strength so small that the scan reach overflows is refused before
+    any amplitude is computed.
     """
     n = spec.n_modes
     if not 0 <= source < n:
@@ -305,9 +307,14 @@ def check_pst(spec: NetworkSpec, source: int, tol: float = 1e-9) -> PstReport:
         raise ValueError("tol must satisfy 0 < tol < 1")
     c_ref = spec.profile.max_strength
     z_ref = pst_distance(c_ref)
+    reach = 8.0 * z_ref
+    if not math.isfinite(reach):
+        raise ValueError(
+            f"strength {c_ref:g} is too small: the scan reach 8 pi / (2 C) overflows"
+        )
     amp = complex(offset_amplitudes(spec, [z_ref], offset=n // 2)[0])
     is_pst = abs(amp) ** 2 >= 1.0 - tol
-    scan = transfer_scan(spec, source, target, 8.0 * z_ref)
+    scan = transfer_scan(spec, source, target, reach)
     return PstReport(
         is_pst=is_pst,
         z_pst=z_ref if is_pst else None,

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstnet.cli
@@ -130,6 +130,32 @@ class TestCsvChunks:
         text = "".join(_csv_chunks(values, labels, values[::-1], size=size))
         rows = zip(values.tolist(), labels.tolist(), values[::-1].tolist())
         assert ("z,mode,p\r\n" + text).encode() == reference_csv(("z", "mode", "p"), rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=-2, max_value=2),
+        st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=12),
+        st.booleans(),
+    )
+    def test_float_columns_are_formatted_together(self, k, chunks, delta, values, labelled):
+        # lengths around a whole number of chunks of _CHUNK_ROWS // k rows
+        step = _CHUNK_ROWS // k
+        length = max(0, chunks * step + delta)
+        columns = [np.roll(np.resize(np.array(values), length), j) for j in range(k)]
+        if labelled:
+            columns.insert(k // 2, np.arange(length))
+        texts = list(_csv_chunks(*columns))
+        assert [t.count("\r\n") for t in texts[:-1]] == [step] * (len(texts) - 1)
+        assert len(texts) == -(-length // step)
+        header = [f"c{j}" for j in range(len(columns))]
+        rows = zip(*(c.tolist() for c in columns))
+        expected = reference_csv(header, rows)
+        assert (",".join(header) + "\r\n" + "".join(texts)).encode() == expected
+        if length:  # the text of one g17_fields call per whole column
+            fields = [pstnet.cli._fields(c) for c in columns]
+            assert "".join(texts) == pstnet.cli._csv_text(fields)
 
 
 class TestSpectrumCommand:
@@ -399,22 +425,27 @@ class TestCatCommand:
         )
         assert not list(tmp_path.iterdir())
 
+    DISTANCE = "strength 9.99989e-321 is too small: the distance (2s + 1) pi / (2 C) overflows"
+    REACH = "strength 1e-308 is too small: the scan reach 8 pi / (2 C) overflows"
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["pst-check", "--n", "12", "--profile", "custom:1e-320", "--source", "1"],
-            ["synth", "--n", "8", "--m", "4", "--c", "1e-320"],
+            (["pst-check", "--n", "12", "--profile", "custom:1e-320", "--source", "1"],
+             DISTANCE),
+            (["synth", "--n", "8", "--m", "4", "--c", "1e-320"], DISTANCE),
+            # pi / (2 C) is finite, the reach of check_pst's scan is not
+            (["pst-check", "--n", "12", "--profile", "custom:1e-308", "--source", "1",
+              "--outdir", "out"], REACH),
         ],
-        ids=["pst-check", "synth"],
+        ids=["pst-check", "synth", "pst-check-scan-reach"],
     )
-    def test_coupling_whose_distance_overflows_is_one_line(self, tmp_path, argv):
-        # pi / (2 C) is inf: no numpy RuntimeWarning, no non-finite z, one line
+    def test_coupling_whose_distance_overflows_is_one_line(self, tmp_path, argv, message):
+        # pi / (2 C) or the scan reach is inf: no numpy RuntimeWarning, no
+        # non-finite z, one line
         result = run_cli(argv, tmp_path)
         assert result.returncode == 3
-        assert result.stderr == (
-            "pstnet: error: strength 9.99989e-321 is too small: the distance "
-            "(2s + 1) pi / (2 C) overflows\n"
-        )
+        assert result.stderr == f"pstnet: error: {message}\n"
         assert result.stdout == ""
         assert not list(tmp_path.iterdir())
 
@@ -500,6 +531,32 @@ class TestTmsvCommand:
         assert calls == [4] * 78 + [3]
         one = (tmp_path / "one" / "tmsv.csv").read_bytes()
         assert (tmp_path / "many" / "tmsv.csv").read_bytes() == one
+
+    @pytest.mark.parametrize(
+        "z_max,values",
+        [("pi", [5 * 315]), ("30", [5 * 819] * 3 + [5 * 544])],
+        ids=["readme", "four-chunks"],
+    )
+    def test_one_formatter_call_per_chunk(self, tmp_path, monkeypatch, z_max, values):
+        # five float columns: a chunk of 4096 // 5 = 819 rows takes one call
+        argv = ["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--w", "0.881374",
+                "--pair", "1,2", "--z-max", z_max, "--dz", "0.01"]
+        calls, chunks = [], []
+        fields, text = pstnet.cli.g17_fields, pstnet.cli._csv_text
+
+        def counted_fields(x):
+            calls.append(len(x))
+            return fields(x)
+
+        def counted_text(parts):
+            chunks.append(len(parts[0]))
+            return text(parts)
+
+        monkeypatch.setattr(pstnet.cli, "g17_fields", counted_fields)
+        monkeypatch.setattr(pstnet.cli, "_csv_text", counted_text)
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+        assert calls == values
+        assert len(chunks) == len(calls)
 
     def test_memory_does_not_grow_with_the_grid(self, tmp_path):
         # 10,001 and 100,001 z-steps: each block's rows are written as computed

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pstnet import (
     CovarianceState,
@@ -315,3 +317,75 @@ class TestStackedStates:
         out = evolve_covariance(CovarianceState(stack), evo)
         each = [evolve_covariance(CovarianceState(v), evo).matrix for v in stack]
         assert np.array_equal(out.matrix, each)
+
+
+@st.composite
+def physical_covariances(draw):
+    """Passive map times single-mode squeezers times a thermal state, 1-4 modes.
+
+    A pure draw has no thermal excess, so nu = 1/2 on every mode: the
+    spectrum is fully degenerate.  Otherwise some modes may still be pure.
+    """
+    n = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0)
+    z = np.array(draw(st.lists(unit, min_size=2 * n * n, max_size=2 * n * n)))
+    z = z.reshape(2, n, n) + np.eye(n)  # keeps the QR input nonsingular
+    u = np.linalg.qr(z[0] + 1j * z[1])[0]
+    passive = symplectic_from_propagator(SimpleNamespace(matrix=u)).matrix
+    r = draw(st.lists(unit, min_size=n, max_size=n))
+    squeeze = np.diag(np.exp(np.kron(r, [1.0, -1.0])))
+    excess = st.just(0.0) | st.floats(0.0, 3.0)
+    pure = draw(st.booleans())
+    nus = 0.5 + np.array([0.0 if pure else draw(excess) for _ in range(n)])
+    m = passive @ squeeze
+    v = m @ np.diag(np.repeat(nus, 2)) @ m.T
+    return 0.5 * (v + v.T), np.sort(nus)
+
+
+class TestSymplecticEigenvalues:
+    @settings(max_examples=200, deadline=None)
+    @given(physical_covariances())
+    def test_matches_the_eigenvalues_of_i_omega_v(self, drawn):
+        # i Omega V has eigenvalues +-nu_k (Williamson); an independent
+        # general eigensolver, not the Cholesky route, is the oracle
+        v, nus = drawn
+        omega = symplectic_form(len(v) // 2)
+        oracle = np.sort(np.abs(np.linalg.eigvals(1j * omega @ v)))[::2]
+        values = symplectic_eigenvalues(v)
+        bound = 1e-12 * np.linalg.norm(v, 2)
+        assert np.abs(values - oracle).max() <= bound
+        assert np.abs(values - nus).max() <= bound
+        CovarianceState(v)
+
+    def test_two_mode_stack_matches_each_member(self):
+        # the closed form is elementwise, so a stack gives each member's bits
+        stack = random_covariances(np.random.default_rng(11), 9, 2)
+        nus = symplectic_eigenvalues(stack)
+        assert nus.shape == (9, 2)
+        assert np.array_equal(nus, [symplectic_eigenvalues(v) for v in stack])
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    @pytest.mark.parametrize("size", [1e-300, 1e160, 1e300])
+    def test_entries_whose_squares_leave_the_float_range(self, n_modes, size):
+        # unscaled, A^T A would underflow to 0 or overflow (a RuntimeWarning
+        # fails the run); the power-of-two scale keeps it in range
+        eye = np.eye(2 * n_modes)
+        assert symplectic_eigenvalues(size * eye) == pytest.approx([size] * n_modes, rel=1e-15)
+        stack = random_covariances(np.random.default_rng(n_modes), 4, n_modes)
+        scaled = symplectic_eigenvalues(size * stack) / size
+        assert np.abs(scaled - symplectic_eigenvalues(stack)).max() <= 1e-12 * np.abs(stack).max()
+        if size < 1:  # below the vacuum floor, and the message gives nu itself
+            with pytest.raises(ValueError, match="min symplectic eigenvalue 1e-300"):
+                CovarianceState(size * eye)
+        else:
+            CovarianceState(size * eye)
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 4])
+    def test_vacuum_floor_tolerance(self, n_modes):
+        # s I / 2 has nu = s / 2 on every mode; the floor is 1/2 - 1e-9
+        eye = np.eye(2 * n_modes)
+        inside = 0.5 - 0.5e-9
+        assert symplectic_eigenvalues(inside * eye) == pytest.approx(inside, abs=1e-15)
+        CovarianceState(inside * eye)
+        with pytest.raises(ValueError, match="min symplectic eigenvalue"):
+            CovarianceState((0.5 - 2e-9) * eye)

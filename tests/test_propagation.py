@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,15 @@ class TestCheckPst:
     def test_odd_n_unsupported(self):
         with pytest.raises(ValueError):
             check_pst(NetworkSpec(7, uniform_profile(1.0, 2)), source=0)
+
+    @pytest.mark.parametrize("strength", [1e-308, 6.9e-308])
+    def test_refuses_a_scan_reach_that_overflows(self, strength):
+        # pi / (2 C) is finite, 8 pi / (2 C) is not; 7e-308 still scans
+        spec = NetworkSpec(12, custom_profile([strength]))
+        message = f"strength {strength:g} is too small: the scan reach 8 pi / (2 C) overflows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_pst(spec, source=0)
+        assert not check_pst(NetworkSpec(12, custom_profile([7e-308])), source=0).is_pst
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, math.inf, math.nan])
     def test_tol_outside_open_unit_interval_rejected(self, tol):
