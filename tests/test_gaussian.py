@@ -319,6 +319,16 @@ class TestStackedStates:
         assert np.array_equal(out.matrix, each)
 
 
+def beam_splitter(n_modes, j, k, angle):
+    """Symplectic matrix of a beam splitter of mixing angle ``angle`` on modes j, k."""
+    m = np.eye(2 * n_modes)
+    c, s = math.cos(angle), math.sin(angle)
+    for q in (0, 1):
+        a, b = 2 * j + q, 2 * k + q
+        m[a, a], m[a, b], m[b, a], m[b, b] = c, s, -s, c
+    return m
+
+
 @st.composite
 def physical_covariances(draw):
     """Passive map times single-mode squeezers times a thermal state, 1-4 modes.
@@ -357,25 +367,36 @@ class TestSymplecticEigenvalues:
         assert np.abs(values - nus).max() <= bound
         CovarianceState(v)
 
-    def test_two_mode_stack_matches_each_member(self):
-        # the closed form is elementwise, so a stack gives each member's bits
-        stack = random_covariances(np.random.default_rng(11), 9, 2)
-        nus = symplectic_eigenvalues(stack)
-        assert nus.shape == (9, 2)
-        assert np.array_equal(nus, [symplectic_eigenvalues(v) for v in stack])
+    @pytest.mark.parametrize("n_modes", [2, 3])
+    @pytest.mark.parametrize("nu_max", [1e4, 1e5, 1e6])
+    def test_pure_mode_mixed_with_a_hot_thermal_mode(self, n_modes, nu_max):
+        # beam splitters mix a pure mode (nu = 1/2) with a thermal one, so
+        # A^T A is not diagonal; an eigensolver of A^T A would lose nu_min
+        # to about eps nu_max^2 (7e-9 at 1e4, 7e-7 at 1e5), past the floor
+        nus = np.full(n_modes, 0.5)
+        nus[-1] = nu_max
+        mix = beam_splitter(n_modes, 0, n_modes - 1, 0.7)
+        if n_modes == 3:
+            mix = beam_splitter(n_modes, 1, 2, 0.3) @ mix
+        v = mix @ np.diag(np.repeat(nus, 2)) @ mix.T
+        v = 0.5 * (v + v.T)
+        values = symplectic_eigenvalues(v)
+        assert np.abs(values - nus).max() <= 1e-12 * nu_max
+        assert abs(values[0] - 0.5) <= 1e-10
+        CovarianceState(v)
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     @pytest.mark.parametrize("size", [1e-300, 1e160, 1e300])
-    def test_entries_whose_squares_leave_the_float_range(self, n_modes, size):
-        # unscaled, A^T A would underflow to 0 or overflow (a RuntimeWarning
-        # fails the run); the power-of-two scale keeps it in range
+    def test_entries_near_the_ends_of_the_float_range(self, n_modes, size):
+        # nothing is squared, so tiny and huge covariances keep their
+        # spectrum without a RuntimeWarning (which fails the run)
         eye = np.eye(2 * n_modes)
         assert symplectic_eigenvalues(size * eye) == pytest.approx([size] * n_modes, rel=1e-15)
         stack = random_covariances(np.random.default_rng(n_modes), 4, n_modes)
         scaled = symplectic_eigenvalues(size * stack) / size
         assert np.abs(scaled - symplectic_eigenvalues(stack)).max() <= 1e-12 * np.abs(stack).max()
-        if size < 1:  # below the vacuum floor, and the message gives nu itself
-            with pytest.raises(ValueError, match="min symplectic eigenvalue 1e-300"):
+        if size < 1:  # below the vacuum floor
+            with pytest.raises(ValueError, match="min symplectic eigenvalue"):
                 CovarianceState(size * eye)
         else:
             CovarianceState(size * eye)
