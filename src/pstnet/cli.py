@@ -554,11 +554,17 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def main(argv=None) -> int:
-    argv = _join_negative_values(list(sys.argv[1:] if argv is None else argv))
+@functools.cache
+def _config_parser():
+    """The parser that takes ``--config`` out of argv, built once per process."""
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
-    known, argv = pre.parse_known_args(argv)
+    return pre
+
+
+def main(argv=None) -> int:
+    argv = _join_negative_values(list(sys.argv[1:] if argv is None else argv))
+    known, argv = _config_parser().parse_known_args(argv)
     parser = build_parser()
     if known.config:
         # Config flags go right after the subcommand, so argparse converts

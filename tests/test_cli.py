@@ -461,6 +461,9 @@ class TestCatCommand:
 
 
 class TestTmsvCommand:
+    README = ["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--pair", "1,2",
+              "--z-max", "pi", "--dz", "0.01"]
+
     def test_squeezing_columns(self, tmp_path):
         result = run_cli(
             [
@@ -517,6 +520,21 @@ class TestTmsvCommand:
         assert result.stderr.startswith("pstnet: error: covariance matrix ")
         assert result.stderr.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_squeezing_at_the_edge_of_the_verified_range(self, tmp_path):
+        # physicality is decided exactly up to w of about 4
+        result = run_cli([*self.README, "--w", "4"], tmp_path)
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert len((tmp_path / "tmsv.csv").read_bytes().splitlines()) == 1 + 315
+
+    def test_squeezing_beyond_double_precision_is_refused_in_one_line(self, tmp_path):
+        outdir = tmp_path / "out"
+        result = run_cli([*self.README, "--w", "20", "--outdir", str(outdir)], tmp_path)
+        assert result.returncode == 3
+        assert result.stderr.startswith("pstnet: error: covariance matrix is unphysical")
+        assert result.stderr.count("\n") == 1
+        assert not outdir.exists()
 
     def test_chunks_write_the_bytes_of_one_grid(self, tmp_path, monkeypatch):
         argv = ["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--w", "0.881374",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pstnet.gaussian
 from pstnet import (
     CovarianceState,
     NetworkSpec,
@@ -22,6 +23,7 @@ from pstnet import (
     uniform_profile,
     vacuum_covariance,
 )
+from pstnet.cli import main
 
 W_REF = 0.881374
 N8 = NetworkSpec(8, uniform_profile(1.0, 3))
@@ -410,3 +412,86 @@ class TestSymplecticEigenvalues:
         CovarianceState(inside * eye)
         with pytest.raises(ValueError, match="min symplectic eigenvalue"):
             CovarianceState((0.5 - 2e-9) * eye)
+
+
+# nu - 1/2 on each side of the floor 1/2 - 1e-9: -2e-9 and -1e-8 fall below it
+NU_OFFSETS = (0.0, 1e-12, 1e-10, -1e-10, -2e-9, 1e-8, -1e-8, 1e-3, 1.0)
+
+
+@st.composite
+def squeezed_stacks(draw):
+    """1-3 covariances P2 S P1 diag(nu) (P2 S P1)^T of 1-4 modes, |r| <= 3.5.
+
+    P1, P2 are passive maps and S single-mode squeezers; each nu_k lies
+    at 1/2 + one of ``NU_OFFSETS``, so some stacks reach below the floor.
+    """
+    n = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0)
+    stack, lowest = [], math.inf
+    for _ in range(draw(st.integers(1, 3))):
+        passives = []
+        for _ in range(2):
+            z = np.array(draw(st.lists(unit, min_size=2 * n * n, max_size=2 * n * n)))
+            z = z.reshape(2, n, n) + np.eye(n)  # keeps the QR input nonsingular
+            u = np.linalg.qr(z[0] + 1j * z[1])[0]
+            passives.append(symplectic_from_propagator(SimpleNamespace(matrix=u)).matrix)
+        r = draw(st.lists(st.floats(-3.5, 3.5), min_size=n, max_size=n))
+        nus = 0.5 + np.array(draw(st.lists(st.sampled_from(NU_OFFSETS), min_size=n, max_size=n)))
+        m = passives[1] @ np.diag(np.exp(np.kron(r, [1.0, -1.0]))) @ passives[0]
+        v = m @ np.diag(np.repeat(nus, 2)) @ m.T
+        stack.append(0.5 * (v + v.T))
+        lowest = min(lowest, nus.min())
+    return np.array(stack), lowest
+
+
+def accepted(v):
+    try:
+        CovarianceState(v)
+    except ValueError:
+        return False
+    return True
+
+
+class TestBonaFideDecision:
+    @settings(max_examples=300, deadline=None)
+    @given(squeezed_stacks())
+    def test_cholesky_decides_like_the_spectrum(self, drawn):
+        # up to r = 3.5 rounding moves nu far less than the floor's 1e-9,
+        # so both criteria give the true answer
+        v, lowest = drawn
+        floor = 0.5 - 1e-9
+        assert accepted(v) == (symplectic_eigenvalues(v).min() >= floor) == (lowest >= floor)
+
+    @pytest.mark.parametrize(
+        "n_modes,width", [(8, 3), (64, 31)], ids=["readme", "gaussian-steps"]
+    )
+    def test_tmsv_computes_no_spectrum(self, tmp_path, monkeypatch, n_modes, width):
+        calls = []
+        spectrum = pstnet.gaussian.symplectic_eigenvalues
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return spectrum(matrix)
+
+        monkeypatch.setattr(pstnet.gaussian, "symplectic_eigenvalues", counted)
+        argv = ["tmsv", "--n", str(n_modes), "--profile", f"uniform:C=1,R={width}",
+                "--w", "0.881374", "--pair", "1,2", "--z-max", "pi", "--dz", "0.01",
+                "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == []
+        # a refusal reads the spectrum once, to word its message
+        with pytest.raises(ValueError):
+            CovarianceState(0.1 * np.eye(4))
+        assert calls == [(4, 4)]
+
+    def test_an_uncertified_state_is_refused_by_name(self):
+        # at w = 7 V holds about 3e5 and rounding moves nu by about 1e-5:
+        # the spectrum reads above the floor, the Cholesky fails
+        s = pstnet.gaussian._squeeze_map(7.0, 0.0, 0, 1, 2)
+        assert symplectic_eigenvalues(0.5 * s @ s.T).min() >= 0.5 - 1e-9
+        message = (
+            r"^covariance matrix is unphysical \(min symplectic eigenvalue [0-9.]+, but"
+            r" physicality cannot be certified in double precision\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            tmsv_covariance(TmsvParams(7.0, 0.0, (0, 1)), 2)
