@@ -19,14 +19,15 @@ the squeezing factors
 which vanish for vacuum and are negative exactly when the combined
 quadrature (relative position, total momentum) is squeezed.
 
-``tmsv`` reads each pair's squeezing from four offsets of one amplitude
-grid (``pair_squeezing``); the dense chain ``symplectic_from_propagator``
--> ``evolve_covariance`` on the full covariance is its test reference.
+``tmsv`` reads each pair's squeezing in closed form (``pair_squeezing``),
+checking the input covariance and each step's unitarity; the dense chain
+``symplectic_from_propagator`` -> ``evolve_covariance`` is its reference.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,8 +54,7 @@ def symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     is each nu_k once.  Nothing is squared: the nu_k carry an absolute
     error of O(eps nu_max), as from an SVD of A, also where a pure state
     makes them degenerate or a pure mode is mixed with a strongly
-    thermal one.  On a stack of 315 pure two-mode covariances the solver
-    takes about 0.48 ms, the SVD of A 0.65 ms (2 vCPU).
+    thermal one.
 
     A V that is not positive definite raises LinAlgError.
     ``CovarianceState`` decides physicality without this spectrum and
@@ -98,7 +98,10 @@ class TmsvParams:
                 raise ValueError(f"{name} must be finite")
         if not self.w >= 0:
             raise ValueError("squeezing strength w must be nonnegative")
-        pair = (int(self.mode_pair[0]), int(self.mode_pair[1]))
+        pair = tuple(self.mode_pair) if np.iterable(self.mode_pair) else ()
+        if len(pair) != 2 or not all(isinstance(i, numbers.Integral) for i in pair):
+            raise ValueError("mode pair must be two integer mode indices")
+        pair = (int(pair[0]), int(pair[1]))
         if pair[0] == pair[1]:
             raise ValueError("mode pair must be two distinct modes")
         object.__setattr__(self, "w", float(self.w))
@@ -204,15 +207,6 @@ def tmsv_covariance(params: TmsvParams, n_modes: int) -> CovarianceState:
     return CovarianceState(v)
 
 
-def _realify(u: np.ndarray) -> np.ndarray:
-    """Interleaved quadrature image [[Re, -Im], [Im, Re]] of each entry."""
-    m = np.zeros((*u.shape[:-2], 2 * u.shape[-2], 2 * u.shape[-1]))
-    m[..., 0::2, 0::2] = m[..., 1::2, 1::2] = u.real
-    m[..., 0::2, 1::2] = -u.imag
-    m[..., 1::2, 0::2] = u.imag
-    return m
-
-
 def symplectic_from_propagator(u: Propagator) -> SymplecticEvolution:
     """Quadrature-space image of a mode-space propagator.
 
@@ -222,7 +216,8 @@ def symplectic_from_propagator(u: Propagator) -> SymplecticEvolution:
     as U U^dag = I, so the symplectic check of ``SymplecticEvolution``
     also rejects a non-unitary input.
     """
-    return SymplecticEvolution(_realify(u.matrix))
+    u = u.matrix  # each entry's block [[Re, -Im], [Im, Re]]
+    return SymplecticEvolution(np.kron(u.real, np.eye(2)) + np.kron(u.imag, [[0, -1], [1, 0]]))
 
 
 def evolve_covariance(
@@ -265,28 +260,33 @@ def pair_squeezing(amps, params: TmsvParams, pairs) -> list[np.ndarray]:
     """S_Q and S_P columns of each pair (j, k) along an amplitude grid.
 
     ``amps`` comes from ``offset_amplitudes``, so U_jl = amps[:, (j - l) % N].
-    A passive U keeps the vacuum I/2, so only the input pair's excess
-    D = V0 - I/2 moves and pair (j, k) holds I/2 + R D R^T, with R the
-    realified block U[j|k, m|n] (Weedbrook et al., RMP 84, 621, Sec. II).
-    Each row must be unitary, max | |fft(row)|^2 - 1 | <= 1e-10 (the FFT
-    of a circulant's column is its spectrum), and each two-mode
-    covariance physical, every z-step in one stacked ``CovarianceState``.
+    A passive U keeps the vacuum, so with (m, n) the input pair each column
+    is a quadratic form in a = U_jm - U_km, b = U_jn - U_kn, g = U_jm + U_km
+    and h = U_jn + U_kn (Weedbrook et al., RMP 84, 621, Sec. II):
+
+        S_Q = e/2 (|a|^2 + |b|^2) + Re(c a b),  S_P = e/2 (|g|^2 + |h|^2) - Re(c g h)
+
+    with e = V[0, 0] - 1/2 = sinh(w)^2 and c = V[0, 2] + i V[0, 3] =
+    sinh(2w)/2 e^{i theta} from the checked input covariance V.  Each row
+    must be unitary, max | |fft(row)|^2 - 1 | <= 1e-10 (the FFT of a
+    circulant's column is its spectrum); as a unitary keeps a physical
+    state physical, no output covariance is checked.
     """
     amps = np.atleast_2d(amps)
     n = amps.shape[1]
     defect = np.abs(np.abs(np.fft.fft(amps, axis=1)) ** 2 - 1.0).max()
     if not defect <= 1e-10:
         raise ValueError(f"propagator is not unitary (defect {defect:.2e})")
-    half = 0.5 * np.eye(4)
-    excess = tmsv_covariance(replace(params, mode_pair=(0, 1)), 2).matrix - half
+    v = tmsv_covariance(replace(params, mode_pair=(0, 1)), 2).matrix
+    e, c = v[0, 0] - 0.5, complex(v[0, 2], v[0, 3])
     columns = []
     for j, k in pairs:
         if j == k:
             raise ValueError("squeezing factor needs two distinct modes")
         if not all(0 <= i < n for i in (*params.mode_pair, j, k)):
             raise ValueError("mode indices out of range")
-        r = _realify(amps[:, np.subtract.outer((j, k), params.mode_pair) % n])
-        v = r @ excess @ r.transpose(0, 2, 1)
-        state = CovarianceState(half + 0.5 * (v + v.transpose(0, 2, 1)))
-        columns += [squeezing_factor(state, 0, 1, q) for q in "QP"]
+        u = amps.T[np.subtract.outer((j, k), params.mode_pair) % n]
+        for (a, b), sign in ((u[0] - u[1], 1.0), (u[0] + u[1], -1.0)):
+            norm = a.real**2 + a.imag**2 + b.real**2 + b.imag**2
+            columns.append(0.5 * e * norm + sign * (c * a * b).real)
     return columns

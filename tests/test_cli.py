@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import pstnet.cli
 import pstnet.propagation as propagation
+from pstnet import NetworkSpec, TmsvParams, custom_profile, propagator, tmsv_covariance
 from pstnet.cli import _CHUNK_ROWS, _csv_chunks, _emit, main, parse_length
 
 
@@ -527,6 +529,64 @@ class TestTmsvCommand:
         assert result.returncode == 0
         assert result.stderr == ""
         assert len((tmp_path / "tmsv.csv").read_bytes().splitlines()) == 1 + 315
+
+    # Physical inputs whose two-mode outputs lie within rounding of the
+    # vacuum floor (least symplectic eigenvalue read as 0.4999999973546468
+    # and 0.49999999932393896, below 1/2 - 1e-9): they are transported,
+    # not refused, and match R D R^T from the dense propagator.
+    @pytest.mark.parametrize(
+        "command,couplings,pair,track,theta",
+        [
+            ("--n 2 --profile custom:1 --pair 2,1", [1.0], (1, 0), (0, 1), 0.0),
+            ("--n 7 --profile custom:0.5,-1,0.25 --pair 2,3 --track 1,6 --theta 0.7",
+             [0.5, -1.0, 0.25], (1, 2), (0, 5), 0.7),
+        ],
+        ids=["n2", "n7-track"],
+    )
+    def test_strong_squeezing_of_a_physical_input_is_transported(
+        self, tmp_path, command, couplings, pair, track, theta
+    ):
+        argv = ["tmsv", *command.split(), "--w", "4.5", "--z-max", "pi", "--dz", "0.01",
+                "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        _, rows = read_csv(tmp_path / "tmsv.csv")
+        got = np.array(rows, dtype=float)
+        assert got.shape == (315, 5)
+        spec = NetworkSpec(int(command.split()[1]), custom_profile(couplings))
+        excess = tmsv_covariance(TmsvParams(4.5, theta, (0, 1)), 2).matrix - np.eye(4) / 2
+        for row in got:
+            u = propagator(spec, row[0]).matrix
+            want = []
+            for j, k in (pair, track):
+                r = np.zeros((4, 4))  # realified block U[j|k, m|n]
+                block = u[np.ix_((j, k), pair)]
+                r[0::2, 0::2] = r[1::2, 1::2] = block.real
+                r[0::2, 1::2] = -block.imag
+                r[1::2, 0::2] = block.imag
+                x = r @ excess @ r.T
+                want += [(x[0, 0] + x[2, 2] - 2 * x[0, 2]) / 2,
+                         (x[1, 1] + x[3, 3] + 2 * x[1, 3]) / 2]
+            assert np.abs(row[1:] - want).max() <= 1e-15 * math.cosh(9.0)
+
+    @pytest.mark.parametrize(
+        "w,message",
+        [
+            ("7", r"is unphysical \(min symplectic eigenvalue 0\.5\d*, but physicality"
+                  r" cannot be certified in double precision\)"),
+            ("8", r"is unphysical \(min symplectic eigenvalue 0\.5\d*, but physicality"
+                  r" cannot be certified in double precision\)"),
+            ("20", r"is unphysical \(Matrix is not positive definite\)"),
+            ("400", r"is not finite"),
+            ("800", r"is not finite"),
+        ],
+    )
+    def test_input_refusals_keep_their_messages(self, tmp_path, capsys, w, message):
+        outdir = tmp_path / "out"
+        assert main([*self.README, "--w", w, "--outdir", str(outdir)]) == 3
+        captured = capsys.readouterr()
+        assert re.fullmatch(f"pstnet: error: covariance matrix {message}\n", captured.err)
+        assert captured.out == ""
+        assert not outdir.exists()
 
     def test_squeezing_beyond_double_precision_is_refused_in_one_line(self, tmp_path):
         outdir = tmp_path / "out"

@@ -92,6 +92,19 @@ class TestTmsvCovariance:
             tmsv_covariance(TmsvParams(0.5, 0.0, (0, 9)), 4)
 
     @pytest.mark.parametrize(
+        "pair", [(0, 1, 2), (0.7, 1), (0,), (), 3, "01", (None, 1)],
+        ids=["three", "float", "one", "empty", "scalar", "string", "none"],
+    )
+    def test_mode_pair_must_be_two_integer_indices(self, pair):
+        with pytest.raises(ValueError, match="mode pair must be two integer mode indices"):
+            TmsvParams(0.5, 0.0, pair)
+
+    def test_integer_like_mode_pair_is_kept_as_ints(self):
+        params = TmsvParams(0.5, 0.0, [np.int64(2), 5])
+        assert params.mode_pair == (2, 5)
+        assert all(type(i) is int for i in params.mode_pair)
+
+    @pytest.mark.parametrize(
         "w,theta,name",
         [(math.inf, 0.0, "w"), (math.nan, 0.0, "w"), (0.5, math.nan, "theta"),
          (0.5, -math.inf, "theta")],

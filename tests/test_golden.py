@@ -17,10 +17,15 @@ take one element per line.  Every JSON file loads into an object equal
 to the previous one, with the same keys in the same order; no CSV byte
 changed.
 
-``tmsv.csv`` was last recorded when ``tmsv`` started to read each pair's
-squeezing from the four amplitudes of one ``offset_amplitudes`` grid
-(``pair_squeezing``) instead of evolving the full 2N x 2N covariance per
-step.  Its values moved by at most 2.0e-15; no other digest changed.
+``tmsv.csv`` was last recorded when ``pair_squeezing`` started to read
+each pair's squeezing in closed form, e/2 (|a|^2 + |b|^2) +- Re(c a b)
+from four amplitudes and two entries of the input covariance, instead of
+the realified 4 x 4 product R D R^T checked as a stacked covariance per
+step.  The arithmetic is rounded at other points, so values moved by at
+most 6.7e-16, in 313 of 315 rows; no other digest changed.  Before that
+it was recorded when ``tmsv`` started to read each pair's squeezing from
+the four amplitudes of one ``offset_amplitudes`` grid instead of
+evolving the full 2N x 2N covariance per step (moves of at most 2.0e-15).
 
 ``pst-check.json``, ``cat.csv``, ``cat.json``, ``evanescent.csv``,
 ``evanescent.json``, ``synth.json`` and the long ``evanescent`` trace
@@ -124,7 +129,7 @@ GOLDEN = {
         "cat.json": "b484ba3d74ca5e9796338b76f56db8db1f12b8496d90f7a961b15f4f1817791d",
     },
     "tmsv --n 8 --profile uniform:C=1,R=3 --w 0.881374 --pair 1,2 --z-max pi --dz 0.01": {
-        "tmsv.csv": "5d36ce1d9b17075b59650321f3599f4335eda6c4fc74fa2be3b3fbc2963a5a15",
+        "tmsv.csv": "34d5a041893023fade6f66f9e4c6e66bbffc105016d2f1901232afdeefcc9068",
     },
     "evanescent --n 12 --mu 0.524 --r 6 --source 1 --z-max 500": {
         "evanescent.csv": "e02a82a9986d31dc05451871453fcefc2e6ceeb6c97b6dbc0d8442551e9a41f8",

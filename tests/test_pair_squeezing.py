@@ -34,6 +34,31 @@ def dense_columns(spec, params, pairs, zs):
     return np.array(rows).T
 
 
+def exact_dense_columns(spec, params, pairs, zs):
+    """S_Q, S_P of each pair from M V0 M^T, each 2N x 2N contraction one fsum.
+
+    With x, y the Q (or P) rows of modes j, k the combined variance is
+    (v_xx + v_yy -+ 2 v_xy) / 2, v_xy = sum_cd M_xc V0_cd M_yd: the dense
+    chain's quantity with every sum correctly rounded.  In double precision
+    the chain's 2N-term sums are off by up to about 30 eps cosh(2w) at
+    N = 64, and its per-step check refuses N = 64 at w = 4.
+    """
+    v0 = tmsv_covariance(params, spec.n_modes).matrix
+    rows = []
+    for z in zs:
+        m = symplectic_from_propagator(propagator(spec, float(z))).matrix
+        row = []
+        for j, k in pairs:
+            for x, y, sign in ((2 * j, 2 * k, -1.0), (2 * j + 1, 2 * k + 1, 1.0)):
+                terms = [
+                    (f * np.outer(m[a], m[b]) * v0).ravel()
+                    for a, b, f in ((x, x, 1.0), (y, y, 1.0), (x, y, 2.0 * sign))
+                ]
+                row.append(math.fsum(np.concatenate([*terms, [-1.0]])) / 2.0)
+        rows.append(row)
+    return np.array(rows).T
+
+
 def block_columns(spec, params, pairs, zs):
     return np.array(pair_squeezing(offset_amplitudes(spec, zs), params, pairs))
 
@@ -88,6 +113,28 @@ def test_matches_dense_chain_on_random_rings(ring):
     want = dense_columns(spec, params, (pair, track), zs)
     got = block_columns(spec, params, (pair, track), zs)
     assert np.abs(got - want).max() <= 1e-12
+
+
+# (N, couplings, input pair, tracked pair); N = 7 and 64 track a pair
+# that is not the antipode of the input
+STRONG_RINGS = [
+    (2, [1.0], (0, 1), (1, 0)),
+    (7, [0.5, -1.0, 0.25], (2, 3), (0, 5)),
+    (64, [1.0] * 31, (6, 7), (20, 45)),
+]
+
+
+@pytest.mark.parametrize("n,couplings,pair,track", STRONG_RINGS)
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+@pytest.mark.parametrize("w", [2.0, 3.0, 4.0])
+def test_matches_dense_chain_at_strong_squeezing(n, couplings, pair, track, theta, w):
+    spec = NetworkSpec(n, custom_profile(couplings))
+    params = TmsvParams(w, theta, pair)
+    zs = [0.0, 0.4, 1.3, math.pi / 2, 2.9]
+    want = exact_dense_columns(spec, params, (pair, track), zs)
+    got = block_columns(spec, params, (pair, track), zs)
+    assert got.shape == want.shape == (4, 5)
+    assert np.abs(got - want).max() <= 1e-15 * math.cosh(2.0 * w)
 
 
 @pytest.mark.parametrize("n", [4, 8, 12, 64])
