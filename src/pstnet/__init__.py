@@ -6,7 +6,7 @@ Provides exact Fourier-mode spectra and degeneracy histograms, exact
 propagators with perfect-transfer checks, single-photon and cat-state
 transport, Gaussian covariance transport of two-mode squeezing, and
 synthesis of the transfer-enabling coupling profile from far-detuned
-auxiliary modes.
+auxiliary modes.  The names imported below are the public API.
 """
 
 from .fock import (
@@ -75,58 +75,3 @@ from .synthesis import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CatState",
-    "CouplingProfile",
-    "CovarianceState",
-    "DegeneracyBin",
-    "DegeneracyHistogram",
-    "DegenerateCatError",
-    "NetworkSpec",
-    "Propagator",
-    "PstReport",
-    "ScanResult",
-    "Spectrum",
-    "SymplecticEvolution",
-    "SynthesisProblem",
-    "SynthesisSolution",
-    "AuxiliaryMode",
-    "TmsvParams",
-    "cat_fidelity",
-    "cat_fidelity_scan",
-    "cat_normalization",
-    "check_pst",
-    "closed_form_amplitude",
-    "collapsed_spectrum",
-    "constraint_matrix",
-    "coupling_matrix",
-    "custom_profile",
-    "default_bin_tolerance",
-    "degeneracy_histogram",
-    "dispersion",
-    "effective_couplings",
-    "evanescent_profile",
-    "evolve_covariance",
-    "fourier_matrix",
-    "mu_from_separation",
-    "ode_oracle",
-    "offset_amplitudes",
-    "opposite_site_spectrum",
-    "pair_squeezing",
-    "photon_numbers",
-    "physical_parameters",
-    "propagator",
-    "pst_cat_fidelity",
-    "pst_distance",
-    "solve_weights",
-    "squeezing_factor",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "symplectic_from_propagator",
-    "tmsv_covariance",
-    "transfer_scan",
-    "uniform_profile",
-    "vacuum_covariance",
-    "verify_synthesis",
-]

@@ -382,7 +382,7 @@ def _cmd_synth(args) -> int:
     solution = physical_parameters(
         solve_weights(problem), args.delta_scale, args.dispersive_min
     )
-    report = verify_synthesis(solution, args.n)
+    report = verify_synthesis(solution)
     summary = {
         "n_modes": args.n,
         "n_aux_pairs": args.m,

@@ -4,8 +4,7 @@ Quadratures are Q_j = (a_j + a_j^dag) / sqrt(2) and
 P_j = (a_j - a_j^dag) / (i sqrt(2)), giving vacuum variance 1/2 per
 quadrature.  Covariance matrices are 2N x 2N real symmetric in the
 interleaved ordering (Q_0, P_0, ..., Q_{N-1}, P_{N-1}); the symplectic
-form Omega is block diagonal with [[0, 1], [-1, 0]] per mode.  A
-``CovarianceState`` may hold a whole stack (..., 2N, 2N) of them.
+form Omega is block diagonal with [[0, 1], [-1, 0]] per mode.
 
 A linear-optics propagator U maps quadratures through the real
 symplectic-orthogonal matrix with 2 x 2 blocks
@@ -44,8 +43,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+def _square_even(v: np.ndarray, name: str = "covariance matrix") -> None:
+    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
+        raise ValueError(f"{name} must be square with even dimension")
+
+
 def symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix or stack (each value once).
+    """Symplectic spectrum of one covariance matrix (each value once).
 
     The nu_k come in ascending order.  With V = L L^T (Cholesky),
     i Omega V is similar to the Hermitian i A, A = L^T Omega L, whose
@@ -60,10 +64,11 @@ def symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     ``CovarianceState`` decides physicality without this spectrum and
     reads it only to word a refusal.
     """
+    _square_even(matrix)
     lower = np.linalg.cholesky(matrix)
-    n_modes = matrix.shape[-1] // 2
-    a = np.swapaxes(lower, -1, -2) @ symplectic_form(n_modes) @ lower
-    return np.linalg.eigvalsh(1j * a)[..., n_modes:]
+    n_modes = len(matrix) // 2
+    a = lower.T @ symplectic_form(n_modes) @ lower
+    return np.linalg.eigvalsh(1j * a)[n_modes:]
 
 
 # the vacuum floor 1/2 of the symplectic spectrum, less an absolute 1e-9
@@ -111,34 +116,32 @@ class TmsvParams:
 
 @dataclass(frozen=True)
 class CovarianceState:
-    """Real symmetric 2N x 2N covariance matrix, vacuum variance 1/2.
+    """One real symmetric 2N x 2N covariance matrix, vacuum variance 1/2.
 
-    ``matrix`` may be a stack (..., 2N, 2N); every member is checked.
-    Construction enforces finite entries, symmetry (1e-12) and
-    physicality: the minimum symplectic eigenvalue must reach the vacuum
-    floor 1/2 up to 1e-9.  By Williamson's theorem nu_min >= c exactly
-    when V + i c Omega >= 0, the bona fide condition (Simon, Mukunda and
-    Dutta, PRA 49, 1567, 1994), so one batched Cholesky of
-    V + i (1/2 - 1e-9) Omega decides the whole stack and no spectrum is
-    computed unless it fails.  The two criteria decide alike while the
-    floor's 1e-9 exceeds the rounding of V, up to squeezing r of about 4;
-    beyond it both are rounding-dominated, and a refusal whose spectrum
-    reads at or above the floor says that physicality cannot be
-    certified in double precision.
+    Construction refuses a stack and enforces finite entries, symmetry
+    (1e-12) and physicality: the minimum symplectic eigenvalue must
+    reach the vacuum floor 1/2 up to 1e-9.  By Williamson's theorem
+    nu_min >= c exactly when V + i c Omega >= 0, the bona fide condition
+    (Simon, Mukunda and Dutta, PRA 49, 1567, 1994), so one Cholesky of
+    V + i (1/2 - 1e-9) Omega decides and no spectrum is computed unless
+    it fails.  The two criteria decide alike while the floor's 1e-9
+    exceeds the rounding of V, up to squeezing r of about 4; beyond it
+    both are rounding-dominated, and a refusal whose spectrum reads at
+    or above the floor says that physicality cannot be certified in
+    double precision.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         v = np.array(self.matrix, dtype=float)
-        if v.ndim < 2 or v.shape[-2] != v.shape[-1] or v.shape[-1] % 2:
-            raise ValueError("covariance matrix must be square with even dimension")
+        _square_even(v)
         if not np.isfinite(v).all():
             raise ValueError("covariance matrix is not finite")
-        if np.abs(v - np.swapaxes(v, -1, -2)).max() > 1e-12:
+        if np.abs(v - v.T).max() > 1e-12:
             raise ValueError("covariance matrix must be symmetric")
         try:
-            np.linalg.cholesky(v + 1j * _FLOOR * symplectic_form(v.shape[-1] // 2))
+            np.linalg.cholesky(v + 1j * _FLOOR * symplectic_form(len(v) // 2))
         except np.linalg.LinAlgError:
             raise ValueError(f"covariance matrix is unphysical ({_refusal(v)})") from None
         v.setflags(write=False)
@@ -146,7 +149,7 @@ class CovarianceState:
 
     @property
     def n_modes(self) -> int:
-        return self.matrix.shape[-1] // 2
+        return len(self.matrix) // 2
 
 
 @dataclass(frozen=True)
@@ -157,8 +160,7 @@ class SymplecticEvolution:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError("symplectic matrix must be square with even dimension")
+        _square_even(m, "symplectic matrix")
         omega = symplectic_form(m.shape[0] // 2)
         if not np.abs(m @ omega @ m.T - omega).max() <= 1e-10:
             raise ValueError("matrix does not preserve the symplectic form")
@@ -223,21 +225,21 @@ def symplectic_from_propagator(u: Propagator) -> SymplecticEvolution:
 def evolve_covariance(
     state: CovarianceState, evolution: SymplecticEvolution
 ) -> CovarianceState:
-    """Propagate a covariance matrix or each member of a stack: V -> M V M^T."""
-    if evolution.matrix.shape[-1] != state.matrix.shape[-1]:
+    """Propagate a covariance matrix: V -> M V M^T."""
+    if len(evolution.matrix) != len(state.matrix):
         raise ValueError("dimension mismatch between state and evolution")
     v = evolution.matrix @ state.matrix @ evolution.matrix.T
-    return CovarianceState(0.5 * (v + np.swapaxes(v, -1, -2)))
+    return CovarianceState(0.5 * (v + v.T))
 
 
 def squeezing_factor(
     state: CovarianceState, j: int, k: int, quadrature: str = "Q"
-) -> float | np.ndarray:
+) -> float:
     """EPR-combination variance minus the vacuum level 1/2.
 
     quadrature "Q" uses the relative position (Q_j - Q_k)/sqrt(2),
     "P" the total momentum (P_j + P_k)/sqrt(2).  Negative values mean
-    squeezing below vacuum; zero is the vacuum level; a stack gives one per member.
+    squeezing below vacuum; zero is the vacuum level.
     """
     n = state.n_modes
     if j == k:
@@ -252,7 +254,7 @@ def squeezing_factor(
         a, b, sign = 2 * j + 1, 2 * k + 1, 1.0
     else:
         raise ValueError("quadrature must be 'Q' or 'P'")
-    variance = 0.5 * (v[..., a, a] + v[..., b, b] + 2.0 * sign * v[..., a, b])
+    variance = 0.5 * (v[a, a] + v[b, b] + 2.0 * sign * v[a, b])
     return variance - 0.5
 
 

@@ -52,7 +52,7 @@ class Spectrum:
         mirrored = arr[(-np.arange(n)) % n]
         if np.abs(arr - mirrored).max() > 1e-9 * scale:
             raise ValueError("spectrum must satisfy lambda_p == lambda_{N-p}")
-        if abs(arr.sum()) > 1e-9 * scale * n:
+        if abs((arr / scale).sum()) > 1e-9 * n:
             raise ValueError("spectrum of a zero-diagonal circulant must sum to 0")
         object.__setattr__(self, "eigenvalues", _read_only(arr))
 
@@ -199,9 +199,10 @@ def degenerate_groups(spectrum: Spectrum, tol: float) -> tuple[np.ndarray, np.nd
     and eigenvalues farther apart than ``tol`` never share one.
     """
     values = spectrum.sorted_eigenvalues
-    fresh = np.concatenate(([True], values[1:] - values[:-1] > tol))
-    base = np.maximum.accumulate(np.where(fresh, values, -np.inf))
-    bins = np.floor((values - base) / tol)
+    with np.errstate(over="ignore"):  # a difference that overflows exceeds any tol
+        fresh = np.concatenate(([True], values[1:] - values[:-1] > tol))
+        base = np.maximum.accumulate(np.where(fresh, values, -np.inf))
+        bins = np.floor((values - base) / tol)
     fresh[1:] |= bins[1:] != bins[:-1]
     return spectrum.order, np.flatnonzero(fresh)
 
@@ -212,20 +213,24 @@ def degeneracy_histogram(
     """Merge eigenvalues into degenerate bins, each spanning at most ``tolerance``.
 
     The bins are the groups of ``degenerate_groups``; a bin's
-    representative is the mean of its members.  By default the
-    tolerance scales with the largest eigenvalue magnitude.
+    representative is the mean of its members, or of them over 2^e, which
+    brings the largest into [1, 2), where their sum overflows.  By
+    default the tolerance scales with the largest eigenvalue magnitude.
     """
     if tolerance is None:
         tolerance = default_bin_tolerance(spectrum)
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     _, starts = degenerate_groups(spectrum, tolerance)
-    values = spectrum.sorted_eigenvalues
-    bins = tuple(
-        DegeneracyBin(float(chunk.mean()), int(chunk.size))
-        for chunk in np.split(values, starts[1:])
-    )
-    return DegeneracyHistogram(spectrum.n_modes, float(tolerance), bins)
+    bins = []
+    for chunk in np.split(spectrum.sorted_eigenvalues, starts[1:]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = chunk.mean()
+        if not np.isfinite(mean):  # scale only here: a scaled subnormal mean rounds twice
+            e = np.frexp(np.abs(chunk).max())[1] - 1
+            mean = np.ldexp(np.ldexp(chunk, -e).mean(), e)
+        bins.append(DegeneracyBin(float(mean), int(chunk.size)))
+    return DegeneracyHistogram(spectrum.n_modes, float(tolerance), tuple(bins))
 
 
 def fourier_matrix(n_modes: int) -> np.ndarray:

@@ -185,20 +185,19 @@ def physical_parameters(
     )
 
 
-def verify_synthesis(solution: SynthesisSolution, n_modes: int) -> PstReport:
+def verify_synthesis(solution: SynthesisSolution) -> PstReport:
     """Run the transfer check on the synthesized profile.
 
-    Builds a custom profile from the couplings J_r and delegates to the
-    antipodal transfer check.  Refuses unless the stored residual is at
-    most the solution tolerance (a nan residual is refused too): other
-    couplings do not realize the target.
+    Builds a custom profile from the couplings J_r, r = 1..N/2, on
+    N = 2 len(couplings) modes and delegates to the antipodal transfer
+    check.  Refuses unless the stored residual is at most the solution
+    tolerance (a nan residual is refused too): other couplings do not
+    realize the target.
     """
-    if 2 * len(solution.couplings) != n_modes:
-        raise ValueError("coupling count does not match n_modes / 2")
     if not solution.residual <= solution.tolerance:
         raise ValueError(
             f"synthesis residual {solution.residual:.3e} is not within tolerance "
             f"{solution.tolerance:.3e}; add auxiliary pairs (M >= N/2) or relax the target"
         )
-    spec = NetworkSpec(n_modes, custom_profile(solution.couplings))
+    spec = NetworkSpec(2 * len(solution.couplings), custom_profile(solution.couplings))
     return check_pst(spec, source=0)

@@ -164,7 +164,7 @@ def test_criterion_09_coupling_synthesis():
         couplings = effective_couplings(solution.weights, n)
         assert np.abs(couplings[:-1] - 1.0).max() < 1e-10
         assert abs(couplings[-1]) < 1e-10
-        assert verify_synthesis(solution, n).is_pst
+        assert verify_synthesis(solution).is_pst
     _passed(9, "coupling synthesis")
 
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -206,6 +207,41 @@ class TestSpectrumCommand:
         )
         assert (tmp_path / "spectrum.csv").exists()
         assert not (tmp_path / "spectrum.json").exists()
+
+
+class TestFloatLimit:
+    """A ring whose spectrum is finite although sums of its eigenvalues overflow."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--n", "7"],
+            ["spectrum", "--n", "9"],
+            ["cat", "--n", "7", "--source", "1", "--target", "2", "--alpha", "0.5",
+             "--phi", "0", "--z-max", "1e-309"],
+        ],
+        ids=["spectrum-7", "spectrum-9", "cat-default-dz"],
+    )
+    def test_a_finite_spectrum_is_written_and_scanned(self, tmp_path, args):
+        # eigenvalues reach 1.5e308 (N = 7) and 1.7e308 (N = 9); the cat
+        # scan takes its default step, 0.01 / 5e307
+        result = run_cli(
+            [*args, "--profile", "custom:5e307,-5e307", "--outdir", "out"],
+            tmp_path,
+            python_flags=("-W", "error::RuntimeWarning"),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+
+        def refuse(constant):
+            raise AssertionError(f"the JSON holds {constant}")
+
+        summary = json.loads((tmp_path / "out" / f"{args[0]}.json").read_text(),
+                             parse_constant=refuse)
+        _, rows = read_csv(tmp_path / "out" / f"{args[0]}.csv")
+        assert all(math.isfinite(float(field)) for row in rows for field in row)
+        if args[0] == "cat":
+            assert summary["dz"] == 0.01 / 5e307
 
 
 class TestTransportCommand:
@@ -651,6 +687,24 @@ class TestTmsvCommand:
                 "--pair", "1,2", "--z-max", "2", "--dz", "0.001", "--outdir", str(tmp_path)]
         assert peak_bytes(argv) < 8 * 2**20
         assert len((tmp_path / "tmsv.csv").read_bytes().splitlines()) == 2002
+
+    def test_odd_n_without_track_is_refused_in_one_line(self, tmp_path):
+        result = run_cli(
+            ["tmsv", "--n", "7", "--profile", "uniform:C=1,R=3", "--w", "0.5", "--pair", "1,2",
+             "--z-max", "1", "--dz", "0.1", "--outdir", "out"],
+            tmp_path,
+        )
+        assert result.returncode == 3
+        assert result.stderr == "pstnet: error: antipodal transfer needs an even number of modes\n"
+        assert result.stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_names_only_flags_tmsv_accepts(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullet = readme.split("\n- `tmsv`:", 1)[1].split("\n- `", 1)[0]
+        named = set(re.findall(r"--[a-z][a-z-]*", bullet))
+        accepted = set(re.findall(r"--[a-z][a-z-]*", run_cli(["tmsv", "--help"], tmp_path).stdout))
+        assert named and named <= accepted
 
 
 class TestEvanescentCommand:

@@ -137,6 +137,15 @@ class TestCovarianceState:
         with pytest.raises(ValueError, match="covariance matrix is not finite"):
             CovarianceState(bad)
 
+    @pytest.mark.parametrize("count", [3, 4])  # 4 = 2N: a stack as long as a side
+    def test_rejects_a_stack(self, count):
+        stack = np.array(random_covariances(np.random.default_rng(count), count, 2))
+        message = "^covariance matrix must be square with even dimension$"
+        with pytest.raises(ValueError, match=message):
+            CovarianceState(stack)
+        with pytest.raises(ValueError, match=message):
+            symplectic_eigenvalues(stack)
+
     def test_vacuum_symplectic_spectrum(self):
         nus = symplectic_eigenvalues(vacuum_covariance(3).matrix)
         assert nus == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
@@ -278,7 +287,7 @@ def random_covariances(rng, count, n_modes):
     D is thermal (nu_k >= 1/2 per mode) and M a realified random unitary
     after single-mode squeezers, so the symplectic spectrum is the nu_k.
     """
-    stack = []
+    states = []
     for _ in range(count):
         z = rng.normal(size=(2, n_modes, n_modes))
         u = np.linalg.qr(z[0] + 1j * z[1])[0]
@@ -287,51 +296,8 @@ def random_covariances(rng, count, n_modes):
         m = passive.matrix @ squeeze
         thermal = np.diag(np.repeat(0.5 + rng.exponential(size=n_modes), 2))
         v = m @ thermal @ m.T
-        stack.append(0.5 * (v + v.T))
-    return np.array(stack)
-
-
-class TestStackedStates:
-    def test_eigenvalues_and_squeezing_match_each_member(self):
-        stack = random_covariances(np.random.default_rng(7), 9, 3)
-        nus = symplectic_eigenvalues(stack)
-        assert nus.shape == (9, 3)
-        assert np.array_equal(nus, [symplectic_eigenvalues(v) for v in stack])
-        state = CovarianceState(stack)
-        assert state.n_modes == 3
-        for j, k, q in [(0, 1, "Q"), (2, 0, "P"), (1, 2, "p")]:
-            values = squeezing_factor(state, j, k, q)
-            assert values.shape == (9,)
-            each = [squeezing_factor(CovarianceState(v), j, k, q) for v in stack]
-            assert np.array_equal(values, each)
-
-    def test_nested_stack(self):
-        stack = random_covariances(np.random.default_rng(8), 6, 2)
-        nested = CovarianceState(stack.reshape(2, 3, 4, 4))
-        nus = symplectic_eigenvalues(stack).reshape(2, 3, 2)
-        assert np.array_equal(symplectic_eigenvalues(nested.matrix), nus)
-        assert squeezing_factor(nested, 0, 1).shape == (2, 3)
-
-    def test_one_unphysical_member_rejects_the_stack(self):
-        stack = random_covariances(np.random.default_rng(9), 5, 2)
-        stack[3] = 0.1 * np.eye(4)
-        with pytest.raises(ValueError, match="covariance matrix is unphysical"):
-            CovarianceState(stack)
-
-    def test_one_asymmetric_member_rejects_the_stack(self):
-        stack = random_covariances(np.random.default_rng(10), 5, 2)
-        stack[4, 0, 1] += 1e-6
-        with pytest.raises(ValueError, match="must be symmetric"):
-            CovarianceState(stack)
-
-    @pytest.mark.parametrize("count", [3, 8])  # 8 = 2N: a stack as long as a side
-    def test_evolution_matches_each_member(self, count):
-        spec = NetworkSpec(4, uniform_profile(1.0, 2))
-        evo = symplectic_from_propagator(propagator(spec, 0.7))
-        stack = random_covariances(np.random.default_rng(count), count, 4)
-        out = evolve_covariance(CovarianceState(stack), evo)
-        each = [evolve_covariance(CovarianceState(v), evo).matrix for v in stack]
-        assert np.array_equal(out.matrix, each)
+        states.append(0.5 * (v + v.T))
+    return states
 
 
 def beam_splitter(n_modes, j, k, angle):
@@ -407,9 +373,9 @@ class TestSymplecticEigenvalues:
         # spectrum without a RuntimeWarning (which fails the run)
         eye = np.eye(2 * n_modes)
         assert symplectic_eigenvalues(size * eye) == pytest.approx([size] * n_modes, rel=1e-15)
-        stack = random_covariances(np.random.default_rng(n_modes), 4, n_modes)
-        scaled = symplectic_eigenvalues(size * stack) / size
-        assert np.abs(scaled - symplectic_eigenvalues(stack)).max() <= 1e-12 * np.abs(stack).max()
+        for v in random_covariances(np.random.default_rng(n_modes), 4, n_modes):
+            scaled = symplectic_eigenvalues(size * v) / size
+            assert np.abs(scaled - symplectic_eigenvalues(v)).max() <= 1e-12 * np.abs(v).max()
         if size < 1:  # below the vacuum floor
             with pytest.raises(ValueError, match="min symplectic eigenvalue"):
                 CovarianceState(size * eye)
@@ -432,29 +398,25 @@ NU_OFFSETS = (0.0, 1e-12, 1e-10, -1e-10, -2e-9, 1e-8, -1e-8, 1e-3, 1.0)
 
 
 @st.composite
-def squeezed_stacks(draw):
-    """1-3 covariances P2 S P1 diag(nu) (P2 S P1)^T of 1-4 modes, |r| <= 3.5.
+def squeezed_states(draw):
+    """A covariance P2 S P1 diag(nu) (P2 S P1)^T of 1-4 modes, |r| <= 3.5.
 
     P1, P2 are passive maps and S single-mode squeezers; each nu_k lies
-    at 1/2 + one of ``NU_OFFSETS``, so some stacks reach below the floor.
+    at 1/2 + one of ``NU_OFFSETS``, so some states reach below the floor.
     """
     n = draw(st.integers(1, 4))
     unit = st.floats(-1.0, 1.0)
-    stack, lowest = [], math.inf
-    for _ in range(draw(st.integers(1, 3))):
-        passives = []
-        for _ in range(2):
-            z = np.array(draw(st.lists(unit, min_size=2 * n * n, max_size=2 * n * n)))
-            z = z.reshape(2, n, n) + np.eye(n)  # keeps the QR input nonsingular
-            u = np.linalg.qr(z[0] + 1j * z[1])[0]
-            passives.append(symplectic_from_propagator(SimpleNamespace(matrix=u)).matrix)
-        r = draw(st.lists(st.floats(-3.5, 3.5), min_size=n, max_size=n))
-        nus = 0.5 + np.array(draw(st.lists(st.sampled_from(NU_OFFSETS), min_size=n, max_size=n)))
-        m = passives[1] @ np.diag(np.exp(np.kron(r, [1.0, -1.0]))) @ passives[0]
-        v = m @ np.diag(np.repeat(nus, 2)) @ m.T
-        stack.append(0.5 * (v + v.T))
-        lowest = min(lowest, nus.min())
-    return np.array(stack), lowest
+    passives = []
+    for _ in range(2):
+        z = np.array(draw(st.lists(unit, min_size=2 * n * n, max_size=2 * n * n)))
+        z = z.reshape(2, n, n) + np.eye(n)  # keeps the QR input nonsingular
+        u = np.linalg.qr(z[0] + 1j * z[1])[0]
+        passives.append(symplectic_from_propagator(SimpleNamespace(matrix=u)).matrix)
+    r = draw(st.lists(st.floats(-3.5, 3.5), min_size=n, max_size=n))
+    nus = 0.5 + np.array(draw(st.lists(st.sampled_from(NU_OFFSETS), min_size=n, max_size=n)))
+    m = passives[1] @ np.diag(np.exp(np.kron(r, [1.0, -1.0]))) @ passives[0]
+    v = m @ np.diag(np.repeat(nus, 2)) @ m.T
+    return 0.5 * (v + v.T), nus.min()
 
 
 def accepted(v):
@@ -466,8 +428,8 @@ def accepted(v):
 
 
 class TestBonaFideDecision:
-    @settings(max_examples=300, deadline=None)
-    @given(squeezed_stacks())
+    @settings(max_examples=600, deadline=None)
+    @given(squeezed_states())
     def test_cholesky_decides_like_the_spectrum(self, drawn):
         # up to r = 3.5 rounding moves nu far less than the floor's 1e-9,
         # so both criteria give the true answer

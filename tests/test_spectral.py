@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pstnet import (
     DegeneracyBin,
@@ -17,6 +22,8 @@ from pstnet import (
     opposite_site_spectrum,
     uniform_profile,
 )
+from pstnet.lattice import coupling_row
+from pstnet.spectral import degenerate_groups
 
 
 def _spec(n, profile):
@@ -231,3 +238,53 @@ def test_uniform_has_more_zero_modes_than_evanescent(n):
     assert uniform_zeros == n // 2
     lam = dispersion(_spec(n, evanescent_profile(0.5, reach))).eigenvalues
     assert int((np.abs(lam) < 1e-9).sum()) < uniform_zeros
+
+
+class TestFloatLimit:
+    """Finite spectra whose sums of eigenvalues overflow a float."""
+
+    def test_the_n9_row_builds_without_a_warning(self):
+        # eigenvalues up to 1.7e308 in magnitude, whose plain sum overflows
+        # though their sum scaled by max|lambda| is about -5.6e-17
+        row = coupling_row(_spec(9, custom_profile([5e307, -5e307])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectrum = Spectrum(np.fft.fft(row).real)
+            hist = degeneracy_histogram(spectrum)
+        assert [b.multiplicity for b in hist.bins] == [2, 3, 2, 2]
+        _, starts = degenerate_groups(spectrum, hist.tolerance)
+        for b, chunk in zip(hist.bins, np.split(spectrum.sorted_eigenvalues, starts[1:])):
+            assert b.eigenvalue == pytest.approx(4.0 * np.mean(chunk / 4.0), rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 16),
+        couplings=st.lists(
+            st.floats(-1e308, 1e308) | st.sampled_from([5e307, -5e307, 1e308]),
+            min_size=1,
+            max_size=8,
+        ),
+        tolerance=st.none() | st.floats(1e-300, 1e308),
+    )
+    @example(n=7, couplings=[5e307, -5e307], tolerance=None)  # a bin at -1.5e308
+    @example(n=2, couplings=[1e308], tolerance=None)  # a gap of 2e308
+    @example(n=7, couplings=[8.500832248046666e-309], tolerance=8.5e-309)  # subnormal means
+    def test_bin_means_keep_their_bits_unless_their_sum_overflows(self, n, couplings, tolerance):
+        assume(len(couplings) <= n // 2)
+        spec = _spec(n, custom_profile(couplings))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assume(np.isfinite(np.fft.fft(coupling_row(spec)).real).all())
+        spectrum = spec.spectrum
+        hist = degeneracy_histogram(spectrum, tolerance)
+        _, starts = degenerate_groups(spectrum, hist.tolerance)
+        chunks = np.split(spectrum.sorted_eigenvalues, starts[1:])
+        assert [b.multiplicity for b in hist.bins] == [chunk.size for chunk in chunks]
+        for b, chunk in zip(hist.bins, chunks):
+            with np.errstate(over="ignore", invalid="ignore"):
+                plain = chunk.mean()
+            if math.isfinite(plain):  # bit for bit, the sign of a zero too
+                assert np.float64(b.eigenvalue).view(np.int64) == plain.view(np.int64)
+            else:  # finite, and within rounding of the exact mean
+                top = np.abs(chunk).max()
+                exact = math.fsum(chunk / top) / chunk.size
+                assert abs(b.eigenvalue / top - exact) <= chunk.size * 2.0**-52

@@ -136,7 +136,7 @@ class TestRelativeTolerance:
     def test_large_target_passes_on_its_rounding(self):
         solution = solve_weights(SynthesisProblem(8, 6, 1e8))
         assert 1e-8 < solution.residual <= 1e-15 * 1e8 * 8
-        assert verify_synthesis(solution, 8).is_pst
+        assert verify_synthesis(solution).is_pst
 
 
 class TestEffectiveCouplings:
@@ -235,25 +235,36 @@ class TestPhysicalParameters:
 
 class TestVerifySynthesis:
     def test_exact_solution_transfers(self):
-        report = verify_synthesis(solve_weights(SynthesisProblem(8, 4, 1.0)), 8)
+        report = verify_synthesis(solve_weights(SynthesisProblem(8, 4, 1.0)))
         assert report.is_pst
         assert report.z_pst == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_larger_network(self):
-        report = verify_synthesis(solve_weights(SynthesisProblem(12, 6, 1.0)), 12)
+        report = verify_synthesis(solve_weights(SynthesisProblem(12, 6, 1.0)))
         assert report.is_pst
         assert report.target == report.source + 6
 
     def test_refuses_large_residual(self):
         starved = solve_weights(SynthesisProblem(8, 2, 1.0))
         with pytest.raises(ValueError, match="residual"):
-            verify_synthesis(starved, 8)
+            verify_synthesis(starved)
 
     def test_refuses_nan_residual(self):
         exact = solve_weights(SynthesisProblem(8, 4, 1.0))
         with pytest.raises(ValueError, match="residual nan"):
-            verify_synthesis(replace(exact, residual=math.nan), 8)
+            verify_synthesis(replace(exact, residual=math.nan))
 
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            verify_synthesis(solve_weights(SynthesisProblem(8, 4, 1.0)), 12)
+    def test_checks_the_solution_on_its_own_ring(self, monkeypatch):
+        # N = 2 len(couplings): a 12-mode solution is checked on 12 modes
+        solution = solve_weights(SynthesisProblem(12, 6, 1.0))
+        specs = []
+
+        def check(spec, source):
+            specs.append(spec)
+            return check_pst(spec, source)
+
+        monkeypatch.setattr(synthesis, "check_pst", check)
+        report = verify_synthesis(solution)
+        assert [spec.n_modes for spec in specs] == [12]
+        assert specs[0].profile.couplings == solution.couplings
+        assert (report.source, report.target) == (0, 6)
