@@ -2,11 +2,12 @@
 
 Subcommands: spectrum, transport, pst-check, cat, tmsv, evanescent,
 synth.  Every run is fully determined by its flags, so identical runs
-produce identical bytes.  CSV floats carry 17 significant digits: the
-float columns of each chunk of rows take one ``g17.g17_fields`` call,
-whose bytes equal ``"%.17g" % x``, and the chunk is streamed to the
-file; every trace (``transport``, ``tmsv``, ``cat``, ``evanescent``)
-writes each block of its grid before it computes the next.  JSON
+produce identical bytes.  Every CSV field is ``"%.17g" % x`` (17
+significant digits; ``%d`` for the integer columns): all columns of a
+chunk of rows take one ``g17.csv_text`` call, and the chunk is streamed
+to the file; every trace (``transport``, ``tmsv``, ``cat``,
+``evanescent``) writes each block of its grid before it computes the
+next, and ``transport`` splits a wide ring's modes into slices.  JSON
 summaries are written by ``json.dumps``, whose floats are the shortest
 repr that reads back to the same value; a dataclass in a summary is
 written as the mapping of its fields and a complex number as
@@ -40,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .fock import cat_fidelity_scan
-from .g17 import g17_fields
+from .g17 import csv_text
 from .gaussian import TmsvParams, pair_squeezing
 from .lattice import (
     NetworkSpec,
@@ -131,44 +132,21 @@ def parse_pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"pair {text!r} must be integers") from None
 
 
-_CHUNK_ROWS = 4096  # floats formatted by one g17_fields call, one chunk of CSV text
+# Fields one csv_text call formats: _csv_chunks takes _CHUNK_ROWS // k
+# rows of k columns at a time, transport at most _CHUNK_ROWS probabilities.
+_CHUNK_ROWS = 4096
 
 
-def _fields(column) -> np.ndarray:
-    """NUL-padded byte rows of a column's CSV fields: ``%d`` or ``%.17g``."""
-    if column.dtype.kind in "iu":
-        return column.astype("S").view(np.uint8).reshape(len(column), -1)
-    return g17_fields(column)
+def _csv_chunks(*columns):
+    """Yield the CSV text of equal-length ``columns`` one chunk of rows at a time.
 
-
-def _csv_text(fields) -> str:
-    """Join field matrices with ``,`` into CRLF lines and drop the padding."""
-    n = len(fields[0])
-    comma = np.full((n, 1), ord(","), np.uint8)
-    crlf = np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (n, 2))
-    parts = [part for f in fields for part in (comma, f)][1:]
-    table = np.concatenate([*parts, crlf], axis=1)
-    return table.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _csv_chunks(*columns, size=_CHUNK_ROWS):
-    """Yield the CSV text of ``columns`` one chunk of rows at a time.
-
-    Integer columns are written as ``%d`` and float columns as ``%.17g``
-    (``g17_fields``), so the bytes are those of ``csv.writer`` over
-    17-digit fields.  A chunk of k >= 1 float columns holds
-    ``max(1, size // k)`` rows, and its float columns are formatted
-    together, end to end, by one ``g17_fields`` call.  Only one chunk's
-    text is held at a time.
+    A chunk holds ``max(1, _CHUNK_ROWS // len(columns))`` rows and is
+    formatted by one ``csv_text`` call.  Only one chunk's text is held
+    at a time, and none is formatted until the generator is read.
     """
-    is_float = [c.dtype.kind not in "iu" for c in columns]
-    k = sum(is_float)
-    step = max(1, size // k)
+    step = max(1, _CHUNK_ROWS // len(columns))
     for start in range(0, len(columns[0]), step):
-        chunk = [c[start : start + step] for c in columns]
-        fused = g17_fields(np.concatenate([c for c, f in zip(chunk, is_float) if f]))
-        blocks = iter(fused.reshape(k, len(chunk[0]), -1))  # one block per float column
-        yield _csv_text([next(blocks) if f else _fields(c) for c, f in zip(chunk, is_float)])
+        yield csv_text(*(c[start : start + step] for c in columns))
 
 
 def _jsonable(value):
@@ -188,18 +166,18 @@ def _emit(args, header, run, note: str = "", rows: int = 0) -> int:
     """Run a command and write the CSV trace and JSON summary that ``--format`` selects.
 
     ``run(write)`` computes the command's results and returns its
-    summary, None for a command without one.  It hands its CSV text to
-    ``write`` chunk by chunk as it computes it, so a trace writes each
+    summary, None for a command without one.  It hands ``write`` each
+    block's CSV text chunks as it computes them, so a trace writes each
     block's rows before it computes the next block.  When no CSV is
     written (``--format json``, or a command without a trace) ``write``
-    is None and nothing is formatted.  The CSV is opened at the first
-    ``write``, so a run refused before it has rows leaves an earlier
-    file of the same name alone.  A run that fails part way leaves no
-    partial CSV behind, nor the directories it created.  Every trace
-    passes its row count: a trace of ``rows`` rows needs at least
-    ``rows * (2 len(header) + 1)`` bytes (every field and separator
-    takes one), so one that needs more than the output's free disk
-    space is refused before ``run`` starts.
+    drops the chunks unread, so a generator of them formats nothing.
+    The CSV is opened at the first ``write``, so a run refused before it
+    has rows leaves an earlier file of the same name alone.  A run that
+    fails part way leaves no partial CSV behind, nor the directories it
+    created.  Every trace passes its row count: a trace of ``rows`` rows
+    needs at least ``rows * (2 len(header) + 1)`` bytes (every field and
+    separator takes one), so one that needs more than the output's free
+    disk space is refused before ``run`` starts.
     """
     fmt = getattr(args, "format", "both")
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
@@ -226,7 +204,7 @@ def _emit(args, header, run, note: str = "", rows: int = 0) -> int:
                     f"{csv_path} needs at least {needed} bytes, more than the "
                     f"{free} bytes free on its disk"
                 )
-        summary = run(write if write_csv else None)
+        summary = run(write if write_csv else lambda chunks: None)
     except BaseException:
         if fh is not None:
             fh.close()
@@ -271,8 +249,7 @@ def _cmd_spectrum(args) -> int:
     hist = degeneracy_histogram(spectrum, args.tol)
 
     def run(write):
-        if write is not None:
-            write(_csv_chunks(np.arange(len(lam)), lam))
+        write(_csv_chunks(np.arange(len(lam)), lam))
         return hist
 
     return _emit(args, ("p", "lambda_p"), run)
@@ -283,15 +260,14 @@ def _cmd_transport(args) -> int:
     source = _label_to_index(args.source, args.n, "source")
     rows = grid_points(args.z_max, args.dz, 0.0) * args.n
     modes = (np.arange(args.n) - source) % args.n
-    labels = _fields(np.arange(1, args.n + 1))
+    labels = np.arange(1, args.n + 1)
+    slices = [slice(m, m + _CHUNK_ROWS) for m in range(0, args.n, _CHUNK_ROWS)]
 
     def run(write):
-        # Each z is formatted once and its bytes repeated for the N modes.
+        # N > _CHUNK_ROWS puts one z in a block: slices keep (z, mode) order
         for z in z_blocks(args.z_max, args.dz, 0.0, max(1, _CHUNK_ROWS // args.n)):
             probs = np.abs(offset_amplitudes(spec, z)[:, modes]) ** 2
-            z_fields = np.repeat(_fields(z), args.n, axis=0)
-            mode_fields = np.tile(labels, (len(z), 1))
-            write([_csv_text([z_fields, mode_fields, _fields(probs.ravel())])])
+            write(csv_text(z[:, None], labels[s], probs[:, s]) for s in slices)
 
     return _emit(args, ("z", "mode", "probability"), run, rows=rows)
 
@@ -314,9 +290,9 @@ def _cmd_cat(args) -> int:
     dz, rows = _scan_grid(spec, args)
 
     def run(write):
-        on_block = None if write is None else lambda zs, v: write(_csv_chunks(zs, v))
         result = cat_fidelity_scan(
-            spec, source, target, args.alpha, args.phi, args.z_max, dz, on_block
+            spec, source, target, args.alpha, args.phi, args.z_max, dz,
+            lambda zs, v: write(_csv_chunks(zs, v)),
         )
         return {
             "alpha": args.alpha,
@@ -360,8 +336,9 @@ def _cmd_evanescent(args) -> int:
     dz, rows = _scan_grid(spec, args)
 
     def run(write):
-        on_block = None if write is None else lambda zs, v: write(_csv_chunks(zs, v))
-        result = transfer_scan(spec, source, target, args.z_max, dz, on_block)
+        result = transfer_scan(
+            spec, source, target, args.z_max, dz, lambda zs, v: write(_csv_chunks(zs, v))
+        )
         return {
             "n_modes": args.n,
             "mu": args.mu,

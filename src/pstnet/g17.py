@@ -1,7 +1,8 @@
 """``"%.17g" % x`` for a whole float64 column at once, byte for byte.
 
 ``g17_fields(x)`` returns a ``(len(x), WIDTH)`` uint8 matrix whose row i
-is the ASCII text of ``"%.17g" % x[i]`` followed by NUL padding.
+is the ASCII text of ``"%.17g" % x[i]`` followed by NUL padding, and
+``csv_text(*columns)`` joins such rows into CSV lines.
 
 For ``|x|`` in ``[LOW, HIGH]`` the digits come from exact scaling by a
 table of powers of ten (as in Ryu, Adams, PLDI 2018): with ``e =
@@ -116,3 +117,24 @@ def _percent(values) -> np.ndarray:
     """Rows of ``"%.17g" % v`` for the values the kernel cannot certify."""
     text = ["%.17g" % v for v in values.tolist()]
     return np.array(text, f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
+
+
+def csv_text(*columns) -> str:
+    """CRLF-ended CSV lines of ``columns`` broadcast by numpy's rules.
+
+    Every field is ``"%.17g" % x``, the text of ``"%d"`` for an integer
+    below 2**53.  One ``g17_fields`` call formats each column at its own
+    shape, so ``z[:, None]`` against ``(len(z), N)`` values formats each
+    z once.
+    """
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    fields = g17_fields(np.concatenate([a.ravel() for a in arrays]))
+    blocks = np.split(fields, np.cumsum([a.size for a in arrays])[:-1])
+    # each field takes WIDTH + 2 bytes: its text, then "," or CRLF, and NULs
+    table = np.empty((*shape, len(arrays), WIDTH + 2), np.uint8)
+    table[..., WIDTH:] = ord(","), 0
+    table[..., -1, WIDTH:] = ord("\r"), ord("\n")
+    for j, (a, f) in enumerate(zip(arrays, blocks)):
+        table[..., j, :WIDTH] = f.reshape(*a.shape, WIDTH)
+    return table.tobytes().translate(None, b"\0").decode("ascii")

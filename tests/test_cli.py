@@ -18,9 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstnet.cli
+import pstnet.g17
 import pstnet.propagation as propagation
-from pstnet import NetworkSpec, TmsvParams, custom_profile, propagator, tmsv_covariance
+from pstnet import (
+    NetworkSpec,
+    TmsvParams,
+    custom_profile,
+    propagator,
+    tmsv_covariance,
+    uniform_profile,
+)
 from pstnet.cli import _CHUNK_ROWS, _csv_chunks, _emit, main, parse_length
+from pstnet.g17 import csv_text
 
 
 def run_cli(args, cwd, env_extra=None, python_flags=()):
@@ -130,9 +139,13 @@ class TestCsvChunks:
     def test_any_float_any_chunk_size(self, values, size):
         values = np.array(values, dtype=float)
         labels = np.arange(len(values))
-        text = "".join(_csv_chunks(values, labels, values[::-1], size=size))
+        columns = (values, labels, values[::-1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pstnet.cli, "_CHUNK_ROWS", 3 * size)  # chunks of `size` rows
+            text = "".join(_csv_chunks(*columns))
         rows = zip(values.tolist(), labels.tolist(), values[::-1].tolist())
         assert ("z,mode,p\r\n" + text).encode() == reference_csv(("z", "mode", "p"), rows)
+        assert text == csv_text(*columns)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -143,8 +156,9 @@ class TestCsvChunks:
         st.booleans(),
     )
     def test_float_columns_are_formatted_together(self, k, chunks, delta, values, labelled):
-        # lengths around a whole number of chunks of _CHUNK_ROWS // k rows
-        step = _CHUNK_ROWS // k
+        # every column, a label column too, is formatted in the same call:
+        # lengths around a whole number of chunks of _CHUNK_ROWS // columns rows
+        step = _CHUNK_ROWS // (k + labelled)
         length = max(0, chunks * step + delta)
         columns = [np.roll(np.resize(np.array(values), length), j) for j in range(k)]
         if labelled:
@@ -156,9 +170,8 @@ class TestCsvChunks:
         rows = zip(*(c.tolist() for c in columns))
         expected = reference_csv(header, rows)
         assert (",".join(header) + "\r\n" + "".join(texts)).encode() == expected
-        if length:  # the text of one g17_fields call per whole column
-            fields = [pstnet.cli._fields(c) for c in columns]
-            assert "".join(texts) == pstnet.cli._csv_text(fields)
+        # the text of one csv_text call over the whole columns
+        assert "".join(texts) == csv_text(*columns)
 
 
 class TestSpectrumCommand:
@@ -300,6 +313,21 @@ class TestTransportCommand:
         long = peak_bytes([*argv, "--z-max", "2000"])
         assert long - short < 2**20
         assert (tmp_path / "transport.csv").read_bytes().count(b"\n") == 1 + 8 * 200_001
+
+    def test_memory_of_a_wide_ring_is_that_of_one_chunk_of_rows(self, tmp_path):
+        # 2 z-steps of 65,536 modes: formatting all of a z-step's rows at
+        # once peaks near 38 MB; slices of _CHUNK_ROWS modes leave the
+        # N-length amplitude arrays and one chunk's text
+        argv = ["transport", "--n", "65536", "--profile", "uniform:C=1,R=3", "--source", "1",
+                "--z-max", "1", "--dz", "1", "--outdir", str(tmp_path)]
+        assert peak_bytes(argv) < 12 * 2**20
+        # the slices write the rows of one unsliced csv_text call, in (z, mode) order
+        z = np.array([0.0, 1.0])
+        spec = NetworkSpec(65536, uniform_profile(1.0, 3))
+        probs = np.abs(propagation.offset_amplitudes(spec, z)) ** 2
+        rows = csv_text(z[:, None], np.arange(1, 65537), probs)
+        header = b"z,mode,probability\r\n"
+        assert (tmp_path / "transport.csv").read_bytes() == header + rows.encode()
 
     def test_a_trace_larger_than_the_free_disk_is_refused(self, tmp_path, monkeypatch, capsys):
         csv_path = tmp_path / "transport.csv"
@@ -656,18 +684,18 @@ class TestTmsvCommand:
         argv = ["tmsv", "--n", "8", "--profile", "uniform:C=1,R=3", "--w", "0.881374",
                 "--pair", "1,2", "--z-max", z_max, "--dz", "0.01"]
         calls, chunks = [], []
-        fields, text = pstnet.cli.g17_fields, pstnet.cli._csv_text
+        fields, text = pstnet.g17.g17_fields, pstnet.cli.csv_text
 
         def counted_fields(x):
             calls.append(len(x))
             return fields(x)
 
-        def counted_text(parts):
-            chunks.append(len(parts[0]))
-            return text(parts)
+        def counted_text(*columns):
+            chunks.append(len(columns[0]))
+            return text(*columns)
 
-        monkeypatch.setattr(pstnet.cli, "g17_fields", counted_fields)
-        monkeypatch.setattr(pstnet.cli, "_csv_text", counted_text)
+        monkeypatch.setattr(pstnet.g17, "g17_fields", counted_fields)
+        monkeypatch.setattr(pstnet.cli, "csv_text", counted_text)
         assert main([*argv, "--outdir", str(tmp_path)]) == 0
         assert calls == values
         assert len(chunks) == len(calls)
@@ -739,10 +767,11 @@ class TestEvanescentCommand:
     def test_json_only_runs_the_same_blocks_unformatted(self, tmp_path, monkeypatch):
         assert main([*self.MULTI_BLOCK, "--outdir", str(tmp_path / "both")]) == 0
 
-        def refuse(*columns, **kwargs):
+        def refuse(x):
             raise AssertionError("--format json formatted CSV text")
 
-        monkeypatch.setattr(pstnet.cli, "_csv_chunks", refuse)
+        # each block's chunk generator is made, but never read
+        monkeypatch.setattr(pstnet.g17, "g17_fields", refuse)
         argv = [*self.MULTI_BLOCK, "--format", "json", "--outdir", str(tmp_path / "json")]
         assert main(argv) == 0
         assert [p.name for p in (tmp_path / "json").iterdir()] == ["evanescent.json"]

@@ -1,5 +1,8 @@
-"""``g17_fields`` writes exactly the bytes of ``"%.17g" % x``."""
+"""``g17_fields`` writes exactly the bytes of ``"%.17g" % x``; ``csv_text``
+joins them into the lines ``csv.writer`` writes."""
 
+import csv
+import io
 import subprocess
 import sys
 
@@ -7,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pstnet import g17
-from pstnet.g17 import HIGH, LOW, WIDTH, g17_fields
+from pstnet.g17 import HIGH, LOW, WIDTH, csv_text, g17_fields
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -94,6 +98,51 @@ def test_any_float_any_chunk_size(values, size):
     text = b"".join(r.tobytes() for r in rows).replace(b"\0", b"")
     assert text == "".join("%.17g" % v for v in values).encode()
     assert_exact(x)
+
+
+def writer_text(rows) -> str:
+    """``csv.writer``'s lines of rows whose fields are already text."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+@given(st.integers(0, 20), st.data())
+def test_csv_text_of_equal_length_columns(n, data):
+    x, y = (data.draw(hnp.arrays(float, n)) for _ in range(2))
+    fx, fy = (["%.17g" % v for v in c.tolist()] for c in (x, y))
+    assert csv_text(x, y) == writer_text(zip(fx, fy))
+    assert csv_text(x) == writer_text([f] for f in fx)
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_csv_text_broadcasts_like_numpy(k, m, data):
+    # (k, 1) against (m,) and (k, m): the lines of the explicitly repeated rows
+    z = data.draw(hnp.arrays(float, (k, 1)))
+    labels = np.arange(1, m + 1)
+    values = data.draw(hnp.arrays(float, (k, m)))
+    rows = [
+        ("%.17g" % z[i, 0], "%d" % labels[j], "%.17g" % values[i, j])
+        for i in range(k)
+        for j in range(m)
+    ]
+    assert csv_text(z, labels, values) == writer_text(rows)
+
+
+def test_csv_text_formats_each_broadcast_value_once(monkeypatch):
+    calls = []
+    fields = g17.g17_fields
+    monkeypatch.setattr(g17, "g17_fields", lambda x: calls.append(len(x)) or fields(x))
+    text = csv_text(np.array([[0.5], [1.5]]), np.arange(1, 4), np.ones((2, 3)))
+    assert calls == [2 + 3 + 6]
+    assert text.splitlines() == ["0.5,1,1", "0.5,2,1", "0.5,3,1", "1.5,1,1", "1.5,2,1", "1.5,3,1"]
+
+
+def test_csv_text_writes_integer_columns_as_d():
+    n = 70_000
+    ints = np.concatenate([np.arange(n + 1), [2**53 - 1]])
+    assert csv_text(ints) == "".join("%d\r\n" % i for i in ints.tolist())
+    assert csv_text(np.array([], dtype=np.int64)) == ""
 
 
 def test_import_builds_tables_without_fractions_or_decimal():
