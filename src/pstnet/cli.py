@@ -3,11 +3,14 @@
 Subcommands: spectrum, transport, pst-check, cat, tmsv, evanescent,
 synth.  Every run is fully determined by its flags, so identical runs
 produce identical bytes.  Every CSV field is ``"%.17g" % x`` (17
-significant digits; ``%d`` for the integer columns): all columns of a
-chunk of rows take one ``g17.csv_text`` call, and the chunk is streamed
-to the file; every trace (``transport``, ``tmsv``, ``cat``,
-``evanescent``) writes each block of its grid before it computes the
-next, and ``transport`` splits a wide ring's modes into slices.  JSON
+significant digits; ``%d`` for the integer columns), formatted by
+``g17`` one chunk of rows at a time and streamed to the file; every
+trace (``transport``, ``tmsv``, ``cat``, ``evanescent``) writes each
+block of its grid before it computes the next.  ``transport`` formats
+its mode labels once and slices a wide ring's modes.  ``cat`` and
+``evanescent`` run one ``_scan`` of their merit, whose summary is their
+parameters, the labels, the maximum and where it lies, and the grid
+with the step used.  JSON
 summaries are written by ``json.dumps``, whose floats are the shortest
 repr that reads back to the same value; a dataclass in a summary is
 written as the mapping of its fields and a complex number as
@@ -41,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .fock import cat_fidelity_scan
-from .g17 import csv_text
+from .g17 import csv_lines, csv_text, g17_fields
 from .gaussian import TmsvParams, pair_squeezing
 from .lattice import (
     NetworkSpec,
@@ -79,12 +82,7 @@ def parse_length(text: str) -> float:
     try:
         if m:
             coef = m.group(1)
-            if coef in ("", "+"):
-                num = 1.0
-            elif coef == "-":
-                num = -1.0
-            else:
-                num = float(coef)
+            num = float(coef + "1") if coef in ("", "+", "-") else float(coef)
             div = float(m.group(2)) if m.group(2) else 1.0
             return num * math.pi / div
         return float(s)
@@ -237,12 +235,6 @@ def _label_to_index(label: int, n: int, name: str) -> int:
     return label - 1
 
 
-def _scan_grid(spec: NetworkSpec, args) -> tuple[float, int]:
-    """Step and point count of a scan command's grid, ``--dz`` or ``default_step``."""
-    dz = default_step(spec, args.z_max) if args.dz is None else args.dz
-    return dz, grid_points(args.z_max, dz, dz)
-
-
 def _cmd_spectrum(args) -> int:
     spectrum = dispersion(NetworkSpec(args.n, args.profile))
     lam = spectrum.eigenvalues
@@ -264,10 +256,12 @@ def _cmd_transport(args) -> int:
     slices = [slice(m, m + _CHUNK_ROWS) for m in range(0, args.n, _CHUNK_ROWS)]
 
     def run(write):
+        names = [g17_fields(labels[s]) for s in slices]  # once per command, not per block
         # N > _CHUNK_ROWS puts one z in a block: slices keep (z, mode) order
         for z in z_blocks(args.z_max, args.dz, 0.0, max(1, _CHUNK_ROWS // args.n)):
             probs = np.abs(offset_amplitudes(spec, z)[:, modes]) ** 2
-            write(csv_text(z[:, None], labels[s], probs[:, s]) for s in slices)
+            zs = g17_fields(z)[:, None]
+            write(csv_lines(zs, f, g17_fields(probs[:, s])) for s, f in zip(slices, names))
 
     return _emit(args, ("z", "mode", "probability"), run, rows=rows)
 
@@ -280,6 +274,32 @@ def _cmd_pst_check(args) -> int:
     return _emit(args, None, lambda write: _report_labels(report), note)
 
 
+def _scan(args, spec, source, target, column, key, scan, **head) -> int:
+    """Write a scan's ``(z, column)`` trace and its summary: ``head``, the
+    labels, the maximum as ``key``, and the grid with the step the scan used.
+
+    ``scan`` is ``transfer_scan`` or ``cat_fidelity_scan`` with its cat bound.
+    """
+    dz = default_step(spec, args.z_max) if args.dz is None else args.dz
+
+    def run(write):
+        result = scan(
+            spec, source, target, z_max=args.z_max, dz=dz,
+            on_block=lambda zs, v: write(_csv_chunks(zs, v)),
+        )
+        return {
+            **head,
+            "source": source + 1,
+            "target": target + 1,
+            key: result.max_value,
+            "z_at_max": result.z_at_max,
+            "z_max": args.z_max,
+            "dz": result.dz,
+        }
+
+    return _emit(args, ("z", column), run, rows=grid_points(args.z_max, dz, dz))
+
+
 def _cmd_cat(args) -> int:
     spec = NetworkSpec(args.n, args.profile)
     source = _label_to_index(args.source, args.n, "source")
@@ -287,25 +307,11 @@ def _cmd_cat(args) -> int:
         target = antipode(args.n, source)
     else:
         target = _label_to_index(args.target, args.n, "target")
-    dz, rows = _scan_grid(spec, args)
-
-    def run(write):
-        result = cat_fidelity_scan(
-            spec, source, target, args.alpha, args.phi, args.z_max, dz,
-            lambda zs, v: write(_csv_chunks(zs, v)),
-        )
-        return {
-            "alpha": args.alpha,
-            "phi": args.phi,
-            "source": source + 1,
-            "target": target + 1,
-            "max_fidelity": result.max_value,
-            "z_at_max": result.z_at_max,
-            "z_max": args.z_max,
-            "dz": result.dz,
-        }
-
-    return _emit(args, ("z", "fidelity"), run, rows=rows)
+    scan = functools.partial(cat_fidelity_scan, alpha=args.alpha, phi=args.phi)
+    return _scan(
+        args, spec, source, target, "fidelity", "max_fidelity", scan,
+        alpha=args.alpha, phi=args.phi,
+    )
 
 
 def _cmd_tmsv(args) -> int:
@@ -329,29 +335,13 @@ def _cmd_tmsv(args) -> int:
 
 
 def _cmd_evanescent(args) -> int:
-    profile = evanescent_profile(args.mu, args.r)
-    spec = NetworkSpec(args.n, profile)
+    spec = NetworkSpec(args.n, evanescent_profile(args.mu, args.r))
     source = _label_to_index(args.source, args.n, "source")
     target = antipode(args.n, source)
-    dz, rows = _scan_grid(spec, args)
-
-    def run(write):
-        result = transfer_scan(
-            spec, source, target, args.z_max, dz, lambda zs, v: write(_csv_chunks(zs, v))
-        )
-        return {
-            "n_modes": args.n,
-            "mu": args.mu,
-            "r": args.r,
-            "source": source + 1,
-            "target": target + 1,
-            "max_transfer": result.max_value,
-            "z_at_max": result.z_at_max,
-            "z_max": args.z_max,
-            "dz": result.dz,
-        }
-
-    return _emit(args, ("z", "probability"), run, rows=rows)
+    return _scan(
+        args, spec, source, target, "probability", "max_transfer", transfer_scan,
+        n_modes=args.n, mu=args.mu, r=args.r,
+    )
 
 
 def _cmd_synth(args) -> int:

@@ -1,8 +1,9 @@
 """``"%.17g" % x`` for a whole float64 column at once, byte for byte.
 
-``g17_fields(x)`` returns a ``(len(x), WIDTH)`` uint8 matrix whose row i
-is the ASCII text of ``"%.17g" % x[i]`` followed by NUL padding, and
-``csv_text(*columns)`` joins such rows into CSV lines.
+``g17_fields(x)`` returns a ``(*x.shape, WIDTH)`` uint8 array: per value,
+the ASCII text of ``"%.17g" % x`` followed by NUL padding.
+``csv_lines(*fields)`` joins such rows into CSV lines, and
+``csv_text(*columns)`` does both.
 
 For ``|x|`` in ``[LOW, HIGH]`` the digits come from exact scaling by a
 table of powers of ten (as in Ryu, Adams, PLDI 2018): with ``e =
@@ -76,8 +77,9 @@ _TEMPLATES = np.vstack([_TEMPLATES, np.insert(_TEMPLATES[:, :-1], 0, _MINUS, axi
 
 
 def g17_fields(x) -> np.ndarray:
-    """NUL-padded ``(len(x), WIDTH)`` uint8 rows of ``"%.17g" % x[i]``."""
+    """NUL-padded ``(*x.shape, WIDTH)`` uint8 rows of ``"%.17g" % v`` for each v in x."""
     x = np.asarray(x, dtype=float)
+    shape, x = x.shape, x.ravel()
     a = np.abs(x)
     fast = (a >= LOW) & (a <= HIGH)
     a = np.where(fast, a, 1.0)
@@ -110,7 +112,7 @@ def g17_fields(x) -> np.ndarray:
     out = src.view(np.uint8).ravel().take(rows)
     if not fast.all():
         out[~fast] = _percent(x[~fast])
-    return out
+    return out.reshape(*shape, WIDTH)
 
 
 def _percent(values) -> np.ndarray:
@@ -128,13 +130,18 @@ def csv_text(*columns) -> str:
     z once.
     """
     arrays = [np.asarray(c, dtype=float) for c in columns]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
     fields = g17_fields(np.concatenate([a.ravel() for a in arrays]))
     blocks = np.split(fields, np.cumsum([a.size for a in arrays])[:-1])
+    return csv_lines(*(f.reshape(*a.shape, WIDTH) for a, f in zip(arrays, blocks)))
+
+
+def csv_lines(*fields) -> str:
+    """CRLF-ended CSV lines of ``(..., WIDTH)`` field rows broadcast by numpy's rules."""
+    shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
     # each field takes WIDTH + 2 bytes: its text, then "," or CRLF, and NULs
-    table = np.empty((*shape, len(arrays), WIDTH + 2), np.uint8)
+    table = np.empty((*shape, len(fields), WIDTH + 2), np.uint8)
     table[..., WIDTH:] = ord(","), 0
     table[..., -1, WIDTH:] = ord("\r"), ord("\n")
-    for j, (a, f) in enumerate(zip(arrays, blocks)):
-        table[..., j, :WIDTH] = f.reshape(*a.shape, WIDTH)
+    for j, f in enumerate(fields):
+        table[..., j, :WIDTH] = f
     return table.tobytes().translate(None, b"\0").decode("ascii")

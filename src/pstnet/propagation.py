@@ -107,10 +107,11 @@ class PstReport:
 
     ``is_pst`` is true when the antipodal transfer probability at the
     candidate distance ``pi / (2 C_max)`` reaches 1 - tol, for any
-    profile; ``z_pst`` is set only then.  ``amplitude_at_zpst`` is the
-    antipodal amplitude at the candidate distance regardless of the
-    outcome.  ``max_transfer`` and ``z_at_max`` come from a bounded scan
-    of the transfer probability.
+    profile; ``z_pst`` is set only then, and deciding at the candidate
+    alone is a known defect (see ``check_pst``).  ``amplitude_at_zpst``
+    is the antipodal amplitude at the candidate distance regardless of
+    the outcome.  ``max_transfer`` and ``z_at_max`` come from a bounded
+    scan of the transfer probability.
     """
 
     is_pst: bool
@@ -291,11 +292,11 @@ def check_pst(spec: NetworkSpec, source: int, tol: float = 1e-9) -> PstReport:
     0 < tol < 1 (tol >= 1 would let every ring pass).  The report
     always carries the candidate amplitude and the maximum transfer
     found by a scan of (0, 8 pi / (2 C_max)], eight candidate distances,
-    at the default step of ``scan_offset``.  Only the candidate decides
-    ``is_pst``: ``custom:1,0.5`` at N = 4 transfers fully at z = pi, so
-    it reports ``max_transfer`` 1.0 next to ``is_pst`` false.  A
-    strength so small that the scan reach overflows is refused before
-    any amplitude is computed.
+    at the default step of ``scan_offset``.  Known defect: only the
+    candidate decides ``is_pst``, so ``custom:1,0.5`` at N = 4, which
+    transfers fully at z = pi, is misreported with ``max_transfer`` 1.0
+    next to ``is_pst`` false.  A strength so small that the scan reach
+    overflows is refused before any amplitude is computed.
     """
     n = spec.n_modes
     if not 0 <= source < n:

@@ -353,6 +353,24 @@ class TestTransportCommand:
         assert main([*self.README, "--outdir", str(tmp_path)]) == 0
         assert csv_path.read_bytes().count(b"\n") == 1 + 8 * 629
 
+    def test_a_wide_ring_formats_its_mode_labels_once(self, tmp_path, monkeypatch):
+        # 3 z-steps of 8192 modes, each in two slices of 4096: every z and
+        # probability is formatted once, and so is every mode label
+        values = []
+        fields = pstnet.g17.g17_fields
+
+        def counted(x):
+            values.append(np.size(x))
+            return fields(x)
+
+        monkeypatch.setattr(pstnet.g17, "g17_fields", counted)
+        monkeypatch.setattr(pstnet.cli, "g17_fields", counted, raising=False)
+        argv = ["transport", "--n", "8192", "--profile", "uniform:C=1,R=4095", "--source", "1",
+                "--z-max", "0.002", "--dz", "0.001", "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        assert sum(values) == 3 + 8192 + 3 * 8192
+        assert (tmp_path / "transport.csv").read_bytes().count(b"\n") == 1 + 3 * 8192
+
 
 class TestPstCheckCommand:
     def test_negative_case(self, tmp_path):
@@ -401,6 +419,19 @@ class TestPstCheckCommand:
         )
         assert result.returncode == 3
         assert "error" in result.stderr
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP direction 1: is_pst is decided at pi / (2 C_max) only, "
+        "so a ring that transfers fully at a later distance reads is_pst=false",
+    )
+    @pytest.mark.parametrize("n,profile", [("4", "custom:1,0.5"), ("8", "custom:1,1,1,0.5")])
+    def test_full_transfer_past_the_candidate_is_pst(self, tmp_path, n, profile):
+        argv = ["pst-check", "--n", n, "--profile", profile, "--source", "1"]
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "pst-check.json").read_text())
+        assert report["is_pst"] is True
+        assert abs(report["z_pst"] - math.pi) <= 1e-9
 
 
 class TestCatCommand:
@@ -727,13 +758,6 @@ class TestTmsvCommand:
         assert result.stdout == ""
         assert not (tmp_path / "out").exists()
 
-    def test_readme_names_only_flags_tmsv_accepts(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        bullet = readme.split("\n- `tmsv`:", 1)[1].split("\n- `", 1)[0]
-        named = set(re.findall(r"--[a-z][a-z-]*", bullet))
-        accepted = set(re.findall(r"--[a-z][a-z-]*", run_cli(["tmsv", "--help"], tmp_path).stdout))
-        assert named and named <= accepted
-
 
 class TestEvanescentCommand:
     def test_short_scan_summary(self, tmp_path):
@@ -855,6 +879,17 @@ class TestSynthCommand:
 
 
 class TestCliPlumbing:
+    @pytest.mark.parametrize(
+        "command", ["spectrum", "transport", "pst-check", "cat", "tmsv", "evanescent", "synth"]
+    )
+    def test_readme_names_only_flags_the_command_accepts(self, tmp_path, command):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullet = readme.split(f"\n- `{command}`:", 1)[1].split("\n- `", 1)[0]
+        bullet = bullet.split("\n\n", 1)[0]  # the last bullet ends the list
+        named = set(re.findall(r"--[a-z][a-z-]*", bullet))
+        accepted = set(re.findall(r"--[a-z][a-z-]*", run_cli([command, "--help"], tmp_path).stdout))
+        assert named and named <= accepted
+
     def test_usage_error_exit_code(self, tmp_path):
         result = run_cli(
             ["spectrum", "--n", "12", "--profile", "banana:x=1"], tmp_path
