@@ -25,6 +25,7 @@ import numpy as np
 
 LOW, HIGH = 1e-283, 1e290  # every 10**(16 - e) they need splits without overflow
 WIDTH = 24  # len("-2.2250738585072014e-308")
+_PASS = 4096  # values per kernel pass; a CLI chunk is one pass
 _K0, _K1 = -274, 300  # table range of 16 - e
 _SPLIT = 134217729.0  # 2**27 + 1
 
@@ -77,9 +78,22 @@ _TEMPLATES = np.vstack([_TEMPLATES, np.insert(_TEMPLATES[:, :-1], 0, _MINUS, axi
 
 
 def g17_fields(x) -> np.ndarray:
-    """NUL-padded ``(*x.shape, WIDTH)`` uint8 rows of ``"%.17g" % v`` for each v in x."""
+    """NUL-padded ``(*x.shape, WIDTH)`` uint8 rows of ``"%.17g" % v`` for each v in x.
+
+    The kernel formats at most ``_PASS`` values at a time, so its
+    scratch memory, a few hundred bytes per value, stays bounded
+    whatever the size of ``x``.
+    """
     x = np.asarray(x, dtype=float)
-    shape, x = x.shape, x.ravel()
+    flat = x.ravel()
+    out = np.empty((flat.size, WIDTH), np.uint8)
+    for start in range(0, flat.size, _PASS):
+        _fill(flat[start : start + _PASS], out[start : start + _PASS])
+    return out.reshape(*x.shape, WIDTH)
+
+
+def _fill(x, out) -> None:
+    """Write the rows of the 1-D ``x`` into ``out``, a ``(len(x), WIDTH)`` uint8 view."""
     a = np.abs(x)
     fast = (a >= LOW) & (a <= HIGH)
     a = np.where(fast, a, 1.0)
@@ -109,10 +123,9 @@ def g17_fields(x) -> np.ndarray:
     cls = np.where((e >= -4) & (e <= 16), e + 4, 21)
     rows = _TEMPLATES.take(((x < 0) * 22 + cls) * 17 + 16 - zeros, axis=0)
     rows += np.arange(0, 32 * len(x), 32)[:, None]
-    out = src.view(np.uint8).ravel().take(rows)
+    src.view(np.uint8).ravel().take(rows, out=out, mode="clip")  # every index is in range
     if not fast.all():
         out[~fast] = _percent(x[~fast])
-    return out.reshape(*shape, WIDTH)
 
 
 def _percent(values) -> np.ndarray:

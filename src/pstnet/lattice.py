@@ -20,6 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .spectral import Spectrum
+
 
 @dataclass(frozen=True)
 class CouplingProfile:
@@ -114,15 +116,13 @@ class NetworkSpec:
             )
 
     @cached_property
-    def spectrum(self):
+    def spectrum(self) -> Spectrum:
         """The ``spectral.Spectrum`` of the ring: the FFT of ``coupling_row``.
 
         Computed once, on first use; ``spectral.dispersion`` returns it.
         A spectrum that overflows raises on every use, since nothing is
         held until the ``Spectrum`` has passed its checks.
         """
-        from .spectral import Spectrum  # spectral builds on this module
-
         # Spectrum rejects an overflowed sum; numpy need not warn about it too
         with np.errstate(over="ignore", invalid="ignore"):
             lam = np.fft.fft(coupling_row(self)).real

@@ -27,14 +27,13 @@ the G phases back to the N modes before the inverse FFT; one offset
     w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p d / N)
 
 A ``NetworkSpec`` computes its spectrum once and holds it, and the
-spectrum holds its sort order, its sorted eigenvalues and the N roots
-of unity exp(i 2 pi k / N); the weights gather the roots at (p d) mod N.
-The spectrum also holds the last plan, the groups at one tol with the
-weights of one offset or the gather index of all N, and a call with
-the same tol and offset computes only the phase sum.  Every reach in
-one octave has the same tol, so the single-z calls of a golden-section
-refinement share one FFT, one sort and one plan, and the per-block
-calls of a trace one plan per octave of z.
+spectrum holds the last plan: the groups at one tol with the weights
+of one offset, whose phases take (p d) mod N in integers, or the
+gather index of all N.  A call with the same tol and offset computes
+only the phase sum.  Every reach in one octave has the same tol, so
+the single-z calls of a golden-section refinement share one FFT, one
+sort and one plan, and the per-block calls of a trace one plan per
+octave of z.
 
 Replacing each member by mu_g moves its phase by at most tol * |z| <=
 1e-13, and eigenvalues that are distinct at that resolution are never

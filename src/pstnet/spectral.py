@@ -18,11 +18,8 @@ profile including r = N/2, which gives {C(N-1), -C}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-
-from .lattice import NetworkSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,10 +30,8 @@ class Spectrum:
     construction.  The eigenvalues must be finite, real symmetric
     circulants satisfy ``lambda_p == lambda_{N-p}`` and have zero trace
     (the coupling matrix has an empty diagonal); all three are checked
-    on construction.  What the amplitudes derive from it, the sort
-    order, the sorted eigenvalues and the N roots of unity, is computed
-    on first use and held as read-only arrays too, and so is the last
-    ``plan`` asked for.
+    on construction.  Besides its eigenvalues it holds one thing: the
+    last ``plan`` asked for, whose arrays are read-only too.
     """
 
     eigenvalues: np.ndarray
@@ -60,21 +55,6 @@ class Spectrum:
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
-    @cached_property
-    def order(self) -> np.ndarray:
-        """``argsort(eigenvalues)``."""
-        return _read_only(np.argsort(self.eigenvalues))
-
-    @cached_property
-    def sorted_eigenvalues(self) -> np.ndarray:
-        """``eigenvalues[order]``, ascending."""
-        return _read_only(self.eigenvalues[self.order])
-
-    @cached_property
-    def roots(self) -> np.ndarray:
-        """The N roots of unity ``exp(2j pi k / N)``, k = 0..N-1."""
-        return _read_only(np.exp(2j * np.pi / self.n_modes * np.arange(self.n_modes)))
-
     def plan(self, tol: float, offset: int | None) -> Plan:
         """The ``Plan`` of the groups at ``tol`` for one offset, or every one.
 
@@ -88,14 +68,15 @@ class Spectrum:
             return plan
         n = self.n_modes
         order, starts = degenerate_groups(self, tol)
-        mu = self.sorted_eigenvalues[starts]
+        mu = self.eigenvalues[order[starts]]
         if offset is None:
             group = np.empty(n, dtype=np.intp)
             group[order] = np.repeat(np.arange(mu.size), np.diff(starts, append=n))
             plan = Plan(tol, None, _read_only(mu), group=_read_only(group))
         else:
             # (p d) mod N in integers keeps the Fourier phase exact for large p d
-            weights = np.add.reduceat(self.roots[order * offset % n], starts) / n
+            phases = np.exp(2j * np.pi / n * (order * offset % n))
+            weights = np.add.reduceat(phases, starts) / n
             plan = Plan(tol, int(offset), _read_only(mu), weights=_read_only(weights))
         object.__setattr__(self, "_plan", plan)
         return plan
@@ -191,20 +172,21 @@ def default_bin_tolerance(spectrum: Spectrum) -> float:
 def degenerate_groups(spectrum: Spectrum, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sort order of the eigenvalues and the start of each degenerate group.
 
-    Returns ``order = argsort(lambda)`` (the spectrum's read-only
-    ``order``) and the indices into ``lambda[order]`` at which a group
-    starts.  A group starts after a sorted gap wider than ``tol``, and
-    again wherever a run of smaller gaps has drifted a further ``tol``
-    from the run's first member, so no group spans more than ``tol``
-    and eigenvalues farther apart than ``tol`` never share one.
+    Returns ``order = argsort(lambda)`` and the indices into
+    ``lambda[order]`` at which a group starts.  A group starts after a
+    sorted gap wider than ``tol``, and again wherever a run of smaller
+    gaps has drifted a further ``tol`` from the run's first member, so
+    no group spans more than ``tol`` and eigenvalues farther apart than
+    ``tol`` never share one.
     """
-    values = spectrum.sorted_eigenvalues
+    order = np.argsort(spectrum.eigenvalues)
+    values = spectrum.eigenvalues[order]
     with np.errstate(over="ignore"):  # a difference that overflows exceeds any tol
         fresh = np.concatenate(([True], values[1:] - values[:-1] > tol))
         base = np.maximum.accumulate(np.where(fresh, values, -np.inf))
         bins = np.floor((values - base) / tol)
     fresh[1:] |= bins[1:] != bins[:-1]
-    return spectrum.order, np.flatnonzero(fresh)
+    return order, np.flatnonzero(fresh)
 
 
 def degeneracy_histogram(
@@ -221,9 +203,9 @@ def degeneracy_histogram(
         tolerance = default_bin_tolerance(spectrum)
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
-    _, starts = degenerate_groups(spectrum, tolerance)
+    order, starts = degenerate_groups(spectrum, tolerance)
     bins = []
-    for chunk in np.split(spectrum.sorted_eigenvalues, starts[1:]):
+    for chunk in np.split(spectrum.eigenvalues[order], starts[1:]):
         with np.errstate(over="ignore", invalid="ignore"):
             mean = chunk.mean()
         if not np.isfinite(mean):  # scale only here: a scaled subnormal mean rounds twice

@@ -5,6 +5,7 @@ import csv
 import io
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_every_layout_with_trailing_zeros():
 
 def test_empty_column():
     assert g17_fields(np.array([])).shape == (0, WIDTH)
+
+
+def test_scratch_memory_is_bounded_per_pass():
+    # 262,144 values make a 6.3 MB result; one pass over all of them
+    # would need about 120 MB of scratch
+    x = np.random.default_rng(0).standard_normal((64, 4096))
+    tracemalloc.start()
+    try:
+        rows = g17_fields(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    assert rows.shape == (64, 4096, WIDTH)
 
 
 def test_typical_columns_rarely_fall_back(monkeypatch):

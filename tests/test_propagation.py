@@ -1,5 +1,7 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +305,20 @@ class TestTransferInvariants:
         spec = NetworkSpec(n, uniform_profile(1.0, n // 2 - 1))
         result = transfer_scan(spec, 0, n // 2, z_max=50.0, dz=0.01)
         assert result.max_value < 1.0 - 1e-3
+
+
+def test_the_readme_library_snippet_gives_what_its_comments_state():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    # run the statements in order and keep the value of each bare expression
+    scope, values = {}, []
+    for node in ast.parse(code).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), scope))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+    eigenvalues, (is_pst, z_pst), entry = values
+    assert np.abs(eigenvalues - [6, 0, -2, 0, -2, 0, -2, 0]).max() < 1e-12
+    assert not eigenvalues.flags.writeable
+    assert is_pst is True and z_pst == math.pi / 2
+    assert abs(entry + 1) < 1e-12

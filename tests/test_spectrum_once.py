@@ -1,12 +1,12 @@
 """A ring's spectrum is computed once and held by its ``NetworkSpec``.
 
 The spec computes the FFT of its coupling row on first use; the
-``Spectrum`` computes its sort order, sorted eigenvalues and roots of
-unity on first use, and holds the plan (groups and weights or gather
-index) of the last tol and offset asked for.  Everything held is
-read-only, a spectrum that overflows is refused on every use, and an
-amplitude read from a spec that has served earlier calls, at any tol,
-is bit for bit the one a fresh equal spec gives.
+``Spectrum`` holds its eigenvalues and nothing else but the plan
+(groups and weights or gather index) of the last tol and offset asked
+for.  Everything held is read-only, a spectrum that overflows is
+refused on every use, and an amplitude read from a spec that has
+served earlier calls, at any tol, is bit for bit the one a fresh equal
+spec gives.
 """
 
 import math
@@ -23,6 +23,7 @@ from pstnet import (
     NetworkSpec,
     collapsed_spectrum,
     custom_profile,
+    degeneracy_histogram,
     dispersion,
     offset_amplitudes,
     uniform_profile,
@@ -84,7 +85,8 @@ def test_a_spec_holds_one_spectrum():
     spec = NetworkSpec(12, uniform_profile(1.0, 5))
     spectrum = dispersion(spec)
     assert dispersion(spec) is spectrum
-    assert degenerate_groups(spectrum, 1e-9)[0] is spectrum.order
+    order, _ = degenerate_groups(spectrum, 1e-9)
+    assert np.array_equal(order, np.argsort(spectrum.eigenvalues))
     # the held spectrum is no field: equality and hashing are unchanged
     fresh = NetworkSpec(12, uniform_profile(1.0, 5))
     assert spec == fresh and hash(spec) == hash(fresh)
@@ -95,9 +97,7 @@ def test_a_spec_holds_one_spectrum():
     [dispersion(NetworkSpec(10, custom_profile([0.3, -1.0, 0.7]))), collapsed_spectrum(8, 1.0)],
     ids=["dispersion", "collapsed"],
 )
-@pytest.mark.parametrize(
-    "name", ["eigenvalues", "order", "sorted_eigenvalues", "roots", "mu", "weights", "group"]
-)
+@pytest.mark.parametrize("name", ["eigenvalues", "mu", "weights", "group"])
 def test_held_arrays_refuse_writes(spectrum, name):
     # mu and weights of the plan for one offset, group of the all-offsets plan
     plans = {"mu": 1, "weights": 1, "group": None}
@@ -108,14 +108,13 @@ def test_held_arrays_refuse_writes(spectrum, name):
         arr[0] = arr[1]
 
 
-def test_held_arrays_are_their_definitions():
-    spectrum = dispersion(NetworkSpec(9, custom_profile([0.25, 1.0, -0.5, 0.125])))
-    lam = spectrum.eigenvalues
-    assert np.array_equal(spectrum.order, np.argsort(lam))
-    assert np.array_equal(spectrum.sorted_eigenvalues, np.sort(lam))
-    # the same exp of the same argument, so bit for bit
-    k = np.arange(9)
-    assert spectrum.roots.tobytes() == np.exp(2j * np.pi / 9 * k).tobytes()
+def test_a_spectrum_holds_its_eigenvalues_and_one_plan():
+    spec = NetworkSpec(12, custom_profile([0.3, -1.0, 0.7]))
+    spectrum = dispersion(spec)
+    offset_amplitudes(spec, [0.5, 2.0], offset=5)
+    offset_amplitudes(spec, [1e4], offset=None)
+    degeneracy_histogram(spectrum)
+    assert set(vars(spectrum)) <= {"eigenvalues", "_plan"}
 
 
 def test_one_plan_is_held_until_another_replaces_it():
@@ -217,10 +216,12 @@ def test_a_reused_spec_gives_the_bits_of_a_fresh_one(case):
 
 
 def test_the_weights_gather_the_exp_they_replace():
-    # roots[(p d) mod N] is exp(2j pi / N * ((p d) mod N)) bit for bit
+    # the weights sum exp(2j pi / N * ((p d) mod N)) over each group, bit
+    # for bit the sum of the N roots of unity gathered at (p d) mod N
     for n in (2, 7, 12, 255, 1022, 1024):
         spectrum = dispersion(NetworkSpec(n, uniform_profile(1.0, 1)))
-        order = spectrum.order
+        roots = np.exp(2j * np.pi / n * np.arange(n))
+        order, starts = degenerate_groups(spectrum, 2.0**-44)
         for d in {0, 1, n // 2, n - 1, math.isqrt(n)}:
-            index = order * d % n
-            assert spectrum.roots[index].tobytes() == np.exp(2j * np.pi / n * index).tobytes()
+            gathered = np.add.reduceat(roots[order * d % n], starts) / n
+            assert spectrum.plan(2.0**-44, d).weights.tobytes() == gathered.tobytes()
