@@ -16,7 +16,6 @@ from .fock import (
     cat_fidelity_scan,
     cat_normalization,
     photon_numbers,
-    pst_cat_fidelity,
 )
 from .gaussian import (
     CovarianceState,
@@ -29,7 +28,6 @@ from .gaussian import (
     symplectic_form,
     symplectic_from_propagator,
     tmsv_covariance,
-    vacuum_covariance,
 )
 from .lattice import (
     CouplingProfile,
@@ -37,7 +35,6 @@ from .lattice import (
     coupling_matrix,
     custom_profile,
     evanescent_profile,
-    mu_from_separation,
     uniform_profile,
 )
 from .propagation import (
@@ -45,8 +42,6 @@ from .propagation import (
     PstReport,
     ScanResult,
     check_pst,
-    closed_form_amplitude,
-    ode_oracle,
     offset_amplitudes,
     propagator,
     pst_distance,
@@ -60,7 +55,6 @@ from .spectral import (
     degeneracy_histogram,
     default_bin_tolerance,
     dispersion,
-    fourier_matrix,
     opposite_site_spectrum,
 )
 from .synthesis import (

@@ -122,11 +122,6 @@ def cat_fidelity(
     return _clamped(float(cat.fidelity(u)))
 
 
-def pst_cat_fidelity(alpha: float, phi: float) -> float:
-    """Closed-form fidelity at a perfect-transfer distance (amplitude -1)."""
-    return _clamped(float(CatState(alpha, phi).fidelity(-1.0)))
-
-
 def cat_fidelity_scan(
     spec: NetworkSpec,
     source: int,

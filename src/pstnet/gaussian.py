@@ -168,13 +168,6 @@ class SymplecticEvolution:
         object.__setattr__(self, "matrix", m)
 
 
-def vacuum_covariance(n_modes: int) -> CovarianceState:
-    """All modes in vacuum: V = I / 2."""
-    if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
-        raise ValueError("n_modes must be a positive integer")
-    return CovarianceState(0.5 * np.eye(2 * int(n_modes)))
-
-
 def _squeeze_map(w: float, theta: float, m: int, n: int, n_modes: int) -> np.ndarray:
     """Quadrature action of the two-mode squeezer on modes (m, n)."""
     s = np.eye(2 * n_modes)

@@ -77,21 +77,6 @@ def custom_profile(couplings) -> CouplingProfile:
     return CouplingProfile(tuple(float(c) for c in couplings))
 
 
-def mu_from_separation(kappa: float, spacing: float) -> float:
-    """Decay parameter ``exp(-kappa * spacing)`` for a physical waveguide gap.
-
-    ``kappa`` depends on waveguide and material properties; ``spacing``
-    is the distance between neighbouring guides.  Both must be strictly
-    positive so the result lies in (0, 1).  Uniform spacing is assumed;
-    no correction for the ring geometry is applied.
-    """
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    if not spacing > 0:
-        raise ValueError("spacing must be positive")
-    return math.exp(-kappa * spacing)
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     """A circulant network: mode count plus coupling profile.

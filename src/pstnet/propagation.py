@@ -11,8 +11,7 @@ site-to-site transition amplitude is
     U_jl(z) = (1/N) sum_p exp(-i lambda_p z) exp(i 2 pi p (j - l) / N)
 
 which depends on j and l through the offset d = (j - l) mod N only.
-This spectral sum is exact for any z; a Runge-Kutta integrator of the
-amplitude equation is provided purely as an independent cross-check.
+This spectral sum is exact for any z.
 
 The spectrum has few distinct values (three for the collapse profile
 below), so the phase is evaluated once per distinct eigenvalue mu_g.
@@ -64,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import NetworkSpec, circulant, coupling_matrix
+from .lattice import NetworkSpec, circulant
 from .spectral import dispersion
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -235,33 +234,6 @@ def _group_sum(zs, mu, weights) -> np.ndarray:
 def propagator(spec: NetworkSpec, z: float) -> Propagator:
     """Exact propagator built from the Fourier-mode phase factors."""
     return Propagator(circulant(offset_amplitudes(spec, [z])[0]))
-
-
-def closed_form_amplitude(n_modes: int, strength: float, offset: int, z: float) -> complex:
-    """Analytic amplitude for the uniform profile with range N/2 - 1.
-
-    Valid for even N.  The offset is reduced mod N; only the return
-    site (d = 0) and the opposite site (d = N/2) carry delta terms:
-
-        U = (1/N) [ exp(-iC(N-2)z) + (N/2)(d0 - dh)
-                    + exp(i2Cz) ((N/2)(d0 + dh) - 1) ]
-
-    with d0, dh indicators for d = 0 and d = N/2.
-    """
-    if n_modes % 2:
-        raise ValueError("closed form requires even n_modes")
-    if not strength > 0:
-        raise ValueError("strength must be positive")
-    d = offset % n_modes
-    d0 = 1.0 if d == 0 else 0.0
-    dh = 1.0 if d == n_modes // 2 else 0.0
-    half = n_modes / 2.0
-    value = (
-        np.exp(-1j * strength * (n_modes - 2) * z)
-        + half * (d0 - dh)
-        + np.exp(2j * strength * z) * (half * (d0 + dh) - 1.0)
-    )
-    return complex(value / n_modes)
 
 
 def pst_distance(strength: float, s: int = 0) -> float:
@@ -498,45 +470,3 @@ def transfer_scan(
     # round differently, and one ulp moves the argmax of a flat peak
     return scan_offset(spec, d, lambda u: abs(u) ** 2, z_max, dz, on_block)
 
-
-def ode_oracle(spec: NetworkSpec, amplitudes, z: float, steps: int) -> np.ndarray:
-    """Runge-Kutta reference integration of the amplitude equation.
-
-    Integrates d a / dz = -i M a with the classic fourth-order scheme,
-    where M is the dense coupling matrix.  ``amplitudes`` may be a
-    single N-vector or an (N, k) stack of columns.  Used as an
-    independent cross-check of the spectral propagator, never as the
-    primary path.
-
-    ``z`` must be finite.  The step size must resolve the fastest
-    phase: |z| / steps times the largest eigenvalue magnitude (bounded
-    by the Gershgorin row sum) has to stay below 0.1, otherwise the
-    call is refused.
-    """
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError("steps must be a positive integer")
-    if not math.isfinite(z):
-        raise ValueError("z must be finite")
-    a = np.asarray(amplitudes, dtype=complex)
-    if a.shape[0] != spec.n_modes:
-        raise ValueError("amplitude vector length must equal n_modes")
-    m = coupling_matrix(spec)
-    bound = float(np.abs(m).sum(axis=1).max())
-    h = z / steps
-    if abs(h) * bound >= 0.1:
-        needed = math.ceil(10.0 * abs(z) * bound) + 1
-        raise ValueError(
-            f"steps={steps} too coarse for z={z}: need |z/steps| * "
-            f"max|lambda| < 0.1, i.e. steps >= {needed}"
-        )
-
-    def deriv(v):
-        return -1j * (m @ v)
-
-    for _ in range(int(steps)):
-        k1 = deriv(a)
-        k2 = deriv(a + 0.5 * h * k1)
-        k3 = deriv(a + 0.5 * h * k2)
-        k4 = deriv(a + h * k3)
-        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return a

@@ -126,8 +126,8 @@ class DegeneracyHistogram:
             raise ValueError("bin multiplicities must sum to n_modes")
 
 
-def dispersion(spec: NetworkSpec) -> Spectrum:
-    """All N eigenvalues of the coupling matrix: the FFT of its first row.
+def dispersion(spec) -> Spectrum:
+    """All N eigenvalues of a ``NetworkSpec``'s coupling matrix: the FFT of its first row.
 
     The spec computes its spectrum once and holds it, so every call on
     the same spec returns the same ``Spectrum``.
@@ -201,8 +201,8 @@ def degeneracy_histogram(
     """
     if tolerance is None:
         tolerance = default_bin_tolerance(spectrum)
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < np.inf:
+        raise ValueError("tolerance must be finite and positive")
     order, starts = degenerate_groups(spectrum, tolerance)
     bins = []
     for chunk in np.split(spectrum.eigenvalues[order], starts[1:]):
@@ -213,15 +213,3 @@ def degeneracy_histogram(
             mean = np.ldexp(np.ldexp(chunk, -e).mean(), e)
         bins.append(DegeneracyBin(float(mean), int(chunk.size)))
     return DegeneracyHistogram(spectrum.n_modes, float(tolerance), tuple(bins))
-
-
-def fourier_matrix(n_modes: int) -> np.ndarray:
-    """Unitary symmetric DFT matrix S with S[j, p] = exp(2i pi j p / N) / sqrt(N).
-
-    Conjugating the coupling matrix with S diagonalizes it and the
-    diagonal reproduces the dispersion ordering by Fourier index p.
-    """
-    if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
-        raise ValueError("n_modes must be a positive integer")
-    j = np.arange(n_modes)
-    return np.exp(2j * np.pi * np.outer(j, j) / n_modes) / np.sqrt(n_modes)

@@ -48,8 +48,10 @@ class SynthesisProblem:
             raise ValueError("need at least one auxiliary mode pair")
         if not math.isfinite(self.strength):
             raise ValueError("target strength must be finite")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
+        if not self.tolerance * max(1.0, abs(self.strength)) < math.inf:
+            raise ValueError("tolerance times max(1, |C|) overflows")
 
 
 @dataclass(frozen=True)

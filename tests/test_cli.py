@@ -1043,6 +1043,25 @@ class TestCliPlumbing:
         assert capsys.readouterr().err == f"pstnet: error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    SPECTRUM = ["spectrum", "--n", "8", "--profile", "uniform:C=1,R=3"]
+    # without --tolerance this synthesis is refused for its residual
+    SYNTH = ["synth", "--n", "8", "--m", "2"]
+    TOLERANCE = "tolerance must be finite and positive"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [([*SPECTRUM, "--tol", "inf"], TOLERANCE),
+         ([*SPECTRUM, "--tol", "nan"], TOLERANCE),
+         ([*SYNTH, "--c", "1", "--tolerance", "inf"], TOLERANCE),
+         ([*SYNTH, "--c", "1", "--tolerance", "nan"], TOLERANCE),
+         ([*SYNTH, "--c", "1e8", "--tolerance", "1e308"], "tolerance times max(1, |C|) overflows")],
+        ids=["spectrum-inf", "spectrum-nan", "synth-inf", "synth-nan", "synth-overflow"],
+    )
+    def test_non_finite_tolerance_is_domain_error(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--outdir", str(tmp_path)]) == 3
+        assert capsys.readouterr() == ("", f"pstnet: error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv,needed",
         [

@@ -12,7 +12,6 @@ from pstnet import (
     cat_normalization,
     evanescent_profile,
     photon_numbers,
-    pst_cat_fidelity,
     pst_distance,
     uniform_profile,
 )
@@ -100,30 +99,32 @@ class TestCatNormalization:
 
 
 class TestPstCatFidelity:
+    """At a perfect-transfer distance the amplitude is -1."""
+
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("phi", [0.0, math.pi])
     def test_even_and_odd_cats_arrive_perfectly(self, alpha, phi):
-        assert pst_cat_fidelity(alpha, phi) == pytest.approx(1.0, abs=1e-12)
+        assert CatState(alpha, phi).fidelity(-1.0) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0 / math.sqrt(2.0), 1.0])
     def test_phase_sensitive_cat_decays(self, alpha):
-        assert pst_cat_fidelity(alpha, math.pi / 2) == pytest.approx(
+        assert CatState(alpha, math.pi / 2).fidelity(-1.0) == pytest.approx(
             math.exp(-4.0 * alpha**2), abs=1e-12
         )
 
     def test_reference_value(self):
-        assert pst_cat_fidelity(0.5, math.pi / 2) == pytest.approx(
+        assert CatState(0.5, math.pi / 2).fidelity(-1.0) == pytest.approx(
             math.exp(-1.0), abs=1e-12
         )
 
     def test_strictly_decreasing_in_alpha(self):
-        values = [pst_cat_fidelity(a, math.pi / 2) for a in (0.2, 0.5, 0.9, 1.4, 2.0)]
+        values = [CatState(a, math.pi / 2).fidelity(-1.0) for a in (0.2, 0.5, 0.9, 1.4, 2.0)]
         assert all(hi > lo for hi, lo in zip(values, values[1:]))
 
     def test_sign_of_alpha_irrelevant(self):
         for phi in (0.0, 1.0, math.pi / 2):
-            assert pst_cat_fidelity(0.8, phi) == pytest.approx(
-                pst_cat_fidelity(-0.8, phi), abs=1e-15
+            assert CatState(0.8, phi).fidelity(-1.0) == pytest.approx(
+                CatState(-0.8, phi).fidelity(-1.0), abs=1e-15
             )
 
 
@@ -149,7 +150,7 @@ class TestCatFidelity:
     @pytest.mark.parametrize("phi", [0.0, math.pi / 2, 2.2])
     def test_consistent_with_closed_form_at_transfer(self, alpha, phi):
         general = cat_fidelity(N12, 0, 6, alpha, phi, ZPST)
-        assert general == pytest.approx(pst_cat_fidelity(alpha, phi), abs=1e-10)
+        assert general == pytest.approx(CatState(alpha, phi).fidelity(-1.0), abs=1e-10)
 
     def test_degenerate_parameters_propagate(self):
         with pytest.raises(DegenerateCatError):
@@ -187,7 +188,7 @@ class TestChecksWithoutAssert:
         with pytest.raises(ValueError, match="must be finite"):
             cat_fidelity_scan(N12, 1, 7, alpha, phi, z_max=1.0)
         with pytest.raises(ValueError, match="must be finite"):
-            pst_cat_fidelity(alpha, phi)
+            CatState(alpha, phi).fidelity(-1.0)
 
     def test_fidelity_above_one_raises_value_error(self):
         from pstnet.fock import _clamped

@@ -21,7 +21,6 @@ from pstnet import (
     symplectic_from_propagator,
     tmsv_covariance,
     uniform_profile,
-    vacuum_covariance,
 )
 from pstnet.cli import main
 
@@ -147,7 +146,7 @@ class TestCovarianceState:
             symplectic_eigenvalues(stack)
 
     def test_vacuum_symplectic_spectrum(self):
-        nus = symplectic_eigenvalues(vacuum_covariance(3).matrix)
+        nus = symplectic_eigenvalues(CovarianceState(np.eye(6) / 2).matrix)
         assert nus == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
 
 
@@ -197,7 +196,7 @@ class TestEvolution:
     @pytest.mark.parametrize("z", [0.3, 1.4])
     def test_vacuum_is_preserved_by_passive_maps(self, z):
         evo = symplectic_from_propagator(propagator(N8, z))
-        out = evolve_covariance(vacuum_covariance(8), evo)
+        out = evolve_covariance(CovarianceState(np.eye(16) / 2), evo)
         assert np.abs(out.matrix - 0.5 * np.eye(16)).max() < 1e-10
 
     def test_tmsv_blocks_move_to_antipodal_pair(self):
@@ -210,7 +209,7 @@ class TestEvolution:
     def test_dimension_mismatch(self):
         evo = symplectic_from_propagator(propagator(N8, 0.5))
         with pytest.raises(ValueError):
-            evolve_covariance(vacuum_covariance(4), evo)
+            evolve_covariance(CovarianceState(np.eye(8) / 2), evo)
 
     def test_purity_preserved(self):
         state = tmsv_covariance(TmsvParams(0.5, 0.2, (0, 1)), 8)
@@ -222,7 +221,7 @@ class TestEvolution:
 
 class TestSqueezingFactor:
     def test_vacuum_level(self):
-        state = vacuum_covariance(6)
+        state = CovarianceState(np.eye(12) / 2)
         assert squeezing_factor(state, 0, 3, "Q") == 0.0
         assert squeezing_factor(state, 0, 3, "P") == 0.0
 
@@ -253,9 +252,9 @@ class TestSqueezingFactor:
 
     def test_same_mode_rejected(self):
         with pytest.raises(ValueError):
-            squeezing_factor(vacuum_covariance(4), 2, 2, "Q")
+            squeezing_factor(CovarianceState(np.eye(8) / 2), 2, 2, "Q")
         with pytest.raises(ValueError):
-            squeezing_factor(vacuum_covariance(4), 0, 1, "X")
+            squeezing_factor(CovarianceState(np.eye(8) / 2), 0, 1, "X")
 
 
 class TestConservationLaws:

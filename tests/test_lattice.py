@@ -8,7 +8,6 @@ from pstnet import (
     coupling_matrix,
     custom_profile,
     evanescent_profile,
-    mu_from_separation,
     uniform_profile,
 )
 
@@ -44,23 +43,6 @@ class TestEvanescentProfile:
     def test_rejects_mu_outside_unit_interval(self, mu):
         with pytest.raises(ValueError):
             evanescent_profile(mu, 3)
-
-
-class TestMuFromSeparation:
-    def test_analytic_half(self):
-        assert mu_from_separation(math.log(2.0), 1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_zero_spacing_rejected(self):
-        with pytest.raises(ValueError):
-            mu_from_separation(1.0, 0.0)
-        with pytest.raises(ValueError):
-            mu_from_separation(0.0, 1.0)
-
-    def test_inverts_to_fig_value(self):
-        # numerically invert exp(-kappa d) = 0.524 for d, then map back
-        spacing = -math.log(0.524)
-        assert spacing == pytest.approx(0.646, abs=5e-4)
-        assert mu_from_separation(1.0, spacing) == pytest.approx(0.524, abs=1e-12)
 
 
 class TestProfileValidation:

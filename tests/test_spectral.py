@@ -18,7 +18,6 @@ from pstnet import (
     degeneracy_histogram,
     dispersion,
     evanescent_profile,
-    fourier_matrix,
     opposite_site_spectrum,
     uniform_profile,
 )
@@ -194,18 +193,10 @@ class TestDegeneracyHistogram:
 
 
 class TestFourierMatrix:
-    def test_two_point(self):
-        expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert np.abs(fourier_matrix(2) - expected).max() < 1e-15
-
-    def test_unitary_and_symmetric(self):
-        s = fourier_matrix(4)
-        assert np.abs(s @ s.conj().T - np.eye(4)).max() < 1e-12
-        assert np.abs(s - s.T).max() == 0.0
-
     def test_diagonalizes_coupling_matrix(self):
+        # S[j, p] = exp(2i pi j p / N) / sqrt(N)
         spec = _spec(8, uniform_profile(1.0, 3))
-        s = fourier_matrix(8)
+        s = np.fft.ifft(np.eye(8), axis=0, norm="ortho")
         d = s.conj().T @ coupling_matrix(spec) @ s
         off = d - np.diag(np.diag(d))
         assert np.abs(off).max() < 1e-10
