@@ -11,44 +11,44 @@ site-to-site transition amplitude is
     U_jl(z) = (1/N) sum_p exp(-i lambda_p z) exp(i 2 pi p (j - l) / N)
 
 which depends on j and l through the offset d = (j - l) mod N only.
-This spectral sum is exact for any z.
+This spectral sum is exact for any z.  All N offsets at once
+(``transport``, ``tmsv``, the dense propagator) are the sum as written:
+the phases of the N modes and one inverse FFT per z.
 
-The spectrum has few distinct values (three for the collapse profile
-below), so the phase is evaluated once per distinct eigenvalue mu_g.
+One offset d (the scans) needs one column, and the spectrum has few
+distinct values (three for the collapse profile below), so there the
+phase is evaluated once per distinct eigenvalue mu_g.
 ``spectral.degenerate_groups`` groups the sorted eigenvalues that lie
 within ``tol`` of their group's first member mu_g, where tol is
-``1e-13 / max(1, max|z|)`` rounded down to a power of two.  All N
-offsets at once (``transport``, ``tmsv``, the dense propagator) gather
-the G phases back to the N modes before the inverse FFT; one offset
-(the scans) sums them once per group:
+``1e-13 / max(1, max|z|)`` rounded down to a power of two, and the sum
+runs once per group:
 
     u_d(z) = sum_g w_g(d) exp(-i mu_g z),
     w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p d / N)
 
 A ``NetworkSpec`` computes its spectrum once and holds it, and the
 spectrum holds the last plan: the groups at one tol with the weights
-of one offset, whose phases take (p d) mod N in integers, or the
-gather index of all N.  A call with the same tol and offset computes
-only the phase sum.  Every reach in one octave has the same tol, so
-the single-z calls of a golden-section refinement share one FFT, one
-sort and one plan, and the per-block calls of a trace one plan per
-octave of z.
+of one offset, whose phases take (p d) mod N in integers.  A call with
+the same tol and offset computes only the phase sum.  Every reach in one
+octave has the same tol, so the single-z calls of a golden-section
+refinement share one FFT, one sort and one plan, and the per-block calls
+of a scan one plan per octave of z.
 
 Replacing each member by mu_g moves its phase by at most tol * |z| <=
 1e-13, and eigenvalues that are distinct at that resolution are never
-merged.  Both forms differ from the sum over all N modes by at most
+merged.  One offset differs from the sum over all N modes by at most
 
     tol * max|z| + c * eps * max|mu z|
 
-with c a small constant: the second term is the rounding of the phase
-arguments mu z themselves, which any floating-point exp(-i mu z)
-carries, and it dominates on long grids (6.6e-12 at z = 5000 on the
-evanescent N = 12, mu = 0.815 ring).  On an evenly spaced grid the
-one-offset sum reads its phases from a two-level table, anchor phases
-times a shared table of step phases, with a first-order correction for
-the rounding gap between the grid and the table; a block of points off
-the grid, single points and the all-offsets form take one exp per
-phase.
+with c a small constant; every offset at once carries only the second
+term.  It is the rounding of the phase arguments mu z themselves, which
+any floating-point exp(-i mu z) carries, and it dominates on long grids
+(6.6e-12 at z = 5000 on the evanescent N = 12, mu = 0.815 ring).  On an
+evenly spaced grid the one-offset sum reads its phases from a two-level
+table, anchor phases times a shared table of step phases, with a
+first-order correction for the rounding gap between the grid and the
+table; a block of points off the grid and single points take one exp
+per phase.
 
 With the uniform profile of range N/2 - 1 the spectrum collapses onto
 three values and the propagator has a closed form.  At the distances
@@ -150,17 +150,16 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
     ``offset=d`` (an integer, 0 <= d < N) returns the 1-D array of
     column d alone.
 
-    Both forms evaluate the phases at the distinct eigenvalues only and
-    differ from the sum over all N modes by at most the module
-    docstring's bound.  Every z must be finite.  The spectrum is the one
-    ``spec`` holds, grouped at the power of two ``tol`` at or below
-    ``1e-13 / max(1, max|z|)``; the spectrum holds the groups, and the
-    weights or gather index of this form, until a call with another tol
-    or offset replaces them (``Spectrum.plan``).  One offset sums the
-    phases against its group weights in blocks of about ``_BLOCK``
-    entries, so its memory stays O(len(zs)) for any N; on an evenly
-    spaced ``zs`` it reads its phases from the two-level table of
-    ``_group_sum``.
+    Every z must be finite, and so must ``max|lambda| * max(1, max|z|)``.
+    Every offset is the inverse FFT of the N phases exp(-i lambda_p z).
+    One offset evaluates its phases at the distinct eigenvalues only and
+    differs from the sum over all N modes by at most the module
+    docstring's bound.  The spectrum is the one ``spec`` holds, grouped at
+    the power of two ``tol`` at or below ``1e-13 / max(1, max|z|)``; the
+    spectrum holds the groups and the weights of this offset until a call
+    with another tol or offset replaces them (``Spectrum.plan``).  It sums
+    in blocks of about ``_BLOCK`` entries, so its memory is O(len(zs)) for
+    any N, and on an evenly spaced ``zs`` reads ``_group_sum``'s table.
     """
     spectrum = dispersion(spec)
     n = spec.n_modes
@@ -171,11 +170,13 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
     # nan propagates through max, so this refuses every non-finite z
     if not math.isfinite(reach):
         raise ValueError("z must be finite")
-    # 2^floor(log2(1e-13 / reach)): one tol for every reach of an octave
-    tol = math.ldexp(0.5, math.frexp(1e-13 / reach)[1])
-    plan = spectrum.plan(tol, offset)
+    top = float(np.abs(spectrum.eigenvalues).max())
+    if not math.isfinite(top * reach):
+        raise ValueError(f"the phase lambda z overflows: max|lambda| {top:g} at max|z| {reach:g}")
     if offset is None:
-        return np.fft.ifft(np.exp(-1j * np.outer(zs, plan.mu))[:, plan.group], axis=1)
+        return np.fft.ifft(np.exp(-1j * np.outer(zs, spectrum.eigenvalues)), axis=1)
+    # 2^floor(log2(1e-13 / reach)): one tol for every reach of an octave
+    plan = spectrum.plan(math.ldexp(0.5, math.frexp(1e-13 / reach)[1]), offset)
     return _group_sum(zs, plan.mu, plan.weights)
 
 

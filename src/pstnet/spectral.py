@@ -55,29 +55,23 @@ class Spectrum:
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
-    def plan(self, tol: float, offset: int | None) -> Plan:
-        """The ``Plan`` of the groups at ``tol`` for one offset, or every one.
+    def plan(self, tol: float, offset: int) -> Plan:
+        """The ``Plan`` of the groups at ``tol`` for the offset d in 0..N-1.
 
-        ``offset`` is an offset d in 0..N-1, or None for every offset at
-        once.  One plan is held at a time: a call with the tol and offset
-        of the held plan returns it, and any other call builds its own and
-        holds that instead, so the spectrum never holds more than O(N).
+        One plan is held at a time: a call with the tol and offset of the
+        held plan returns it, and any other call builds its own and holds
+        that instead, so the spectrum never holds more than O(N).
         """
         plan = self.__dict__.get("_plan")
         if plan is not None and plan.tol == tol and plan.offset == offset:
             return plan
         n = self.n_modes
         order, starts = degenerate_groups(self, tol)
+        # (p d) mod N in integers keeps the Fourier phase exact for large p d
+        phases = np.exp(2j * np.pi / n * (order * offset % n))
+        weights = np.add.reduceat(phases, starts) / n
         mu = self.eigenvalues[order[starts]]
-        if offset is None:
-            group = np.empty(n, dtype=np.intp)
-            group[order] = np.repeat(np.arange(mu.size), np.diff(starts, append=n))
-            plan = Plan(tol, None, _read_only(mu), group=_read_only(group))
-        else:
-            # (p d) mod N in integers keeps the Fourier phase exact for large p d
-            phases = np.exp(2j * np.pi / n * (order * offset % n))
-            weights = np.add.reduceat(phases, starts) / n
-            plan = Plan(tol, int(offset), _read_only(mu), weights=_read_only(weights))
+        plan = Plan(tol, int(offset), _read_only(mu), _read_only(weights))
         object.__setattr__(self, "_plan", plan)
         return plan
 
@@ -89,39 +83,43 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """A spectrum's degenerate groups at one tol, and what one amplitude form needs.
+    """A spectrum's degenerate groups at one tol, weighted for one offset d.
 
-    ``mu`` holds the first sorted eigenvalue of each group g.  For one
-    offset d, ``weights`` holds w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p
-    d / N); for every offset at once (``offset`` None), ``group`` holds
-    the group of each mode p, which gathers the G phases back to the N
-    modes.  The other field is None, and every array is read-only.
+    Read-only ``mu`` holds the first sorted eigenvalue of each group g and
+    ``weights`` its w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p d / N).
     """
 
     tol: float
-    offset: int | None
+    offset: int
     mu: np.ndarray
-    weights: np.ndarray | None = None
-    group: np.ndarray | None = None
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
 class DegeneracyBin:
-    """Eigenvalues merged into one bin: their mean and their count."""
+    """Eigenvalues merged into one bin: their finite mean and their count, at least 1."""
 
     eigenvalue: float
     multiplicity: int
 
+    def __post_init__(self):
+        if not np.isfinite(self.eigenvalue):
+            raise ValueError("bin eigenvalue must be finite")
+        if not self.multiplicity >= 1:
+            raise ValueError("bin multiplicity must be at least 1")
+
 
 @dataclass(frozen=True)
 class DegeneracyHistogram:
-    """Eigenvalues merged into degenerate bins; multiplicities sum to ``n_modes``."""
+    """Eigenvalues merged into bins at a finite positive tolerance, of ``n_modes`` in all."""
 
     n_modes: int
     tolerance: float
     bins: tuple[DegeneracyBin, ...]
 
     def __post_init__(self):
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be finite and positive")
         if sum(b.multiplicity for b in self.bins) != self.n_modes:
             raise ValueError("bin multiplicities must sum to n_modes")
 

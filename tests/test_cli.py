@@ -1193,6 +1193,24 @@ class TestCliPlumbing:
         assert result.stderr == "pstnet: error: spectrum is not finite: the couplings overflow\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "transport --n 2 --profile custom:1e308 --source 1 --z-max 2 --dz 1",
+            "cat --n 2 --profile custom:1e308 --source 1 --alpha 0.5 --phi 0 --z-max 2 --dz 1",
+            "evanescent --n 12 --mu 0.5 --r 6 --source 1 --z-max 1e308 --dz 1e307",
+            "tmsv --n 2 --profile custom:1e308 --pair 1,2 --w 0.5 --z-max 2 --dz 1",
+        ],
+        ids=["transport", "cat", "evanescent", "tmsv"],
+    )
+    def test_overflowing_phases_are_domain_error(self, tmp_path, argv):
+        # a finite spectrum whose phase lambda z overflows at the grid's reach
+        result = run_cli(argv.split(), tmp_path)
+        assert result.returncode == 3
+        assert result.stderr.startswith("pstnet: error: the phase lambda z overflows: ")
+        assert result.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_trace_removes_only_the_directories_it_created(self, tmp_path, capsys):
         (tmp_path / "kept").mkdir()
         argv = ["transport", "--n", "4", "--profile", "custom:1e308,1e308", "--source", "1",

@@ -53,6 +53,11 @@ No digest moved when every offset at once came from the phases of the
 distinct eigenvalues, gathered back to the N modes, and ``tmsv`` began
 to compute its amplitudes one chunk of z-steps at a time.
 
+No digest moved when every offset at once went back to the phases of all
+N modes and one inverse FFT, with no grouping: the ``transport`` and
+``tmsv`` rings are uniform, whose degenerate eigenvalues are bitwise
+equal, so every phase and every byte is the one the gather computed.
+
 ``cat.csv``, ``evanescent.csv`` and the long ``evanescent`` trace were
 last recorded when a scan on an evenly spaced grid started to read its
 phases from a two-level table (anchor phases times one shared table of

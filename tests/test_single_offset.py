@@ -1,12 +1,15 @@
-"""Amplitudes from the phases of the distinct eigenvalues.
+"""Amplitudes of every offset, and of one offset from the distinct eigenvalues.
 
-Both forms of ``offset_amplitudes`` must agree with ``reference``, the
-inverse FFT of the phases of all N modes, evaluated here: every offset
-at once (bit for bit on exactly degenerate uniform rings) and one offset
-``d``, which must also stay bounded in memory on long grids and reject
-offsets that name no mode.
+Every offset at once is the inverse FFT of the phases of all N modes.
+It is held to references that share none of its code: the dense
+eigendecomposition of the coupling matrix, the exact spectral sum in
+mpmath, and, bit for bit on the exactly degenerate uniform rings, the
+phases of the distinct eigenvalues gathered back to the N modes.
 
-One offset on an evenly spaced grid reads its phases from a two-level
+One offset ``d`` sums the phases of the distinct eigenvalues.  It must
+agree with ``reference``, column d of the inverse FFT of all N phases,
+stay bounded in memory on long grids and reject offsets that name no
+mode.  On an evenly spaced grid it reads its phases from a two-level
 table; on other points it takes one ``exp`` per phase.  Both paths are
 held to the documented bound ``tol * max|z| + c * eps * max|mu z|``
 against ``reference`` and against the exact sum over all N modes in
@@ -28,6 +31,7 @@ import pstnet.propagation as propagation
 from pstnet import (
     NetworkSpec,
     constraint_matrix,
+    coupling_matrix,
     custom_profile,
     dispersion,
     evanescent_profile,
@@ -46,6 +50,18 @@ def reference(spec, zs):
     """Every offset from the phases of all N eigenvalues and one inverse FFT."""
     lam = dispersion(spec).eigenvalues
     return np.fft.ifft(np.exp(-1j * np.outer(zs, lam)), axis=1)
+
+
+def eigh_reference(spec, zs):
+    """Every offset as column 0 of V exp(-i w z) V^T, from ``eigh`` of the dense matrix."""
+    w, v = np.linalg.eigh(coupling_matrix(spec))
+    return np.array([v @ (np.exp(-1j * w * z) * v[0]) for z in zs])
+
+
+def grouped_gather(spec, zs):
+    """Every offset from the phases of the bitwise-distinct eigenvalues, gathered to N modes."""
+    mu, group = np.unique(dispersion(spec).eigenvalues, return_inverse=True)
+    return np.fft.ifft(np.exp(-1j * np.outer(zs, mu))[:, group], axis=1)
 
 
 @st.composite
@@ -88,17 +104,27 @@ def test_every_offset_matches_the_reference_on_random_rings(ring):
     spec = NetworkSpec(n, custom_profile(couplings))
     got = offset_amplitudes(spec, zs)
     assert got.shape == (len(zs), n)
-    assert np.abs(got - reference(spec, zs)).max() <= 1e-12
+    assert np.abs(got - eigh_reference(spec, zs)).max() <= bound(spec, zs)
 
 
 @pytest.mark.parametrize("n", [8, 64, 1024])
 def test_every_offset_is_bitwise_the_reference_on_uniform_rings(n):
-    # the collapse spectrum has three bitwise-distinct values, so grouping
-    # merges only equal eigenvalues and every phase is computed as before
+    # the collapse spectrum has three bitwise-distinct values, so the phases
+    # of all N modes are those of the three values, bit for bit
     spec = NetworkSpec(n, uniform_profile(1.0, n // 2 - 1))
     assert np.unique(dispersion(spec).eigenvalues).size == 3
     zs = np.linspace(0.0, 50.0, 97)
-    assert np.array_equal(offset_amplitudes(spec, zs), reference(spec, zs))
+    assert np.array_equal(offset_amplitudes(spec, zs), grouped_gather(spec, zs))
+
+
+def test_every_offset_keeps_eigenvalues_closer_than_the_grouping_tol_apart():
+    # eigenvalues 1e-14 apart share a group at the tol of reach 1.9 (2^-44),
+    # whose one phase was 1.1e-14 off; the N phases are off by rounding only
+    spec = NetworkSpec(14, custom_profile([1.0, 1.0, 1.0 + 2e-14, 1.0, 1.0, 1.0 - 1e-14]))
+    zs = [0.7, 1.3, 1.9]
+    got = offset_amplitudes(spec, zs)
+    want = np.column_stack([exact_column(spec, zs, d) for d in range(14)])
+    assert np.abs(got - want).max() <= 1e-15
 
 
 def test_a_run_of_tiny_gaps_is_cut_at_the_tolerance():

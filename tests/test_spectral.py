@@ -187,6 +187,21 @@ class TestDegeneracyHistogram:
         with pytest.raises(ValueError):
             DegeneracyHistogram(3, 1e-9, (DegeneracyBin(0.0, 2),))
 
+    @pytest.mark.parametrize("tolerance", [float("inf"), -1.0, 0.0, float("nan")])
+    def test_type_refuses_a_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        with pytest.raises(ValueError, match="^tolerance must be finite and positive$"):
+            DegeneracyHistogram(3, tolerance, (DegeneracyBin(0.0, 3),))
+
+    @pytest.mark.parametrize("eigenvalue", [float("nan"), float("inf"), -float("inf")])
+    def test_bin_refuses_a_non_finite_eigenvalue(self, eigenvalue):
+        with pytest.raises(ValueError, match="^bin eigenvalue must be finite$"):
+            DegeneracyBin(eigenvalue, 3)
+
+    @pytest.mark.parametrize("multiplicity", [0, -1])
+    def test_bin_refuses_a_multiplicity_below_one(self, multiplicity):
+        with pytest.raises(ValueError, match="^bin multiplicity must be at least 1$"):
+            DegeneracyBin(1.0, multiplicity)
+
     def test_default_tolerance_scales(self):
         spectrum = collapsed_spectrum(12, 1.0)
         assert default_bin_tolerance(spectrum) == pytest.approx(1e-8, rel=1e-12)

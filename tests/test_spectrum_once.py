@@ -2,13 +2,15 @@
 
 The spec computes the FFT of its coupling row on first use; the
 ``Spectrum`` holds its eigenvalues and nothing else but the plan
-(groups and weights or gather index) of the last tol and offset asked
-for.  Everything held is read-only, a spectrum that overflows is
+(groups and weights) of the last tol and offset asked for.  Only one
+offset groups: every offset at once takes the N phases and groups
+nothing.  Everything held is read-only, a spectrum that overflows is
 refused on every use, and an amplitude read from a spec that has
 served earlier calls, at any tol, is bit for bit the one a fresh equal
 spec gives.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,12 +75,13 @@ def test_one_fft_per_command(tmp_path, monkeypatch, argv, spectra):
 def test_few_groupings_per_command(tmp_path, monkeypatch, argv, spectra):
     # the refinement's single-z calls share one octave of reach, so one
     # plan; pst-check also groups for its candidate and its grid, and
-    # transport for the chunks of each octave of z
+    # transport, every offset at once, groups nothing
     groupings = counting(monkeypatch, spectral, "degenerate_groups")
     reads = counting(monkeypatch, propagation, "dispersion")
     assert main([*argv.split(), "--outdir", str(tmp_path)]) == 0
     assert len(reads) == spectra
-    assert 1 <= len(groupings) <= 3
+    fewest, most = (0, 0) if argv.startswith("transport") else (1, 3)
+    assert fewest <= len(groupings) <= most
 
 
 def test_a_spec_holds_one_spectrum():
@@ -97,11 +100,9 @@ def test_a_spec_holds_one_spectrum():
     [dispersion(NetworkSpec(10, custom_profile([0.3, -1.0, 0.7]))), collapsed_spectrum(8, 1.0)],
     ids=["dispersion", "collapsed"],
 )
-@pytest.mark.parametrize("name", ["eigenvalues", "mu", "weights", "group"])
+@pytest.mark.parametrize("name", ["eigenvalues", "mu", "weights"])
 def test_held_arrays_refuse_writes(spectrum, name):
-    # mu and weights of the plan for one offset, group of the all-offsets plan
-    plans = {"mu": 1, "weights": 1, "group": None}
-    holder = spectrum.plan(2.0**-44, plans[name]) if name in plans else spectrum
+    holder = spectrum if name == "eigenvalues" else spectrum.plan(2.0**-44, 1)
     arr = getattr(holder, name)
     assert not arr.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -117,12 +118,21 @@ def test_a_spectrum_holds_its_eigenvalues_and_one_plan():
     assert set(vars(spectrum)) <= {"eigenvalues", "_plan"}
 
 
+def test_every_offset_at_once_builds_no_plan(monkeypatch):
+    spec = NetworkSpec(12, custom_profile([0.3, -1.0, 0.7]))
+    groupings = counting(monkeypatch, spectral, "degenerate_groups")
+    offset_amplitudes(spec, [0.5, 1e4])
+    assert groupings == []
+    assert "_plan" not in vars(dispersion(spec))
+    assert [f.name for f in dataclasses.fields(spectral.Plan)] == ["tol", "offset", "mu", "weights"]
+
+
 def test_one_plan_is_held_until_another_replaces_it():
     spectrum = dispersion(NetworkSpec(10, custom_profile([0.3, -1.0, 0.7])))
     plan = spectrum.plan(2.0**-44, 3)
     assert spectrum.plan(2.0**-44, 3) is plan
     assert spectrum.plan(2.0**-44, np.int64(3)) is plan
-    for tol, offset in [(2.0**-45, 3), (2.0**-44, 4), (2.0**-44, None), (2.0**-44, 0)]:
+    for tol, offset in [(2.0**-45, 3), (2.0**-44, 4), (2.0**-44, 0)]:
         other = spectrum.plan(tol, offset)
         assert (other.tol, other.offset) == (tol, offset)
         assert spectrum.plan(tol, offset) is other
