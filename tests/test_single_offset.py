@@ -118,8 +118,8 @@ def test_every_offset_is_bitwise_the_reference_on_uniform_rings(n):
 
 
 def test_every_offset_keeps_eigenvalues_closer_than_the_grouping_tol_apart():
-    # eigenvalues 1e-14 apart share a group at the tol of reach 1.9 (2^-44),
-    # whose one phase was 1.1e-14 off; the N phases are off by rounding only
+    # eigenvalues 1e-14 apart would share a group at the tol of reach 1.9
+    # (2^-44), one phase off by up to tol * |z|; N phases are off by rounding
     spec = NetworkSpec(14, custom_profile([1.0, 1.0, 1.0 + 2e-14, 1.0, 1.0, 1.0 - 1e-14]))
     zs = [0.7, 1.3, 1.9]
     got = offset_amplitudes(spec, zs)
