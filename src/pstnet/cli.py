@@ -45,7 +45,7 @@ import numpy as np
 
 from .fock import cat_fidelity_scan
 from .g17 import csv_lines, csv_text, g17_fields
-from .gaussian import TmsvParams, pair_squeezing
+from .gaussian import TmsvParams, pair_squeezing, tmsv_covariance
 from .lattice import (
     NetworkSpec,
     custom_profile,
@@ -323,12 +323,14 @@ def _cmd_tmsv(args) -> int:
         track = tuple(_label_to_index(i, args.n, "track") for i in args.track)
     params = TmsvParams(args.w, args.theta, pair)
     rows = grid_points(args.z_max, args.dz, 0.0)
+    # the input pair's covariance, checked once for every block
+    v = tmsv_covariance(dataclasses.replace(params, mode_pair=(0, 1)), 2)
     pairs = (pair, track)
     header = ("z", *(f"S_{q}_{j + 1}{k + 1}" for j, k in pairs for q in "QP"))
 
     def run(write):
         for z in z_blocks(args.z_max, args.dz, 0.0, max(1, _BLOCK // args.n)):
-            squeezing = pair_squeezing(offset_amplitudes(spec, z), params, pairs)
+            squeezing = pair_squeezing(offset_amplitudes(spec, z), v, pair, pairs)
             write(_csv_chunks(z, *squeezing))
 
     return _emit(args, header, run, rows=rows)

@@ -19,7 +19,7 @@ which vanish for vacuum and are negative exactly when the combined
 quadrature (relative position, total momentum) is squeezed.
 
 ``tmsv`` reads each pair's squeezing in closed form (``pair_squeezing``),
-checking the input covariance and each step's unitarity; the dense chain
+checking the input covariance once and each step's unitarity; the dense chain
 ``symplectic_from_propagator`` -> ``evolve_covariance`` is its reference.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,36 +251,44 @@ def squeezing_factor(
     return variance - 0.5
 
 
-def pair_squeezing(amps, params: TmsvParams, pairs) -> list[np.ndarray]:
+def pair_squeezing(amps, v: CovarianceState, mode_pair, pairs) -> list[np.ndarray]:
     """S_Q and S_P columns of each pair (j, k) along an amplitude grid.
 
     ``amps`` comes from ``offset_amplitudes``, so U_jl = amps[:, (j - l) % N].
-    A passive U keeps the vacuum, so with (m, n) the input pair each column
-    is a quadratic form in a = U_jm - U_km, b = U_jn - U_kn, g = U_jm + U_km
-    and h = U_jn + U_kn (Weedbrook et al., RMP 84, 621, Sec. II):
+    A passive U keeps the vacuum, so with (m, n) = ``mode_pair`` the input
+    pair each column is a quadratic form in a = U_jm - U_km, b = U_jn - U_kn,
+    g = U_jm + U_km and h = U_jn + U_kn (Weedbrook et al., RMP 84, 621,
+    Sec. II):
 
         S_Q = e/2 (|a|^2 + |b|^2) + Re(c a b),  S_P = e/2 (|g|^2 + |h|^2) - Re(c g h)
 
     with e = V[0, 0] - 1/2 = sinh(w)^2 and c = V[0, 2] + i V[0, 3] =
-    sinh(2w)/2 e^{i theta} from the checked input covariance V.  Each row
-    must be unitary, max | |fft(row)|^2 - 1 | <= 1e-10 (the FFT of a
-    circulant's column is its spectrum); as a unitary keeps a physical
-    state physical, no output covariance is checked.
+    sinh(2w)/2 e^{i theta} from ``v``, the input pair's checked 4 x 4
+    covariance, its modes in the pair's order: ``tmsv_covariance`` of
+    the squeezing on modes (0, 1) of two.  A caller checks it once for
+    any number of grids.  Each row must be unitary,
+    max | |fft(row)|^2 - 1 | <= 1e-10 (the FFT of a circulant's column
+    is its spectrum); as a unitary keeps a physical state physical, no
+    output covariance is checked.
     """
     amps = np.atleast_2d(amps)
     n = amps.shape[1]
     defect = np.abs(np.abs(np.fft.fft(amps, axis=1)) ** 2 - 1.0).max()
     if not defect <= 1e-10:
         raise ValueError(f"propagator is not unitary (defect {defect:.2e})")
-    v = tmsv_covariance(replace(params, mode_pair=(0, 1)), 2).matrix
+    if v.n_modes != 2:
+        raise ValueError("input covariance must be the squeezed pair's, 4 x 4")
+    if len(set(mode_pair)) != 2:
+        raise ValueError("mode pair must be two distinct modes")
+    v = v.matrix
     e, c = v[0, 0] - 0.5, complex(v[0, 2], v[0, 3])
     columns = []
     for j, k in pairs:
         if j == k:
             raise ValueError("squeezing factor needs two distinct modes")
-        if not all(0 <= i < n for i in (*params.mode_pair, j, k)):
+        if not all(0 <= i < n for i in (*mode_pair, j, k)):
             raise ValueError("mode indices out of range")
-        u = amps.T[np.subtract.outer((j, k), params.mode_pair) % n]
+        u = amps.T[np.subtract.outer((j, k), mode_pair) % n]
         for (a, b), sign in ((u[0] - u[1], 1.0), (u[0] + u[1], -1.0)):
             norm = a.real**2 + a.imag**2 + b.real**2 + b.imag**2
             columns.append(0.5 * e * norm + sign * (c * a * b).real)

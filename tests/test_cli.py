@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import pstnet.cli
 import pstnet.g17
+import pstnet.gaussian
 import pstnet.propagation as propagation
 from pstnet import (
     NetworkSpec,
@@ -591,6 +592,24 @@ class TestTmsvCommand:
         assert float(last[0]) == pytest.approx(math.pi / 2, abs=1e-12)
         assert float(last[3]) == pytest.approx(floor, abs=1e-8)
         assert float(last[1]) == pytest.approx(0.0, abs=1e-8)
+
+    def test_input_covariance_is_checked_once_per_command(self, tmp_path, monkeypatch):
+        # 5001 z-steps of 64 modes make 5 blocks of 1024 steps; the input
+        # covariance is built and checked once, not once per block
+        calls = []
+        build = pstnet.gaussian.tmsv_covariance
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(pstnet.gaussian, "tmsv_covariance", counted)
+        monkeypatch.setattr(pstnet.cli, "tmsv_covariance", counted)
+        argv = ["tmsv", "--n", "64", "--profile", "uniform:C=1,R=31", "--w", "0.881374",
+                "--pair", "1,2", "--z-max", "50", "--dz", "0.01", "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "tmsv.csv").read_bytes().count(b"\n") == 1 + 5001
 
     def test_track_of_one_mode_is_domain_error(self, tmp_path):
         result = run_cli(

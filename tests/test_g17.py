@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pstnet import g17
-from pstnet.g17 import HIGH, LOW, WIDTH, csv_text, g17_fields
+from pstnet.g17 import HIGH, LOW, WIDTH, csv_lines, csv_text, g17_fields
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -41,6 +41,30 @@ def test_every_power_of_ten_and_its_neighbours():
 
 def test_edges_of_the_certified_range():
     assert_exact(with_neighbours([LOW, HIGH, -LOW, -HIGH]))
+
+
+def test_power_table_covers_the_certified_range_unclipped():
+    # The kernel indexes its power table with 16 - e - _K0, unclipped:
+    # a negative index would wrap silently, so LOW, HIGH and their
+    # neighbours must land inside the table.
+    e = np.floor(np.log10(with_neighbours([LOW, HIGH])))
+    k = 16 - e - g17._K0
+    assert k.min() >= 0 and k.max() <= g17._K1 - g17._K0
+    assert g17._POWERS.shape == (4, g17._K1 - g17._K0 + 1)
+
+
+def test_rows_ending_in_zeros_among_17_digit_rows_across_a_pass():
+    # Only a row whose last 4-digit group is 0 counts the zeros of the
+    # groups before it.  Such rows, of both signs, sit among 17-digit
+    # rows and on both sides of the boundary between two kernel passes.
+    short = [0.25, 1234.5, 3.0, -1e-5, 1e16]
+    short += [-v for v in short]
+    x = np.random.default_rng(28).uniform(-1e5, 1e5, 2 * g17._PASS)
+    edge = g17._PASS
+    x[[0, 9, 300, edge - 2, edge - 1, edge, edge + 1, edge + 5, 2 * edge - 2, 2 * edge - 1]] = short
+    mantissas = [("%.16e" % v).split("e")[0].replace(".", "") for v in x.tolist()]
+    assert 8 <= sum(m.endswith("0000") for m in mantissas) <= 16  # a few of 8192
+    assert_exact(x)
 
 
 def test_decimal_exponent_estimate_one_too_high():
@@ -142,6 +166,13 @@ def test_csv_text_broadcasts_like_numpy(k, m, data):
         for j in range(m)
     ]
     assert csv_text(z, labels, values) == writer_text(rows)
+
+
+def test_csv_lines_takes_field_rows_in_any_memory_layout():
+    fields = g17_fields(np.arange(12.0).reshape(3, 4) / 7)
+    want = csv_lines(fields[:, 0], fields[:, 3])
+    assert csv_lines(np.asfortranarray(fields)[:, 0], fields[:, 3, ::-1][..., ::-1]) == want
+    assert want.splitlines()[1] == "%.17g,%.17g" % (4 / 7, 7 / 7)
 
 
 def test_csv_text_formats_each_broadcast_value_once(monkeypatch):

@@ -59,8 +59,14 @@ def exact_dense_columns(spec, params, pairs, zs):
     return np.array(rows).T
 
 
+def pair_input(params):
+    """The squeezed pair's checked 4 x 4 covariance, as ``tmsv`` builds it."""
+    return tmsv_covariance(TmsvParams(params.w, params.theta, (0, 1)), 2)
+
+
 def block_columns(spec, params, pairs, zs):
-    return np.array(pair_squeezing(offset_amplitudes(spec, zs), params, pairs))
+    amps = offset_amplitudes(spec, zs)
+    return np.array(pair_squeezing(amps, pair_input(params), params.mode_pair, pairs))
 
 
 # The README grid (N = 8) and the benchmark grids (N = 64 and 8), with
@@ -154,13 +160,27 @@ def test_non_unitary_rows_are_rejected():
     amps = offset_amplitudes(spec, [0.0, 0.5, 1.0])
     params = TmsvParams(0.5, 0.0, (0, 1))
     with pytest.raises(ValueError, match="propagator is not unitary"):
-        pair_squeezing(1.001 * amps, params, [(4, 5)])
+        pair_squeezing(1.001 * amps, pair_input(params), (0, 1), [(4, 5)])
 
 
 def test_nan_rows_are_rejected_as_non_unitary():
     amps = np.full((3, 8), np.nan, dtype=complex)
     with pytest.raises(ValueError, match="propagator is not unitary"):
-        pair_squeezing(amps, TmsvParams(0.5, 0.0, (0, 1)), [(4, 5)])
+        pair_squeezing(amps, pair_input(TmsvParams(0.5, 0.0, (0, 1))), (0, 1), [(4, 5)])
+
+
+@pytest.mark.parametrize(
+    "v,mode_pair,message",
+    [
+        (tmsv_covariance(TmsvParams(0.5, 0.0, (0, 1)), 4), (0, 1), "squeezed pair's, 4 x 4"),
+        (tmsv_covariance(TmsvParams(0.5, 0.0, (0, 1)), 2), (2, 2), "two distinct modes"),
+        (tmsv_covariance(TmsvParams(0.5, 0.0, (0, 1)), 2), (2, 8), "out of range"),
+    ],
+)
+def test_bad_inputs_are_rejected(v, mode_pair, message):
+    amps = offset_amplitudes(NetworkSpec(8, uniform_profile(1.0, 3)), [0.5])
+    with pytest.raises(ValueError, match=message):
+        pair_squeezing(amps, v, mode_pair, [(4, 5)])
 
 
 @pytest.mark.parametrize(
@@ -170,4 +190,4 @@ def test_nan_rows_are_rejected_as_non_unitary():
 def test_bad_pairs_are_rejected(track, message):
     amps = offset_amplitudes(NetworkSpec(8, uniform_profile(1.0, 3)), [0.5])
     with pytest.raises(ValueError, match=message):
-        pair_squeezing(amps, TmsvParams(0.5, 0.0, (0, 1)), [track])
+        pair_squeezing(amps, pair_input(TmsvParams(0.5, 0.0, (0, 1))), (0, 1), [track])
