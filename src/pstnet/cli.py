@@ -10,11 +10,11 @@ block of its grid before it computes the next.  ``transport`` formats
 its mode labels once and slices a wide ring's modes.  ``cat`` and
 ``evanescent`` run one ``_scan`` of their merit, whose summary is their
 parameters, the labels, the maximum and where it lies, and the grid
-with the step used.  JSON
-summaries are written by ``json.dumps``, whose floats are the shortest
-repr that reads back to the same value; a dataclass in a summary is
-written as the mapping of its fields and a complex number as
-``[re, im]``.  An optional ``--config`` file (the flag spelled out in
+with the step used.  JSON summaries are written by ``_json_text``, whose
+bytes are those of ``json.dumps(summary, indent=2, default=_jsonable)``:
+floats are the shortest repr that reads back to the same value, a
+dataclass in a summary is the mapping of its fields and a complex number
+is ``[re, im]``.  An optional ``--config`` file (the flag spelled out in
 full) of ``key = value`` lines becomes ``--key=value`` flags placed
 right after the subcommand: keys are flag names (``z_max`` or
 ``z-max``), argparse parses them exactly like flags, and explicit flags
@@ -35,6 +35,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import re
 import shutil
@@ -130,8 +131,9 @@ def parse_pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"pair {text!r} must be integers") from None
 
 
-# Fields one csv_text call formats: _csv_chunks takes _CHUNK_ROWS // k
-# rows of k columns at a time, transport at most _CHUNK_ROWS probabilities.
+# Fields one kernel pass formats: _csv_chunks takes _CHUNK_ROWS // k rows
+# of k columns at a time, transport _CHUNK_ROWS // (N + 1) z-steps of z and
+# N probabilities (one z-step of a wider ring, in slices of _CHUNK_ROWS modes).
 _CHUNK_ROWS = 4096
 
 
@@ -151,13 +153,82 @@ def _jsonable(value):
     """``json.dumps`` default: a dataclass as a mapping of its fields, complex as ``[re, im]``.
 
     The mapping is shallow; ``json.dumps`` calls this again for each
-    nested dataclass or complex value it meets.
+    nested dataclass or complex value it meets.  With it,
+    ``json.dumps(summary, indent=2, default=_jsonable)`` is the reference
+    that ``_json_text`` writes byte for byte; the writer calls it for the
+    complex values and for the values it refuses with a ``TypeError``.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, complex):
         return [value.real, value.imag]
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+@functools.cache
+def _field_keys(cls):
+    """A dataclass's getter of its field values and their ``"name": `` texts.
+
+    None for any other class.
+    """
+    if not dataclasses.is_dataclass(cls):
+        return None
+    names = [f.name for f in dataclasses.fields(cls)]
+    # attrgetter returns a tuple for two or more names only
+    get = operator.attrgetter(*names) if len(names) > 1 else lambda v: [getattr(v, n) for n in names]
+    return get, [json.dumps(name) + ": " for name in names]
+
+
+def _key_text(key) -> str:
+    """The ``"key": `` text json writes: a number, bool or None key as the string of its JSON."""
+    if isinstance(key, str):
+        return json.dumps(key) + ": "
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(json.dumps(key)) + ": "
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, default=_jsonable)``, written directly.
+
+    ``indent`` is the line break and padding before ``value``'s closing
+    bracket; its members go one level deeper.  A float, ``numpy.float64``
+    too, is ``float.__repr__`` or json's ``NaN``/``Infinity``/``-Infinity``;
+    a str, int, bool or None is ``json.dumps``'s.  A dataclass is the
+    mapping of its fields, which are looked up once per class, and
+    everything else goes through ``_jsonable``.  The members of a list,
+    tuple, dict or dataclass that are all finite floats are one join over
+    ``float.__repr__``.  Below Python 3.13, ``json.dumps`` with an indent
+    runs its pure-Python encoder, several times slower.
+    """
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, (str, int)) or value is None:
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        keys, values, brackets = None, value, "[]"
+    elif isinstance(value, dict):
+        keys, values, brackets = list(map(_key_text, value)), list(value.values()), "{}"
+    else:
+        fields = _field_keys(type(value))
+        if fields is None:
+            return _json_text(_jsonable(value), indent)
+        get, keys = fields
+        values, brackets = get(value), "{}"
+    if not values:
+        return brackets
+    inner = indent + "  "
+    try:  # float.__repr__ takes floats only
+        texts = list(map(float.__repr__, values))
+    except TypeError:
+        texts = None
+    if texts is None or not all(map(math.isfinite, values)):
+        texts = [_json_text(v, inner) for v in values]
+    if keys is not None:
+        texts = map(operator.add, keys, texts)
+    return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
 
 
 def _emit(args, header, run, note: str = "", rows: int = 0) -> int:
@@ -216,7 +287,7 @@ def _emit(args, header, run, note: str = "", rows: int = 0) -> int:
         written.append(csv_path)
     if summary is not None and fmt in ("json", "both"):
         path = outdir / f"{base}.json"
-        path.write_text(json.dumps(summary, indent=2, default=_jsonable) + "\n")
+        path.write_text(_json_text(summary) + "\n")
         written.append(path)
     print("wrote " + " ".join(str(p) for p in written) + note)
     return 0
@@ -257,11 +328,13 @@ def _cmd_transport(args) -> int:
 
     def run(write):
         names = [g17_fields(labels[s]) for s in slices]  # once per command, not per block
-        # N > _CHUNK_ROWS puts one z in a block: slices keep (z, mode) order
-        for z in z_blocks(args.z_max, args.dz, 0.0, max(1, _CHUNK_ROWS // args.n)):
+        # a block's z and probabilities fill one kernel pass while N < _CHUNK_ROWS;
+        # a wider ring puts one z in a block, and slices keep (z, mode) order
+        for z in z_blocks(args.z_max, args.dz, 0.0, max(1, _CHUNK_ROWS // (args.n + 1))):
             probs = np.abs(offset_amplitudes(spec, z)[:, modes]) ** 2
-            zs = g17_fields(z)[:, None]
-            write(csv_lines(zs, f, g17_fields(probs[:, s])) for s, f in zip(slices, names))
+            fields = g17_fields(np.concatenate((z, probs.ravel())))
+            zs, probs = fields[: z.size, None], fields[z.size :].reshape(*probs.shape, -1)
+            write(csv_lines(zs, f, probs[:, s]) for s, f in zip(slices, names))
 
     return _emit(args, ("z", "mode", "probability"), run, rows=rows)
 
@@ -531,10 +604,14 @@ def _config_parser():
     return pre
 
 
-def main(argv=None) -> int:
-    argv = _join_negative_values(list(sys.argv[1:] if argv is None else argv))
-    known, argv = _config_parser().parse_known_args(argv)
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``main``'s argv, with the flags of a ``--config`` file placed."""
+    argv = _join_negative_values(argv)
     parser = build_parser()
+    # only these tokens can match the pre-parser, which takes no abbreviation
+    if not any(tok == "--config" or tok.startswith("--config=") for tok in argv):
+        return parser.parse_args(argv)
+    known, argv = _config_parser().parse_known_args(argv)
     if known.config:
         # Config flags go right after the subcommand, so argparse converts
         # and checks them like typed flags and later explicit flags win.
@@ -549,7 +626,11 @@ def main(argv=None) -> int:
             parser.error(str(exc))
         at = argv.index(command) + 1
         argv[at:at] = flags
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parse(list(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

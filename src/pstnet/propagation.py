@@ -150,7 +150,8 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
     ``offset=d`` (an integer, 0 <= d < N) returns the 1-D array of
     column d alone.
 
-    Every z must be finite, and so must ``max|lambda| * max(1, max|z|)``.
+    Every z must be finite, and so must ``max|lambda| * max(1, max|z|)``,
+    with max|lambda| the one ``Spectrum.max_abs`` holds.
     Every offset is the inverse FFT of the N phases exp(-i lambda_p z).
     One offset evaluates its phases at the distinct eigenvalues only and
     differs from the sum over all N modes by at most the module
@@ -166,17 +167,21 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
     if offset is not None and not (isinstance(offset, (int, np.integer)) and 0 <= offset < n):
         raise ValueError(f"offset must be an integer in 0..{n - 1}, got {offset!r}")
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    reach = float(np.abs(zs).max(initial=1.0))
-    # nan propagates through max, so this refuses every non-finite z
+    # one z, the refinement's call, is read without an array reduction;
+    # nan propagates through max, so both refuse every non-finite z
+    reach = abs(float(zs[0])) if zs.size == 1 else float(np.abs(zs).max(initial=1.0))
     if not math.isfinite(reach):
         raise ValueError("z must be finite")
-    top = float(np.abs(spectrum.eigenvalues).max())
+    reach = max(1.0, reach)
+    top = spectrum.max_abs
     if not math.isfinite(top * reach):
         raise ValueError(f"the phase lambda z overflows: max|lambda| {top:g} at max|z| {reach:g}")
     if offset is None:
         return np.fft.ifft(np.exp(-1j * np.outer(zs, spectrum.eigenvalues)), axis=1)
     # 2^floor(log2(1e-13 / reach)): one tol for every reach of an octave
     plan = spectrum.plan(math.ldexp(0.5, math.frexp(1e-13 / reach)[1]), offset)
+    if zs.size == 1:  # _direct_sum's product, without its output array and loop
+        return np.exp(-1j * np.outer(zs, plan.mu)) @ plan.weights
     return _group_sum(zs, plan.mu, plan.weights)
 
 

@@ -30,8 +30,10 @@ class Spectrum:
     construction.  The eigenvalues must be finite, real symmetric
     circulants satisfy ``lambda_p == lambda_{N-p}`` and have zero trace
     (the coupling matrix has an empty diagonal); all three are checked
-    on construction.  Besides its eigenvalues it holds one thing: the
-    last ``plan`` asked for, whose arrays are read-only too.
+    on construction.  Besides its eigenvalues it holds two things:
+    ``max_abs``, the largest magnitude max|lambda| that the checks
+    compute, read by every amplitude call's overflow check, and the last
+    ``plan`` asked for, whose arrays are read-only too.
     """
 
     eigenvalues: np.ndarray
@@ -43,13 +45,15 @@ class Spectrum:
         if not np.isfinite(arr).all():
             raise ValueError("spectrum is not finite: the couplings overflow")
         n = arr.size
-        scale = max(1.0, float(np.abs(arr).max()))
+        max_abs = float(np.abs(arr).max())
+        scale = max(1.0, max_abs)
         mirrored = arr[(-np.arange(n)) % n]
         if np.abs(arr - mirrored).max() > 1e-9 * scale:
             raise ValueError("spectrum must satisfy lambda_p == lambda_{N-p}")
         if abs((arr / scale).sum()) > 1e-9 * n:
             raise ValueError("spectrum of a zero-diagonal circulant must sum to 0")
         object.__setattr__(self, "eigenvalues", _read_only(arr))
+        object.__setattr__(self, "max_abs", max_abs)
 
     @property
     def n_modes(self) -> int:
@@ -164,7 +168,7 @@ def opposite_site_spectrum(n_modes: int, strength: float) -> Spectrum:
 
 
 def default_bin_tolerance(spectrum: Spectrum) -> float:
-    return 1e-9 * max(1.0, float(np.abs(spectrum.eigenvalues).max()))
+    return 1e-9 * max(1.0, spectrum.max_abs)
 
 
 def degenerate_groups(spectrum: Spectrum, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -295,13 +295,14 @@ class TestTransportCommand:
 
     def test_chunks_write_the_bytes_of_one_grid(self, tmp_path, monkeypatch):
         calls = counting_amplitudes(monkeypatch)
-        monkeypatch.setattr(pstnet.cli, "_CHUNK_ROWS", 8 * 629)
+        # a z-step is 9 values: its z and 8 probabilities
+        monkeypatch.setattr(pstnet.cli, "_CHUNK_ROWS", 9 * 629)
         assert main([*self.README, "--outdir", str(tmp_path / "one")]) == 0
         assert calls == [629]
         one = (tmp_path / "one" / "transport.csv").read_bytes()
         # 4 z-steps per chunk and a one-step last chunk (629 = 4 * 157 + 1)
         calls.clear()
-        monkeypatch.setattr(pstnet.cli, "_CHUNK_ROWS", 32)
+        monkeypatch.setattr(pstnet.cli, "_CHUNK_ROWS", 9 * 4)
         assert main([*self.README, "--outdir", str(tmp_path / "many")]) == 0
         assert calls == [4] * 157 + [1]
         assert (tmp_path / "many" / "transport.csv").read_bytes() == one
@@ -1260,6 +1261,40 @@ class TestCliPlumbing:
         assert exc.value.code == 2
         assert "spell out --config in full" in capsys.readouterr().err
         assert not (tmp_path / "pst-check.json").exists()
+
+    @pytest.mark.parametrize("form", ["separate", "joined"])
+    def test_config_after_the_subcommand_is_applied_and_flags_win(self, tmp_path, form):
+        config = tmp_path / "run.cfg"
+        config.write_text("n = 12\nprofile = uniform:C=1,R=5\nsource = 3\ntol = 0.5\n")
+        flag = ["--config", str(config)] if form == "separate" else [f"--config={config}"]
+        args = pstnet.cli._parse(["pst-check", *flag, "--n", "8", "--profile", "uniform:C=1,R=3"])
+        assert (args.command, args.n, args.source, args.tol) == ("pst-check", 8, 3, 0.5)
+        assert args.profile == uniform_profile(1.0, 3)
+        argv = ["pst-check", *flag, "--source", "2", "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "pst-check.json").read_text())
+        assert (report["source"], report["target"]) == (2, 8)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --n 12 --profile uniform:C=1,R=5",
+            "transport --n 8 --profile uniform:C=1,R=3 --source 1 --z-max pi --dz 0.005",
+            "pst-check --n 10 --profile uniform:C=1,R=4 --source 1 --tol 1e-6 --output r --outdir o",
+            "cat --n 12 --profile uniform:C=1,R=5 --source 1 --alpha 0.5 --phi pi/2 --z-max 2pi",
+            "tmsv --n 8 --profile uniform:C=1,R=3 --w 0.5 --theta -pi/2 --pair 1,2 --z-max pi --dz 0.01",
+            "tmsv --n 8 --profile uniform:C=1,R=3 --w 0.5 --theta=-3pi/4 --pair 1,2 --z-max pi --dz 0.01",
+            "evanescent --n 12 --mu 0.524 --r 6 --source 1 --z-max 500 --format json",
+            "synth --n 8 --m 4 --c 1 --delta-scale 100 --tolerance 1e-9",
+        ],
+    )
+    def test_a_run_without_config_parses_as_through_the_pre_parser(self, argv):
+        # main skips the --config pre-parser when no token can match it
+        argv = argv.split()
+        _, rest = pstnet.cli._config_parser().parse_known_args(
+            pstnet.cli._join_negative_values(argv)
+        )
+        assert pstnet.cli._parse(argv) == pstnet.cli.build_parser().parse_args(rest)
 
     def test_deterministic_outputs(self, tmp_path):
         digests = []

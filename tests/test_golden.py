@@ -58,6 +58,14 @@ N modes and one inverse FFT, with no grouping: the ``transport`` and
 ``tmsv`` rings are uniform, whose degenerate eigenvalues are bitwise
 equal, so every phase and every byte is the one the gather computed.
 
+No digest moved when the JSON summaries came to be written by
+``cli._json_text``, a direct writer whose bytes are those of
+``json.dumps(summary, indent=2, default=_jsonable)``, when a single-z
+amplitude came to skip ``_group_sum`` for the same product, and when
+``transport`` came to format each block's z with its probabilities in
+blocks of ``_CHUNK_ROWS // (N + 1)`` z-steps: each row's phases and
+inverse FFT do not depend on its block.
+
 ``cat.csv``, ``evanescent.csv`` and the long ``evanescent`` trace were
 last recorded when a scan on an evenly spaced grid started to read its
 phases from a two-level table (anchor phases times one shared table of

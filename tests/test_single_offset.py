@@ -14,7 +14,9 @@ table; on other points it takes one ``exp`` per phase.  Both paths are
 held to the documented bound ``tol * max|z| + c * eps * max|mu z|``
 against ``reference`` and against the exact sum over all N modes in
 mpmath, and a block whose points leave the grid must take the direct
-path.
+path.  A single z, each point of a scan's refinement, skips both and
+must be ``_direct_sum``'s value on the same one-element grid, bit for
+bit.
 """
 
 import math
@@ -293,6 +295,53 @@ def test_points_off_the_grid_are_corrected_or_computed_directly(monkeypatch):
     assert np.abs(got - reference(spec, moved)[:, 6]).max() <= bound(spec, moved)
     assert [z.size for z in seen] == [16200]
     assert moved[20000] in seen[0]
+
+
+ONE_Z_RINGS = {
+    "uniform-1024": NetworkSpec(1024, uniform_profile(1.0, 511)),
+    "evanescent-1022": NetworkSpec(1022, evanescent_profile(0.815, 511)),
+    "custom-12": NetworkSpec(12, custom_profile([0.3, -1.0, 0.7, 1e-10, 0.25])),
+}
+# octave edges 2^k, where the grouping tol steps, and their neighbours
+OCTAVE_EDGES = [s * math.ldexp(f, k) for k in range(-3, 12) for f in (1.0, 1.0 - 2**-53)
+                for s in (1, -1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(ONE_Z_RINGS)),
+    st.floats(-1e4, 1e4) | st.sampled_from(OCTAVE_EDGES),
+    st.integers(0, 1 << 20),
+)
+@example("uniform-1024", math.pi / 2, 512)
+@example("evanescent-1022", -2.0, 511)
+@example("custom-12", 0.0, 6)
+def test_one_z_is_bitwise_the_direct_sum(name, z, offset):
+    # a refinement point skips _group_sum; its value must be the one
+    # _direct_sum gives the same one-element grid
+    spec = ONE_Z_RINGS[name]
+    offset %= spec.n_modes
+    got = offset_amplitudes(spec, [z], offset=offset)
+    spectrum = dispersion(spec)
+    assert spectrum.max_abs == np.abs(spectrum.eigenvalues).max()
+    tol = math.ldexp(0.5, math.frexp(1e-13 / max(1.0, abs(z)))[1])
+    plan = spectrum.plan(tol, offset)
+    want = np.empty(1, dtype=complex)
+    propagation._direct_sum(np.array([z]), plan.mu, plan.weights, want)
+    assert got.shape == (1,)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("offset", [None, 1])
+def test_one_overflowing_phase_is_refused_with_its_message(offset):
+    spec = NetworkSpec(2, custom_profile([1e308]))
+    message = r"^the phase lambda z overflows: max\|lambda\| 1e\+308 at max\|z\| 2$"
+    with pytest.raises(ValueError, match=message):
+        offset_amplitudes(spec, [2.0], offset=offset)
+    with pytest.raises(ValueError, match=message):
+        offset_amplitudes(spec, [0.5, -2.0], offset=offset)
+    # below the overflow a large one z is still summed
+    assert np.isfinite(offset_amplitudes(spec, [1.0], offset=offset)).all()
 
 
 @pytest.mark.parametrize("zs", [[math.nan], [math.inf], [-math.inf], [0.5, math.nan, 2.0]])

@@ -1,13 +1,13 @@
 """A ring's spectrum is computed once and held by its ``NetworkSpec``.
 
 The spec computes the FFT of its coupling row on first use; the
-``Spectrum`` holds its eigenvalues and nothing else but the plan
-(groups and weights) of the last tol and offset asked for.  Only one
-offset groups: every offset at once takes the N phases and groups
-nothing.  Everything held is read-only, a spectrum that overflows is
-refused on every use, and an amplitude read from a spec that has
-served earlier calls, at any tol, is bit for bit the one a fresh equal
-spec gives.
+``Spectrum`` holds its eigenvalues and nothing else but their largest
+magnitude and the plan (groups and weights) of the last tol and offset
+asked for.  Only one offset groups: every offset at once takes the N
+phases and groups nothing.  Everything held is read-only, a spectrum
+that overflows is refused on every use, and an amplitude read from a
+spec that has served earlier calls, at any tol, is bit for bit the one
+a fresh equal spec gives.
 """
 
 import dataclasses
@@ -115,7 +115,8 @@ def test_a_spectrum_holds_its_eigenvalues_and_one_plan():
     offset_amplitudes(spec, [0.5, 2.0], offset=5)
     offset_amplitudes(spec, [1e4], offset=None)
     degeneracy_histogram(spectrum)
-    assert set(vars(spectrum)) <= {"eigenvalues", "_plan"}
+    assert set(vars(spectrum)) <= {"eigenvalues", "max_abs", "_plan"}
+    assert spectrum.max_abs == np.abs(spectrum.eigenvalues).max()
 
 
 def test_every_offset_at_once_builds_no_plan(monkeypatch):
