@@ -10,11 +10,12 @@ block of its grid before it computes the next.  ``transport`` formats
 its mode labels once and slices a wide ring's modes.  ``cat`` and
 ``evanescent`` run one ``_scan`` of their merit, whose summary is their
 parameters, the labels, the maximum and where it lies, and the grid
-with the step used.  JSON summaries are written by ``_json_text``, whose
-bytes are those of ``json.dumps(summary, indent=2, default=_jsonable)``:
-floats are the shortest repr that reads back to the same value, a
-dataclass in a summary is the mapping of its fields and a complex number
-is ``[re, im]``.  An optional ``--config`` file (the flag spelled out in
+with the step used.  ``synth`` writes one CSV row per auxiliary pair and
+a summary of scalars and the synthesized couplings.  Every JSON summary
+is ``json.dumps(summary, indent=2, default=_jsonable)``: floats are the
+shortest repr that reads back to the same value, a dataclass in a
+summary is the mapping of its fields and a complex number is
+``[re, im]``.  An optional ``--config`` file (the flag spelled out in
 full) of ``key = value`` lines becomes ``--key=value`` flags placed
 right after the subcommand: keys are flag names (``z_max`` or
 ``z-max``), argparse parses them exactly like flags, and explicit flags
@@ -35,7 +36,6 @@ import dataclasses
 import functools
 import json
 import math
-import operator
 import os
 import re
 import shutil
@@ -153,82 +153,14 @@ def _jsonable(value):
     """``json.dumps`` default: a dataclass as a mapping of its fields, complex as ``[re, im]``.
 
     The mapping is shallow; ``json.dumps`` calls this again for each
-    nested dataclass or complex value it meets.  With it,
-    ``json.dumps(summary, indent=2, default=_jsonable)`` is the reference
-    that ``_json_text`` writes byte for byte; the writer calls it for the
-    complex values and for the values it refuses with a ``TypeError``.
+    nested dataclass or complex value it meets.  Any other value raises
+    the ``TypeError`` that ``json.dumps`` raises without a default.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, complex):
         return [value.real, value.imag]
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-@functools.cache
-def _field_keys(cls):
-    """A dataclass's getter of its field values and their ``"name": `` texts.
-
-    None for any other class.
-    """
-    if not dataclasses.is_dataclass(cls):
-        return None
-    names = [f.name for f in dataclasses.fields(cls)]
-    # attrgetter returns a tuple for two or more names only
-    get = operator.attrgetter(*names) if len(names) > 1 else lambda v: [getattr(v, n) for n in names]
-    return get, [json.dumps(name) + ": " for name in names]
-
-
-def _key_text(key) -> str:
-    """The ``"key": `` text json writes: a number, bool or None key as the string of its JSON."""
-    if isinstance(key, str):
-        return json.dumps(key) + ": "
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(json.dumps(key)) + ": "
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, default=_jsonable)``, written directly.
-
-    ``indent`` is the line break and padding before ``value``'s closing
-    bracket; its members go one level deeper.  A float, ``numpy.float64``
-    too, is ``float.__repr__`` or json's ``NaN``/``Infinity``/``-Infinity``;
-    a str, int, bool or None is ``json.dumps``'s.  A dataclass is the
-    mapping of its fields, which are looked up once per class, and
-    everything else goes through ``_jsonable``.  The members of a list,
-    tuple, dict or dataclass that are all finite floats are one join over
-    ``float.__repr__``.  Below Python 3.13, ``json.dumps`` with an indent
-    runs its pure-Python encoder, several times slower.
-    """
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    if isinstance(value, (str, int)) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        keys, values, brackets = None, value, "[]"
-    elif isinstance(value, dict):
-        keys, values, brackets = list(map(_key_text, value)), list(value.values()), "{}"
-    else:
-        fields = _field_keys(type(value))
-        if fields is None:
-            return _json_text(_jsonable(value), indent)
-        get, keys = fields
-        values, brackets = get(value), "{}"
-    if not values:
-        return brackets
-    inner = indent + "  "
-    try:  # float.__repr__ takes floats only
-        texts = list(map(float.__repr__, values))
-    except TypeError:
-        texts = None
-    if texts is None or not all(map(math.isfinite, values)):
-        texts = [_json_text(v, inner) for v in values]
-    if keys is not None:
-        texts = map(operator.add, keys, texts)
-    return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
 
 
 def _emit(args, header, run, note: str = "", rows: int = 0) -> int:
@@ -241,12 +173,14 @@ def _emit(args, header, run, note: str = "", rows: int = 0) -> int:
     written (``--format json``, or a command without a trace) ``write``
     drops the chunks unread, so a generator of them formats nothing.
     The CSV is opened at the first ``write``, so a run refused before it
-    has rows leaves an earlier file of the same name alone.  A run that
-    fails part way leaves no partial CSV behind, nor the directories it
-    created.  Every trace passes its row count: a trace of ``rows`` rows
-    needs at least ``rows * (2 len(header) + 1)`` bytes (every field and
-    separator takes one), so one that needs more than the output's free
-    disk space is refused before ``run`` starts.
+    has rows leaves an earlier file of the same name alone.  The summary
+    is ``json.dumps(summary, indent=2, default=_jsonable)`` plus a line
+    break.  A run that fails part way, its summary's write included,
+    leaves no CSV or JSON file that it opened behind, nor the directories
+    it created.  Every trace passes its row count: a trace of ``rows``
+    rows needs at least ``rows * (2 len(header) + 1)`` bytes (every field
+    and separator takes one), so one that needs more than the output's
+    free disk space is refused before ``run`` starts.
     """
     fmt = getattr(args, "format", "both")
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
@@ -256,12 +190,14 @@ def _emit(args, header, run, note: str = "", rows: int = 0) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{base}.csv"
     fh = None
+    opened = []  # the files this run opened, in order
     write_csv = header is not None and fmt != "json"
 
     def write(chunks):
         nonlocal fh
         if fh is None:
             fh = open(csv_path, "w", newline="")
+            opened.append(csv_path)
             fh.write(",".join(header) + "\r\n")
         fh.writelines(chunks)
 
@@ -274,22 +210,23 @@ def _emit(args, header, run, note: str = "", rows: int = 0) -> int:
                     f"{free} bytes free on its disk"
                 )
         summary = run(write if write_csv else lambda chunks: None)
+        if fh is not None:
+            fh.close()
+        if summary is not None and fmt in ("json", "both"):
+            text = json.dumps(summary, indent=2, default=_jsonable) + "\n"
+            json_path = outdir / f"{base}.json"
+            with open(json_path, "w") as out:
+                opened.append(json_path)
+                out.write(text)
     except BaseException:
         if fh is not None:
             fh.close()
-            csv_path.unlink()
+        for path in opened:
+            path.unlink()
         for d in created:
             d.rmdir()
         raise
-    written = []
-    if fh is not None:
-        fh.close()
-        written.append(csv_path)
-    if summary is not None and fmt in ("json", "both"):
-        path = outdir / f"{base}.json"
-        path.write_text(_json_text(summary) + "\n")
-        written.append(path)
-    print("wrote " + " ".join(str(p) for p in written) + note)
+    print("wrote " + " ".join(str(p) for p in opened) + note)
     return 0
 
 
@@ -425,15 +362,32 @@ def _cmd_synth(args) -> int:
         solve_weights(problem), args.delta_scale, args.dispersive_min
     )
     report = verify_synthesis(solution)
-    summary = {
-        "n_modes": args.n,
-        "n_aux_pairs": args.m,
-        "strength": args.c,
-        "solution": solution,
-        "pst_report": _report_labels(report),
-    }
+    modes = solution.physical
     note = f" (is_pst={str(report.is_pst).lower()})"
-    return _emit(args, None, lambda write: summary, note)
+
+    def run(write):
+        write(_csv_chunks(
+            np.arange(1, len(modes) + 1),
+            solution.weights,
+            [mode.g for mode in modes],
+            [mode.detuning for mode in modes],
+            [mode.ratio for mode in modes],
+        ))
+        return {
+            "n_modes": args.n,
+            "n_aux_pairs": args.m,
+            "strength": args.c,
+            "solution": {
+                "couplings": solution.couplings,
+                "residual": solution.residual,
+                "tolerance": solution.tolerance,
+                "min_dispersive_ratio": solution.min_dispersive_ratio,
+                "dispersive_ok": solution.dispersive_ok,
+            },
+            "pst_report": _report_labels(report),
+        }
+
+    return _emit(args, ("k", "weight", "g", "detuning", "ratio"), run, note)
 
 
 class _ConfigPrefix(argparse.Action):

@@ -192,7 +192,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ]
         subprocess.run(args, cwd=workdir, env=env, check=True, capture_output=True)
         digest = hashlib.sha256()
-        for name in ("spectrum.csv", "spectrum.json", "synth.json"):
+        for name in ("spectrum.csv", "spectrum.json", "synth.csv", "synth.json"):
             digest.update((workdir / name).read_bytes())
         return digest.hexdigest()
 

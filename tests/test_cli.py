@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -29,7 +30,7 @@ from pstnet import (
     tmsv_covariance,
     uniform_profile,
 )
-from pstnet.cli import _CHUNK_ROWS, _csv_chunks, _emit, main, parse_length
+from pstnet.cli import _CHUNK_ROWS, _csv_chunks, _emit, _jsonable, main, parse_length
 from pstnet.g17 import csv_text
 
 
@@ -173,6 +174,33 @@ class TestCsvChunks:
         assert (",".join(header) + "\r\n" + "".join(texts)).encode() == expected
         # the text of one csv_text call over the whole columns
         assert "".join(texts) == csv_text(*columns)
+
+
+@dataclasses.dataclass(frozen=True)
+class Point:
+    x: float
+    y: object
+
+
+class TestJsonable:
+    """The ``json.dumps`` default of every summary."""
+
+    def test_a_dataclass_is_the_mapping_of_its_fields(self):
+        inner = Point(0.5, 1 + 2j)
+        assert _jsonable(Point(-1.0, inner)) == {"x": -1.0, "y": inner}
+        assert json.loads(json.dumps(Point(-1.0, inner), default=_jsonable)) == {
+            "x": -1.0, "y": {"x": 0.5, "y": [1.0, 2.0]}
+        }
+
+    def test_a_complex_is_re_im(self):
+        assert _jsonable(complex(-0.0, math.inf)) == [-0.0, math.inf]
+
+    @pytest.mark.parametrize(
+        "value", [object(), {1, 2}, b"bytes", np.int64(3), np.bool_(True), Point], ids=repr
+    )
+    def test_anything_else_raises_type_error(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _jsonable(value)
 
 
 class TestSpectrumCommand:
@@ -886,6 +914,19 @@ class TestSynthCommand:
         assert result.stderr.startswith("pstnet: error: synthesis residual ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n,m", [(8, 4), (8, 6), (1024, 512)])
+    def test_table_has_one_row_per_pair_and_rebuilds_each_weight(self, tmp_path, n, m):
+        argv = ["synth", "--n", str(n), "--m", str(m), "--c", "1", "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        header, rows = read_csv(tmp_path / "synth.csv")
+        assert header == ["k", "weight", "g", "detuning", "ratio"]
+        k, weight, g, detuning, ratio = np.array(rows, dtype=float).T
+        assert np.array_equal(k, np.arange(1, m + 1))
+        np.testing.assert_allclose(2 * g**2 / detuning, weight, rtol=1e-15, atol=0)
+        assert np.array_equal(ratio, np.abs(detuning) / g)
+        solution = json.loads((tmp_path / "synth.json").read_text())["solution"]
+        assert solution["min_dispersive_ratio"] == ratio.min()
+
     @pytest.mark.parametrize(
         "strength,message",
         [("1e308", "synthesis residual "), ("nan", "target strength must be finite")],
@@ -961,6 +1002,23 @@ class TestCliPlumbing:
         )
         assert result.returncode == 3
         assert result.stderr.startswith("pstnet: error:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "cat --n 12 --profile uniform:C=1,R=5 --source 1 --alpha 0.5 --phi pi/2 --z-max 2pi",
+            "synth --n 8 --m 4 --c 1",
+        ],
+        ids=["cat", "synth"],
+    )
+    def test_a_summary_that_cannot_be_written_leaves_no_csv(self, tmp_path, args):
+        base = args.split()[0]
+        (tmp_path / f"{base}.json").mkdir()
+        result = run_cli([*args.split(), "--outdir", str(tmp_path)], tmp_path)
+        assert result.returncode == 3
+        assert result.stderr.startswith("pstnet: error:")
+        assert result.stderr.count("\n") == 1
+        assert not (tmp_path / f"{base}.csv").exists()
 
     def test_outdir_env_var(self, tmp_path):
         outdir = tmp_path / "results"

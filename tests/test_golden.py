@@ -90,6 +90,15 @@ of the evenly folded weights.  The weights became exactly (-1.5, -2,
 8.9e-16 to 0.0; ``z_pst`` is now pi/2 to the last bit.  No other digest
 moved.
 
+``synth.json`` was last recorded, and ``synth.csv`` first pinned, when
+``synth`` moved its per-pair arrays into a CSV table of
+``(k, weight, g, detuning, ratio)``, one row per auxiliary pair, and
+every summary came to be written by ``json.dumps`` itself.  It is a
+change of layout, and no value moved: the JSON lost ``weights`` and
+``physical`` and is otherwise equal, key order included, and each table
+row reads back to the weight and ``(g, detuning, ratio)`` of its pair.
+No other digest moved.
+
 The long ``evanescent`` trace (z = 5000, 407,500 points) was last
 recorded when scans started to read their grid in blocks of at most
 2^16 points, one ``offset_amplitudes`` call per block.  Each block has
@@ -149,7 +158,8 @@ GOLDEN = {
         "evanescent.json": "77bfe895809516f13076409b5734c316f4c038880691522cb9ce52242b33ca3a",
     },
     "synth --n 8 --m 4 --c 1": {
-        "synth.json": "f9a0699ae2fd22698da81334049392f336a7657fa5dcb58190307d350da63e70",
+        "synth.csv": "aad9f01974d8521a45f6be7f71de67ab161ce0f2636059832ae0fb6b5042a0dc",
+        "synth.json": "b3e7367444f641c0b372aac285fa19f0d21d37f18ca4d10c294caa313fb9f542",
     },
 }
 
