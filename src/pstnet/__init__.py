@@ -58,7 +58,7 @@ from .spectral import (
     opposite_site_spectrum,
 )
 from .synthesis import (
-    AuxiliaryMode,
+    AuxiliaryPairs,
     SynthesisProblem,
     SynthesisSolution,
     constraint_matrix,

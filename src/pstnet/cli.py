@@ -19,8 +19,9 @@ summary is the mapping of its fields and a complex number is
 full) of ``key = value`` lines becomes ``--key=value`` flags placed
 right after the subcommand: keys are flag names (``z_max`` or
 ``z-max``), argparse parses them exactly like flags, and explicit flags
-win.  A bad grid, an unwritable output, a trace larger than the free
-disk space or an allocation numpy refuses ends with exit 3 and a
+win.  A bad grid, a profile range beyond N // 2 (refused before its
+couplings are built), an unwritable output, a trace larger than the
+free disk space or an allocation numpy refuses ends with exit 3 and a
 one-line message.
 
 Mode labels on the command line are 1-based; the library uses 0-based
@@ -45,12 +46,13 @@ from pathlib import Path
 import numpy as np
 
 from .fock import cat_fidelity_scan
-from .g17 import csv_lines, csv_text, g17_fields
+from .g17 import _PASS, csv_lines, csv_text, g17_fields
 from .gaussian import TmsvParams, pair_squeezing, tmsv_covariance
 from .lattice import (
     NetworkSpec,
     custom_profile,
     evanescent_profile,
+    ring_size,
     uniform_profile,
 )
 from .propagation import (
@@ -92,7 +94,13 @@ def parse_length(text: str) -> float:
 
 
 def parse_profile(text: str):
-    """Parse 'uniform:C=1,R=3', 'evanescent:mu=0.5,R=6' or 'custom:0.5,0.25'."""
+    """Parse 'uniform:C=1,R=3', 'evanescent:mu=0.5,R=6' or 'custom:0.5,0.25'.
+
+    A custom profile is built here.  A uniform or evanescent one is
+    returned as ``(build, value, R)`` once ``build(value, min(R, 1))``
+    has checked its parameters: ``_Parser.parse_args`` builds its R
+    couplings only after checking R against ``--n``.
+    """
     kind, sep, rest = str(text).partition(":")
     kind = kind.strip().lower()
     if not sep or not rest.strip():
@@ -109,14 +117,16 @@ def parse_profile(text: str):
                 raise ValueError(f"expected key=value, got {item!r}")
             params[key.strip().lower()] = value.strip()
         if kind == "uniform":
-            profile = uniform_profile(float(params.pop("c")), int(params.pop("r")))
+            build, value = uniform_profile, float(params.pop("c"))
         elif kind == "evanescent":
-            profile = evanescent_profile(float(params.pop("mu")), int(params.pop("r")))
+            build, value = evanescent_profile, float(params.pop("mu"))
         else:
             raise argparse.ArgumentTypeError(f"unknown profile kind {kind!r}")
+        r = int(params.pop("r"))
+        build(value, min(r, 1))
         if params:
             raise ValueError(f"unknown parameters {', '.join(sorted(params))}")
-        return profile
+        return build, value, r
     except (KeyError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"bad profile {text!r}: {exc}") from None
 
@@ -134,7 +144,7 @@ def parse_pair(text: str) -> tuple[int, int]:
 # Fields one kernel pass formats: _csv_chunks takes _CHUNK_ROWS // k rows
 # of k columns at a time, transport _CHUNK_ROWS // (N + 1) z-steps of z and
 # N probabilities (one z-step of a wider ring, in slices of _CHUNK_ROWS modes).
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = _PASS
 
 
 def _csv_chunks(*columns):
@@ -347,6 +357,7 @@ def _cmd_tmsv(args) -> int:
 
 
 def _cmd_evanescent(args) -> int:
+    ring_size(args.n, args.r)  # before the profile builds its R couplings
     spec = NetworkSpec(args.n, evanescent_profile(args.mu, args.r))
     source = _label_to_index(args.source, args.n, "source")
     target = antipode(args.n, source)
@@ -357,22 +368,14 @@ def _cmd_evanescent(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    problem = SynthesisProblem(args.n, args.m, args.c, args.tolerance)
-    solution = physical_parameters(
-        solve_weights(problem), args.delta_scale, args.dispersive_min
-    )
+    solution = solve_weights(SynthesisProblem(args.n, args.m, args.c, args.tolerance))
+    pairs = physical_parameters(solution, args.delta_scale, args.dispersive_min)
     report = verify_synthesis(solution)
-    modes = solution.physical
     note = f" (is_pst={str(report.is_pst).lower()})"
+    k = np.arange(1, len(solution.weights) + 1)
 
     def run(write):
-        write(_csv_chunks(
-            np.arange(1, len(modes) + 1),
-            solution.weights,
-            [mode.g for mode in modes],
-            [mode.detuning for mode in modes],
-            [mode.ratio for mode in modes],
-        ))
+        write(_csv_chunks(k, solution.weights, pairs.g, pairs.detuning, pairs.ratio))
         return {
             "n_modes": args.n,
             "n_aux_pairs": args.m,
@@ -381,8 +384,8 @@ def _cmd_synth(args) -> int:
                 "couplings": solution.couplings,
                 "residual": solution.residual,
                 "tolerance": solution.tolerance,
-                "min_dispersive_ratio": solution.min_dispersive_ratio,
-                "dispersive_ok": solution.dispersive_ok,
+                "min_dispersive_ratio": pairs.min_dispersive_ratio,
+                "dispersive_ok": pairs.dispersive_ok,
             },
             "pst_report": _report_labels(report),
         }
@@ -400,6 +403,23 @@ class _ConfigPrefix(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         raise argparse.ArgumentError(self, "spell out --config in full")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Builds a uniform or evanescent ``--profile`` once ``--n`` is parsed.
+
+    ``parse_profile`` leaves such a profile as ``(build, value, R)``, and
+    R is checked against N // 2 before its R couplings are built, so a
+    range far beyond the ring is refused (exit 3) without building it.
+    """
+
+    def parse_args(self, args=None, namespace=None):
+        namespace = super().parse_args(args, namespace)
+        if isinstance(getattr(namespace, "profile", None), tuple):
+            build, value, r = namespace.profile
+            ring_size(namespace.n, r)
+            namespace.profile = build(value, r)
+        return namespace
 
 
 @functools.cache
@@ -431,7 +451,7 @@ def build_parser():
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pstnet",
         description="State transfer experiments on circulant waveguide networks",
     )
@@ -584,8 +604,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    args = _parse(list(sys.argv[1:] if argv is None else argv))
     try:
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"pstnet: error: {exc}", file=sys.stderr)

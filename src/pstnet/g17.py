@@ -34,7 +34,7 @@ import numpy as np
 
 LOW, HIGH = 1e-283, 1e290  # every 10**(16 - e) they need splits without overflow
 WIDTH = 24  # len("-2.2250738585072014e-308")
-_PASS = 4096  # values per kernel pass; a CLI chunk is one pass
+_PASS = 4096  # values per kernel pass, and per CLI chunk (cli._CHUNK_ROWS)
 _K0, _K1 = -274, 300  # table range of 16 - e
 _SPLIT = 134217729.0  # 2**27 + 1
 

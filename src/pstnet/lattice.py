@@ -77,6 +77,20 @@ def custom_profile(couplings) -> CouplingProfile:
     return CouplingProfile(tuple(float(c) for c in couplings))
 
 
+def ring_size(n_modes, interaction_range: int) -> int:
+    """``n_modes`` as an int, once it is at least 2 and R <= N // 2.
+
+    ``NetworkSpec`` checks itself with it; a caller can check a range R
+    with it before a profile builds R couplings.
+    """
+    if not isinstance(n_modes, (int, np.integer)) or n_modes < 2:
+        raise ValueError("n_modes must be an integer >= 2")
+    n = int(n_modes)
+    if interaction_range > n // 2:
+        raise ValueError(f"profile range {interaction_range} exceeds N//2 = {n // 2}")
+    return n
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """A circulant network: mode count plus coupling profile.
@@ -91,14 +105,8 @@ class NetworkSpec:
     profile: CouplingProfile
 
     def __post_init__(self):
-        if not isinstance(self.n_modes, (int, np.integer)) or self.n_modes < 2:
-            raise ValueError("n_modes must be an integer >= 2")
-        object.__setattr__(self, "n_modes", int(self.n_modes))
-        if self.profile.interaction_range > self.n_modes // 2:
-            raise ValueError(
-                f"profile range {self.profile.interaction_range} exceeds "
-                f"N//2 = {self.n_modes // 2}"
-            )
+        n = ring_size(self.n_modes, self.profile.interaction_range)
+        object.__setattr__(self, "n_modes", n)
 
     @cached_property
     def spectrum(self) -> Spectrum:

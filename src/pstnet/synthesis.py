@@ -15,14 +15,16 @@ from one inverse real FFT of length N.  Every other M takes minimum-norm
 (M > N/2) or least-squares (M < N/2) weights from ``lstsq`` on the dense
 cosine matrix.  The profile of any weights is one FFT of the weights
 folded evenly mod N, so every residual measures the exact cosine sums,
-not the rounded matrix.  The weights can be split back into physical
-(g_k, Delta_k) pairs at a chosen detuning scale.
+not the rounded matrix.  ``physical_parameters`` splits the weights, in
+one numpy pass, into the columns of physical (g_k, Delta_k) pairs at a
+chosen detuning scale, with the ratios |Delta_k| / g_k that the
+elimination needs large.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,32 +57,34 @@ class SynthesisProblem:
 
 
 @dataclass(frozen=True)
-class AuxiliaryMode:
-    """Physical realization of one weight: coupling g, detuning, and
-    dispersive ratio |Delta| / g (inf for decoupled modes)."""
-
-    g: float
-    detuning: float
-    ratio: float
-
-
-@dataclass(frozen=True)
 class SynthesisSolution:
-    """Weights A_k with the coupling profile they synthesize.
+    """Weights A_k, k = 1..M, with the couplings J_r, r = 1..N/2, they synthesize.
 
     ``residual`` is the largest constraint violation; solutions whose
     residual exceeds ``tolerance`` (the problem's tolerance times
-    max(1, |C|)) must not be used for transfer.
-    ``physical`` is filled in by :func:`physical_parameters`.
+    max(1, |C|)) must not be used for transfer.  The physical pairs that
+    realize the weights are :func:`physical_parameters`' record.
     """
 
     weights: tuple[float, ...]
     couplings: tuple[float, ...]
     residual: float
     tolerance: float
-    physical: tuple[AuxiliaryMode, ...] | None = None
-    min_dispersive_ratio: float | None = None
-    dispersive_ok: bool | None = None
+
+
+@dataclass(frozen=True)
+class AuxiliaryPairs:
+    """Columns of the (g_k, Delta_k) pairs that realize weights A_k, k = 1..M.
+
+    ``ratio`` is |Delta_k| / g_k, inf for a decoupled pair (g_k = 0);
+    ``dispersive_ok`` tells whether its minimum reaches the floor asked for.
+    """
+
+    g: tuple[float, ...]
+    detuning: tuple[float, ...]
+    ratio: tuple[float, ...]
+    min_dispersive_ratio: float
+    dispersive_ok: bool
 
 
 def constraint_matrix(n_modes: int, n_aux_pairs: int) -> np.ndarray:
@@ -145,8 +149,8 @@ def solve_weights(problem: SynthesisProblem) -> SynthesisSolution:
         couplings = effective_couplings(weights, n)
         residual = float(np.abs(couplings - target).max())
     return SynthesisSolution(
-        weights=tuple(float(a) for a in weights),
-        couplings=tuple(float(j) for j in couplings),
+        weights=tuple(weights.tolist()),
+        couplings=tuple(couplings.tolist()),
         residual=residual,
         tolerance=problem.tolerance * max(1.0, abs(problem.strength)),
     )
@@ -156,32 +160,32 @@ def physical_parameters(
     solution: SynthesisSolution,
     delta_scale: float,
     dispersive_min: float = 10.0,
-) -> SynthesisSolution:
-    """Split each weight into (g_k, Delta_k) at a common detuning scale.
+) -> AuxiliaryPairs:
+    """Split the weights into (g_k, Delta_k) columns at a common detuning scale.
 
     Detunings take the magnitude ``delta_scale`` with the sign of A_k
-    and g_k = sqrt(|A_k| delta_scale / 2), so 2 g^2 / Delta rebuilds
-    the weight.  Modes with zero weight decouple (g = 0).  Ratios
+    (+``delta_scale`` for A_k = 0, of either sign) and g_k =
+    sqrt(|A_k| delta_scale / 2), so 2 g^2 / Delta rebuilds the weight.
+    Pairs with zero weight decouple (g = 0, ratio inf).  Ratios
     |Delta| / g below ``dispersive_min`` are flagged, not rejected,
     since the adiabatic elimination is only trustworthy when the
-    detuning dominates.
+    detuning dominates.  One numpy pass computes every column.
     """
     if not (math.isfinite(delta_scale) and delta_scale > 0):
         raise ValueError("delta_scale must be finite and positive")
     if not math.isfinite(dispersive_min):
         raise ValueError("dispersive_min must be finite")
-    modes = []
-    for a in solution.weights:
-        if a == 0.0:
-            modes.append(AuxiliaryMode(0.0, delta_scale, math.inf))
-            continue
-        detuning = math.copysign(delta_scale, a)
-        g = math.sqrt(abs(a) * delta_scale / 2.0)
-        modes.append(AuxiliaryMode(g, detuning, abs(detuning) / g))
-    min_ratio = min(mode.ratio for mode in modes)
-    return replace(
-        solution,
-        physical=tuple(modes),
+    a = np.asarray(solution.weights, dtype=float)
+    detuning = np.where(a == 0.0, delta_scale, np.copysign(delta_scale, a))
+    # a huge weight overflows its g to inf and a zero one divides by g = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        g = np.sqrt(np.abs(a) * delta_scale / 2.0)
+        ratio = delta_scale / g
+    min_ratio = float(ratio.min())
+    return AuxiliaryPairs(
+        g=tuple(g.tolist()),
+        detuning=tuple(detuning.tolist()),
+        ratio=tuple(ratio.tolist()),
         min_dispersive_ratio=min_ratio,
         dispersive_ok=bool(min_ratio >= dispersive_min),
     )

@@ -967,6 +967,56 @@ class TestCliPlumbing:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --n 12 --profile uniform:C=1,R={r}",
+            "pst-check --n 12 --profile evanescent:mu=0.5,R={r} --source 1",
+            "evanescent --n 12 --mu 0.5 --r {r} --source 1",
+        ],
+        ids=["uniform", "evanescent-profile", "evanescent"],
+    )
+    @pytest.mark.parametrize("r", [7, 10**20])
+    def test_a_range_beyond_half_the_ring_is_refused_before_it_is_built(
+        self, tmp_path, argv, r
+    ):
+        # The child caps its address space before it imports pstnet, so that
+        # building 10**20 couplings fails fast, and with another message,
+        # instead of exhausting the memory.
+        capped = (
+            "import resource, runpy; cap = 512 << 20; "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+            "runpy.run_module('pstnet', run_name='__main__')"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", capped, *argv.format(r=r).split(), "--outdir", "out"],
+            cwd=tmp_path,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 3
+        assert result.stderr == f"pstnet: error: profile range {r} exceeds N//2 = 6\n"
+        assert result.stdout == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "profile,message",
+        [
+            ("uniform:C=-1,R=99999999999999999999", "uniform coupling strength must be positive"),
+            ("evanescent:mu=2,R=99999999999999999999", "mu must lie strictly between 0 and 1"),
+            ("uniform:C=1,R=0", "interaction_range must be a positive integer"),
+        ],
+    )
+    def test_a_bad_profile_parameter_is_a_usage_error_whatever_its_range(
+        self, tmp_path, profile, message
+    ):
+        result = run_cli(["spectrum", "--n", "12", "--profile", profile], tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[-1].endswith(message)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
         "args,code",
         [
             (["cat", "--source", "1", "--alpha", "0.5", "--phi", "0", "--z-max", "1"], 3),

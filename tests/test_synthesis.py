@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -180,45 +181,60 @@ class TestEffectiveCouplings:
 class TestPhysicalParameters:
     def test_formula_inversion(self):
         base = SynthesisSolution((2.0,), (0.0,), 0.0, 1e-8)
-        filled = physical_parameters(base, 100.0)
-        mode = filled.physical[0]
-        assert mode.g == pytest.approx(10.0, abs=1e-12)
-        assert mode.detuning == 100.0
-        assert mode.ratio == pytest.approx(10.0, abs=1e-12)
+        pairs = physical_parameters(base, 100.0)
+        assert pairs.g[0] == pytest.approx(10.0, abs=1e-12)
+        assert pairs.detuning[0] == 100.0
+        assert pairs.ratio[0] == pytest.approx(10.0, abs=1e-12)
 
     def test_zero_weight_decouples(self):
         base = SynthesisSolution((0.0,), (0.0,), 0.0, 1e-8)
-        filled = physical_parameters(base, 50.0)
-        assert filled.physical[0].g == 0.0
-        assert math.isinf(filled.physical[0].ratio)
+        pairs = physical_parameters(base, 50.0)
+        assert pairs.g[0] == 0.0
+        assert math.isinf(pairs.ratio[0])
+
+    def test_negative_zero_weight_decouples_at_the_positive_detuning(self):
+        base = SynthesisSolution((-0.0, 0.0), (0.0, 0.0), 0.0, 1e-8)
+        pairs = physical_parameters(base, 50.0)
+        assert pairs.g == (0.0, 0.0)
+        assert all(math.isinf(r) for r in pairs.ratio)
+        assert pairs.detuning == (50.0, 50.0)
+
+    def test_a_weight_whose_g_underflows_decouples_without_a_warning(self):
+        base = SynthesisSolution((5e-324, -3.0), (0.0, 0.0), 0.0, 1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = physical_parameters(base, 1.0)
+        assert pairs.g[0] == 0.0 and math.isinf(pairs.ratio[0])
+        assert pairs.detuning == (1.0, -1.0)
+
+    def test_columns_have_one_entry_per_weight(self):
+        solution = solve_weights(SynthesisProblem(12, 9, 1.0))
+        pairs = physical_parameters(solution, 150.0)
+        columns = (pairs.g, pairs.detuning, pairs.ratio)
+        assert [len(c) for c in columns] == [9, 9, 9]
+        assert all(type(x) is float for c in columns for x in c)
 
     def test_weights_rebuilt_from_parameters(self):
-        solution = physical_parameters(
-            solve_weights(SynthesisProblem(8, 4, 1.0)), 200.0
-        )
-        rebuilt = [
-            2.0 * mode.g**2 / mode.detuning for mode in solution.physical
-        ]
+        solution = solve_weights(SynthesisProblem(8, 4, 1.0))
+        pairs = physical_parameters(solution, 200.0)
+        rebuilt = [2.0 * g**2 / d for g, d in zip(pairs.g, pairs.detuning)]
         assert rebuilt == pytest.approx(list(solution.weights), abs=1e-12)
 
     def test_detuning_sign_follows_weight(self):
-        solution = physical_parameters(
-            solve_weights(SynthesisProblem(12, 6, 1.0)), 150.0
-        )
-        for weight, mode in zip(solution.weights, solution.physical):
+        solution = solve_weights(SynthesisProblem(12, 6, 1.0))
+        pairs = physical_parameters(solution, 150.0)
+        for weight, detuning in zip(solution.weights, pairs.detuning):
             if weight != 0.0:
-                assert math.copysign(1.0, mode.detuning) == math.copysign(1.0, weight)
+                assert math.copysign(1.0, detuning) == math.copysign(1.0, weight)
 
     def test_dispersive_flag(self):
-        solution = physical_parameters(
-            solve_weights(SynthesisProblem(8, 4, 1.0)), 200.0, dispersive_min=10.0
-        )
-        assert solution.min_dispersive_ratio >= 10.0
-        assert solution.dispersive_ok
-        cramped = physical_parameters(
-            solve_weights(SynthesisProblem(8, 4, 1.0)), 1.0, dispersive_min=10.0
-        )
-        assert not cramped.dispersive_ok
+        solution = solve_weights(SynthesisProblem(8, 4, 1.0))
+        pairs = physical_parameters(solution, 200.0, dispersive_min=10.0)
+        assert pairs.min_dispersive_ratio >= 10.0
+        assert pairs.min_dispersive_ratio == min(pairs.ratio)
+        assert pairs.dispersive_ok is True
+        cramped = physical_parameters(solution, 1.0, dispersive_min=10.0)
+        assert cramped.dispersive_ok is False
 
     def test_rejects_bad_scale(self):
         for scale in (0.0, math.inf, math.nan):
