@@ -113,12 +113,17 @@ class NetworkSpec:
         """The ``spectral.Spectrum`` of the ring: the FFT of ``coupling_row``.
 
         Computed once, on first use; ``spectral.dispersion`` returns it.
-        A spectrum that overflows raises on every use, since nothing is
-        held until the ``Spectrum`` has passed its checks.
+        The FFT may round lambda_p and lambda_{N-p} apart, so lambda_p is
+        written into lambda_{N-p} for 0 < p < N/2: the spectrum is mirror
+        symmetric bit for bit.  A spectrum that overflows raises on every
+        use, since nothing is held until the ``Spectrum`` has passed its
+        checks.
         """
         # Spectrum rejects an overflowed sum; numpy need not warn about it too
         with np.errstate(over="ignore", invalid="ignore"):
             lam = np.fft.fft(coupling_row(self)).real
+        n = self.n_modes
+        lam[n - 1 : n // 2 : -1] = lam[1 : (n + 1) // 2]
         return Spectrum(lam)
 
 

@@ -17,38 +17,34 @@ the phases of the N modes and one inverse FFT per z.
 
 One offset d (the scans) needs one column, and the spectrum has few
 distinct values (three for the collapse profile below), so there the
-phase is evaluated once per distinct eigenvalue mu_g.
-``spectral.degenerate_groups`` groups the sorted eigenvalues that lie
-within ``tol`` of their group's first member mu_g, where tol is
-``1e-13 / max(1, max|z|)`` rounded down to a power of two, and the sum
-runs once per group:
+phase is evaluated once per distinct eigenvalue mu_g.  The sorted
+eigenvalues are grouped where they are exactly equal, with no
+tolerance, and the sum runs once per group:
 
     u_d(z) = sum_g w_g(d) exp(-i mu_g z),
     w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p d / N)
 
-A ``NetworkSpec`` computes its spectrum once and holds it, and the
-spectrum holds the last plan: the groups at one tol with the weights
-of one offset, whose phases take (p d) mod N in integers.  A call with
-the same tol and offset computes only the phase sum.  Every reach in one
-octave has the same tol, so the single-z calls of a golden-section
-refinement share one FFT, one sort and one plan, and the per-block calls
-of a scan one plan per octave of z.
+A ``NetworkSpec`` computes its spectrum once and holds it, mirror
+symmetric bit for bit, so the two roundings of one eigenvalue never
+split a group.  The module holds the groups and weights of the last
+spectrum and offset asked for (``_offset_weights``), whose phases take
+(p d) mod N in integers, so the single-z calls of a golden-section
+refinement and the per-block calls of a scan share one sort.
 
-Replacing each member by mu_g moves its phase by at most tol * |z| <=
-1e-13, and eigenvalues that are distinct at that resolution are never
-merged.  One offset differs from the sum over all N modes by at most
+Every member of a group has the group's eigenvalue, so one offset is
+the sum over all N modes up to rounding, as every offset at once is:
+both differ from the exact sum by at most
 
-    tol * max|z| + c * eps * max|mu z|
+    c * eps * max(1, max|mu z|)
 
-with c a small constant; every offset at once carries only the second
-term.  It is the rounding of the phase arguments mu z themselves, which
-any floating-point exp(-i mu z) carries, and it dominates on long grids
-(6.6e-12 at z = 5000 on the evanescent N = 12, mu = 0.815 ring).  On an
-evenly spaced grid the one-offset sum reads its phases from a two-level
-table, anchor phases times a shared table of step phases, with a
-first-order correction for the rounding gap between the grid and the
-table; a block of points off the grid and single points take one exp
-per phase.
+with c a small constant.  The rounding of the phase arguments mu z
+themselves, which any floating-point exp(-i mu z) carries, dominates
+on long grids (6.6e-12 at z = 5000 on the evanescent N = 12,
+mu = 0.815 ring).  On an evenly spaced grid the one-offset sum reads
+its phases from a two-level table, anchor phases times a shared table
+of step phases, with a first-order correction for the rounding gap
+between the grid and the table; a block of points off the grid and
+single points take one exp per phase.
 
 With the uniform profile of range N/2 - 1 the spectrum collapses onto
 three values and the propagator has a closed form.  At the distances
@@ -58,13 +54,14 @@ amplitude, with phase -1, arrives at the diametrically opposite site.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import NetworkSpec, circulant
-from .spectral import dispersion
+from .spectral import Spectrum, dispersion
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # grid points per scan block, and phase factors exp(-i mu_g z) held at
@@ -153,14 +150,12 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
     Every z must be finite, and so must ``max|lambda| * max(1, max|z|)``,
     with max|lambda| the one ``Spectrum.max_abs`` holds.
     Every offset is the inverse FFT of the N phases exp(-i lambda_p z).
-    One offset evaluates its phases at the distinct eigenvalues only and
-    differs from the sum over all N modes by at most the module
-    docstring's bound.  The spectrum is the one ``spec`` holds, grouped at
-    the power of two ``tol`` at or below ``1e-13 / max(1, max|z|)``; the
-    spectrum holds the groups and the weights of this offset until a call
-    with another tol or offset replaces them (``Spectrum.plan``).  It sums
-    in blocks of about ``_BLOCK`` entries, so its memory is O(len(zs)) for
-    any N, and on an evenly spaced ``zs`` reads ``_group_sum``'s table.
+    One offset evaluates its phases at the distinct eigenvalues of the
+    spectrum ``spec`` holds, weighted by ``_offset_weights``, and equals
+    the sum over all N modes up to the rounding of the module docstring's
+    bound.  It sums in blocks of about ``_BLOCK`` entries, so its memory
+    is O(len(zs)) for any N, and on an evenly spaced ``zs`` reads
+    ``_group_sum``'s table.
     """
     spectrum = dispersion(spec)
     n = spec.n_modes
@@ -178,11 +173,31 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
         raise ValueError(f"the phase lambda z overflows: max|lambda| {top:g} at max|z| {reach:g}")
     if offset is None:
         return np.fft.ifft(np.exp(-1j * np.outer(zs, spectrum.eigenvalues)), axis=1)
-    # 2^floor(log2(1e-13 / reach)): one tol for every reach of an octave
-    plan = spectrum.plan(math.ldexp(0.5, math.frexp(1e-13 / reach)[1]), offset)
+    mu, weights = _offset_weights(spectrum, offset)
     if zs.size == 1:  # _direct_sum's product, without its output array and loop
-        return np.exp(-1j * np.outer(zs, plan.mu)) @ plan.weights
-    return _group_sum(zs, plan.mu, plan.weights)
+        return np.exp(-1j * np.outer(zs, mu)) @ weights
+    return _group_sum(zs, mu, weights)
+
+
+@functools.lru_cache(maxsize=1)
+def _offset_weights(spectrum: Spectrum, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct eigenvalues mu_g and their weights w_g(d) for the offset d.
+
+    A group g is a run of exactly equal sorted eigenvalues: ``mu`` holds
+    its value and ``weights`` its (1/N) sum_{p in g} exp(i 2 pi p d / N),
+    both read-only.  Only the last spectrum and offset are held.
+    """
+    n = spectrum.n_modes
+    order = np.argsort(spectrum.eigenvalues)
+    values = spectrum.eigenvalues[order]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    # (p d) mod N in integers keeps the Fourier phase exact for large p d
+    phases = np.exp(2j * np.pi / n * (order * offset % n))
+    weights = np.add.reduceat(phases, starts) / n
+    mu = values[starts]
+    mu.setflags(write=False)
+    weights.setflags(write=False)
+    return mu, weights
 
 
 def _direct_sum(zs, mu, weights, out) -> None:

@@ -3,8 +3,10 @@
 A circulant matrix is diagonalized by the discrete Fourier transform,
 so its eigenvalues are the DFT of its first row: ``dispersion`` is one
 FFT of ``coupling_row``, computed once per ``NetworkSpec`` and held by
-it (``NetworkSpec.spectrum``).  Because the row holds C_r at columns r
-and N - r, the FFT equals the cosine sum
+it (``NetworkSpec.spectrum``), which writes lambda_p into lambda_{N-p}
+so that the FFT's two roundings of one eigenvalue become one value.
+Because the row holds C_r at columns r and N - r, the FFT equals the
+cosine sum
 
     lambda_p = sum_r w_r * C_r * cos(2 pi p r / N),   p = 0..N-1
 
@@ -30,10 +32,9 @@ class Spectrum:
     construction.  The eigenvalues must be finite, real symmetric
     circulants satisfy ``lambda_p == lambda_{N-p}`` and have zero trace
     (the coupling matrix has an empty diagonal); all three are checked
-    on construction.  Besides its eigenvalues it holds two things:
-    ``max_abs``, the largest magnitude max|lambda| that the checks
-    compute, read by every amplitude call's overflow check, and the last
-    ``plan`` asked for, whose arrays are read-only too.
+    on construction.  Besides its eigenvalues it holds only ``max_abs``,
+    the largest magnitude max|lambda| that the checks compute, read by
+    every amplitude call's overflow check.
     """
 
     eigenvalues: np.ndarray
@@ -52,51 +53,13 @@ class Spectrum:
             raise ValueError("spectrum must satisfy lambda_p == lambda_{N-p}")
         if abs((arr / scale).sum()) > 1e-9 * n:
             raise ValueError("spectrum of a zero-diagonal circulant must sum to 0")
-        object.__setattr__(self, "eigenvalues", _read_only(arr))
+        arr.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", arr)
         object.__setattr__(self, "max_abs", max_abs)
 
     @property
     def n_modes(self) -> int:
         return len(self.eigenvalues)
-
-    def plan(self, tol: float, offset: int) -> Plan:
-        """The ``Plan`` of the groups at ``tol`` for the offset d in 0..N-1.
-
-        One plan is held at a time: a call with the tol and offset of the
-        held plan returns it, and any other call builds its own and holds
-        that instead, so the spectrum never holds more than O(N).
-        """
-        plan = self.__dict__.get("_plan")
-        if plan is not None and plan.tol == tol and plan.offset == offset:
-            return plan
-        n = self.n_modes
-        order, starts = degenerate_groups(self, tol)
-        # (p d) mod N in integers keeps the Fourier phase exact for large p d
-        phases = np.exp(2j * np.pi / n * (order * offset % n))
-        weights = np.add.reduceat(phases, starts) / n
-        mu = self.eigenvalues[order[starts]]
-        plan = Plan(tol, int(offset), _read_only(mu), _read_only(weights))
-        object.__setattr__(self, "_plan", plan)
-        return plan
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Plan:
-    """A spectrum's degenerate groups at one tol, weighted for one offset d.
-
-    Read-only ``mu`` holds the first sorted eigenvalue of each group g and
-    ``weights`` its w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p d / N).
-    """
-
-    tol: float
-    offset: int
-    mu: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -172,14 +135,15 @@ def default_bin_tolerance(spectrum: Spectrum) -> float:
 
 
 def degenerate_groups(spectrum: Spectrum, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sort order of the eigenvalues and the start of each degenerate group.
+    """Sort order of the eigenvalues and the start of each histogram bin.
 
-    Returns ``order = argsort(lambda)`` and the indices into
-    ``lambda[order]`` at which a group starts.  A group starts after a
-    sorted gap wider than ``tol``, and again wherever a run of smaller
-    gaps has drifted a further ``tol`` from the run's first member, so
-    no group spans more than ``tol`` and eigenvalues farther apart than
-    ``tol`` never share one.
+    The degeneracy rule of ``degeneracy_histogram``.  Returns
+    ``order = argsort(lambda)`` and the indices into ``lambda[order]`` at
+    which a group starts.  A group starts after a sorted gap wider than
+    ``tol``, and again wherever a run of smaller gaps has drifted a
+    further ``tol`` from the run's first member, so no group spans more
+    than ``tol`` and eigenvalues farther apart than ``tol`` never share
+    one.
     """
     order = np.argsort(spectrum.eigenvalues)
     values = spectrum.eigenvalues[order]

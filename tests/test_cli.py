@@ -196,7 +196,9 @@ class TestJsonable:
         assert _jsonable(complex(-0.0, math.inf)) == [-0.0, math.inf]
 
     @pytest.mark.parametrize(
-        "value", [object(), {1, 2}, b"bytes", np.int64(3), np.bool_(True), Point], ids=repr
+        "value",
+        [object(), {1, 2}, b"bytes", np.int64(3), np.bool_(True), Point],
+        ids=["object", "set", "bytes", "int64", "bool_", "dataclass-type"],
     )
     def test_anything_else_raises_type_error(self, value):
         with pytest.raises(TypeError, match="is not JSON serializable"):

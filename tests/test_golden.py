@@ -125,6 +125,23 @@ most 1.2e-14 and 5.1e-14 from the exact ones in mpmath, the old ones
 digest did not move: the collapse spectrum's three values are bitwise
 distinct, so every tol groups them alike.
 
+``evanescent.csv`` and ``evanescent.json`` of ``evanescent --z-max 500``
+and of the long ``evanescent`` trace (z = 5000) were last recorded when
+the one-offset sum came to group only exactly equal eigenvalues, with
+no tolerance, and ``NetworkSpec.spectrum`` came to write lambda_p into
+lambda_{N-p}, so the FFT's two roundings of one eigenvalue became one
+value.  The evanescent rings' eigenvalues moved in their last bits and
+their groups changed, so CSV values moved by at most 2.2e-14
+(``--z-max 500``, 25,875 of 26,200 rows) and 1.9e-13 (the z = 5000
+trace, 406,430 of 407,500 rows), inside ``c * eps * max|mu z|``.
+``max_transfer`` went from 0.9591261446533659 to 0.9591261446533724
+and from 0.8984104562454922 to 0.898410456245594, and ``z_at_max`` on
+the flat peaks by at most 1.3e-10.  On 200 sampled points each, the new
+values are at most 1.2e-14 and 2.1e-13 from the exact sum over their own
+spectrum in mpmath, the old ones 1.1e-14 and 2.2e-13.  The collapse
+spectra are mirror symmetric straight from the FFT, so every
+uniform-ring digest did not move, and neither did ``synth``.
+
 ``WIDE_RING`` pins ``synth --n 1024 --m 512 --c 1``, the ``synth`` of the
 ``wide-ring`` benchmark, whose 512-row table the N = 8 golden cannot
 stand for.  Its digests were recorded before ``physical_parameters``
@@ -161,8 +178,8 @@ GOLDEN = {
         "tmsv.csv": "34d5a041893023fade6f66f9e4c6e66bbffc105016d2f1901232afdeefcc9068",
     },
     "evanescent --n 12 --mu 0.524 --r 6 --source 1 --z-max 500": {
-        "evanescent.csv": "e02a82a9986d31dc05451871453fcefc2e6ceeb6c97b6dbc0d8442551e9a41f8",
-        "evanescent.json": "77bfe895809516f13076409b5734c316f4c038880691522cb9ce52242b33ca3a",
+        "evanescent.csv": "010b63bfd3e3088f2afd6e3f67d1b713498ed4f4211e8d9f3b8f9b8b876bdaef",
+        "evanescent.json": "21db266a48f251427dff3fed6a0430e4aebe896456cc24ac1932bba5ac6bd636",
     },
     "synth --n 8 --m 4 --c 1": {
         "synth.csv": "aad9f01974d8521a45f6be7f71de67ab161ce0f2636059832ae0fb6b5042a0dc",
@@ -175,8 +192,8 @@ LONG_TRACES = {
         "transport.csv": "f6490fd80a34e880d677b57ac89a9574ced9bf333eb7ca29ea07e69b690a7a84",
     },
     "evanescent --n 12 --mu 0.815 --r 6 --source 1 --z-max 5000": {
-        "evanescent.csv": "00d6f8ec3735e4ed3c9a680430118fff79f3317d8c353444dd0c10b43da45ac3",
-        "evanescent.json": "5d2417f7e9e8f12227935fe728386c0946d7043e4d49e6276de4fe932e1fd89f",
+        "evanescent.csv": "6385f072b3a3c584c5edfccbc0a89c00609ba315eddbf2ef2c7639408390924e",
+        "evanescent.json": "4b851b310c3dadbc6d6a549b5d7d277bbf4e06dda5f21a1b80197afbd00cec54",
     },
 }
 

@@ -6,17 +6,17 @@ eigendecomposition of the coupling matrix, the exact spectral sum in
 mpmath, and, bit for bit on the exactly degenerate uniform rings, the
 phases of the distinct eigenvalues gathered back to the N modes.
 
-One offset ``d`` sums the phases of the distinct eigenvalues.  It must
-agree with ``reference``, column d of the inverse FFT of all N phases,
-stay bounded in memory on long grids and reject offsets that name no
-mode.  On an evenly spaced grid it reads its phases from a two-level
-table; on other points it takes one ``exp`` per phase.  Both paths are
-held to the documented bound ``tol * max|z| + c * eps * max|mu z|``
+One offset ``d`` sums the phases of the exactly distinct eigenvalues.
+It must agree with ``reference``, column d of the inverse FFT of all N
+phases, stay bounded in memory on long grids and reject offsets that
+name no mode.  On an evenly spaced grid it reads its phases from a
+two-level table; on other points it takes one ``exp`` per phase.  Both
+paths are held to the rounding bound ``c * eps * max(1, max|mu z|)``
 against ``reference`` and against the exact sum over all N modes in
-mpmath, and a block whose points leave the grid must take the direct
-path.  A single z, each point of a scan's refinement, skips both and
-must be ``_direct_sum``'s value on the same one-element grid, bit for
-bit.
+mpmath, eigenvalues a few ulp apart included, and a block whose points
+leave the grid must take the direct path.  A single z, each point of a
+scan's refinement, skips both and must be ``_direct_sum``'s value on
+the same one-element grid and the held weights, bit for bit.
 """
 
 import math
@@ -106,7 +106,7 @@ def test_every_offset_matches_the_reference_on_random_rings(ring):
     spec = NetworkSpec(n, custom_profile(couplings))
     got = offset_amplitudes(spec, zs)
     assert got.shape == (len(zs), n)
-    assert np.abs(got - eigh_reference(spec, zs)).max() <= bound(spec, zs)
+    assert np.abs(got - eigh_reference(spec, zs)).max() <= eigh_bound(spec, zs)
 
 
 @pytest.mark.parametrize("n", [8, 64, 1024])
@@ -120,22 +120,49 @@ def test_every_offset_is_bitwise_the_reference_on_uniform_rings(n):
 
 
 def test_every_offset_keeps_eigenvalues_closer_than_the_grouping_tol_apart():
-    # eigenvalues 1e-14 apart would share a group at the tol of reach 1.9
-    # (2^-44), one phase off by up to tol * |z|; N phases are off by rounding
+    # eigenvalues 1e-14 apart shared a group at an earlier one-offset
+    # grouping tol (2^-44 at reach 1.9), one phase off by up to tol * |z|;
+    # N phases, and one offset's exactly equal groups, are off by rounding
     spec = NetworkSpec(14, custom_profile([1.0, 1.0, 1.0 + 2e-14, 1.0, 1.0, 1.0 - 1e-14]))
     zs = [0.7, 1.3, 1.9]
     got = offset_amplitudes(spec, zs)
     want = np.column_stack([exact_column(spec, zs, d) for d in range(14)])
     assert np.abs(got - want).max() <= 1e-15
+    one = np.column_stack([offset_amplitudes(spec, zs, offset=d) for d in range(14)])
+    assert np.abs(one - want).max() <= 1e-15
+
+
+def test_eigenvalues_a_few_ulp_apart_keep_their_own_phases():
+    # custom:1.25e-14,1 at N = 4: lambda_0 and lambda_2 lie 5e-14 apart.
+    # An earlier grouping tol (2^-44 at reach 1) gave both one phase, and
+    # one offset missed the exact sum by 14 times the rounding bound.
+    spec = NetworkSpec(4, custom_profile([1.25e-14, 1.0]))
+    lam = dispersion(spec).eigenvalues
+    assert 0 < lam[0] - lam[2] < 2.0**-44
+    zs = [0.5, 1.0]
+    with mpmath.workdps(40):
+        for d in range(4):
+            want = [
+                complex(mpmath.fsum(
+                    mpmath.expjpi(mpmath.mpf(2 * (p * d % 4)) / 4)
+                    * mpmath.expj(-mpmath.mpf(float(value)) * mpmath.mpf(z))
+                    for p, value in enumerate(lam)
+                ) / 4)
+                for z in zs
+            ]
+            one_z = [offset_amplitudes(spec, [z], offset=d)[0] for z in zs]
+            for got in (one_z, offset_amplitudes(spec, zs, offset=d)):
+                assert np.abs(np.subtract(got, want)).max() <= bound(spec, zs)
 
 
 def test_a_run_of_tiny_gaps_is_cut_at_the_tolerance():
     # N = 1024 couplings synthesized by lstsq on the dense cosine matrix
     # spread the -2 block of the collapse spectrum over about 4.5e-12 in
-    # gaps below the grouping tolerance (3.3e-14 at max|z| = 3).  Split
-    # only at wider gaps, the block chained into one group, and the
-    # antipodal amplitude was 1.2e-12 off.  solve_weights returns exact
-    # couplings with no spread, so the fixture comes from the dense solve.
+    # gaps below an earlier grouping tolerance (3.3e-14 at max|z| = 3).
+    # Split only at wider gaps, the block chained into one group, and the
+    # antipodal amplitude was 1.2e-12 off; exact grouping keeps every
+    # distinct value.  solve_weights returns exact couplings with no
+    # spread, so the fixture comes from the dense solve.
     b = constraint_matrix(1024, 512)
     target = np.ones(512)
     target[-1] = 0.0
@@ -161,9 +188,13 @@ def test_matches_the_ode_oracle():
 
 
 def bound(spec, zs):
-    """``tol * max|z| + c * eps * max|mu z|`` with tol * max|z| <= 1e-13, c = 4."""
-    lam = dispersion(spec).eigenvalues
-    return 1e-13 + 4 * EPS * np.abs(lam).max() * np.abs(zs).max()
+    """The rounding bound ``c * eps * max(1, max|lambda| max|z|)``, c = 4."""
+    return 4 * EPS * max(1.0, dispersion(spec).max_abs * np.abs(zs).max())
+
+
+def eigh_bound(spec, zs):
+    """``1e-13 + 4 eps max|lambda| max|z|``: ``eigh``'s eigenvectors carry their own error."""
+    return 1e-13 + 4 * EPS * dispersion(spec).max_abs * np.abs(zs).max()
 
 
 def exact_column(spec, zs, d):
@@ -186,8 +217,8 @@ def exact_column(spec, zs, d):
         ])
 
 
-# the tol 2^floor(log2(1e-13 / reach)) changes where 1e-13 / reach is a
-# power of two; powers of two are octave edges of the reach itself
+# an earlier grouping tol, 2^floor(log2(1e-13 / reach)), changed where
+# 1e-13 / reach is a power of two and at the octave edges of the reach
 TOL_EDGES = [1e-13 * 2.0**45, 1e-13 * 2.0**50, 1e-13 * 2.0**51, 1e-13 * 2.0**55]
 REACH_EDGES = [2.0, 4.0, 1024.0]
 
@@ -202,8 +233,7 @@ REACH_EDGES = [2.0, 4.0, 1024.0]
 )
 @pytest.mark.parametrize("edge", TOL_EDGES + REACH_EDGES)
 def test_octave_edges_stay_within_the_bound(spec, edge):
-    # single-z calls in shuffled order on one spec: the held plan is reused
-    # within an octave and replaced across an edge
+    # single-z calls in shuffled order on one spec: one held entry serves them
     zs = [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
     zs = [zs[i] for i in np.random.default_rng(int(edge)).permutation(3)] * 2
     d = spec.n_modes // 2
@@ -302,7 +332,7 @@ ONE_Z_RINGS = {
     "evanescent-1022": NetworkSpec(1022, evanescent_profile(0.815, 511)),
     "custom-12": NetworkSpec(12, custom_profile([0.3, -1.0, 0.7, 1e-10, 0.25])),
 }
-# octave edges 2^k, where the grouping tol steps, and their neighbours
+# octave edges 2^k, where an earlier grouping tol stepped, and their neighbours
 OCTAVE_EDGES = [s * math.ldexp(f, k) for k in range(-3, 12) for f in (1.0, 1.0 - 2**-53)
                 for s in (1, -1)]
 
@@ -324,10 +354,9 @@ def test_one_z_is_bitwise_the_direct_sum(name, z, offset):
     got = offset_amplitudes(spec, [z], offset=offset)
     spectrum = dispersion(spec)
     assert spectrum.max_abs == np.abs(spectrum.eigenvalues).max()
-    tol = math.ldexp(0.5, math.frexp(1e-13 / max(1.0, abs(z)))[1])
-    plan = spectrum.plan(tol, offset)
+    mu, weights = propagation._offset_weights(spectrum, offset)
     want = np.empty(1, dtype=complex)
-    propagation._direct_sum(np.array([z]), plan.mu, plan.weights, want)
+    propagation._direct_sum(np.array([z]), mu, weights, want)
     assert got.shape == (1,)
     assert got.tobytes() == want.tobytes()
 
@@ -347,7 +376,7 @@ def test_one_overflowing_phase_is_refused_with_its_message(offset):
 @pytest.mark.parametrize("zs", [[math.nan], [math.inf], [-math.inf], [0.5, math.nan, 2.0]])
 @pytest.mark.parametrize("offset", [None, 3])
 def test_refuses_a_non_finite_distance(zs, offset):
-    # before any tol: 1e-13 / inf is 0, whose power-of-two floor is no tol
+    # before any phase is taken
     spec = NetworkSpec(8, uniform_profile(1.0, 3))
     with pytest.raises(ValueError, match="^z must be finite$"):
         offset_amplitudes(spec, zs, offset=offset)

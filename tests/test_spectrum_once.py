@@ -1,16 +1,17 @@
 """A ring's spectrum is computed once and held by its ``NetworkSpec``.
 
-The spec computes the FFT of its coupling row on first use; the
-``Spectrum`` holds its eigenvalues and nothing else but their largest
-magnitude and the plan (groups and weights) of the last tol and offset
-asked for.  Only one offset groups: every offset at once takes the N
+The spec computes the FFT of its coupling row on first use and writes
+lambda_p into lambda_{N-p}, so the spectrum is mirror symmetric bit for
+bit; the ``Spectrum`` holds its eigenvalues and their largest magnitude,
+nothing else.  Only one offset groups, at exactly equal eigenvalues:
+``propagation`` holds the distinct eigenvalues and weights of the last
+spectrum and offset asked for, and every offset at once takes the N
 phases and groups nothing.  Everything held is read-only, a spectrum
 that overflows is refused on every use, and an amplitude read from a
-spec that has served earlier calls, at any tol, is bit for bit the one
-a fresh equal spec gives.
+spec that has served earlier calls is bit for bit the one a fresh equal
+spec gives.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -20,20 +21,22 @@ from hypothesis import strategies as st
 
 import pstnet.lattice as lattice
 import pstnet.propagation as propagation
-import pstnet.spectral as spectral
 from pstnet import (
     NetworkSpec,
     collapsed_spectrum,
     custom_profile,
     degeneracy_histogram,
     dispersion,
+    evanescent_profile,
     offset_amplitudes,
     uniform_profile,
 )
 from pstnet.cli import main
+from pstnet.lattice import coupling_row
 from pstnet.spectral import degenerate_groups
 
 OVERFLOW = ["--n", "4", "--profile", "custom:1e308,1e308"]
+offset_weights = propagation._offset_weights
 
 
 def counting(monkeypatch, module, name):
@@ -47,6 +50,13 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def builds(run):
+    """How many times ``run()`` built the one-offset weights: misses of the held entry."""
+    offset_weights.cache_clear()
+    run()
+    return offset_weights.cache_info().misses
 
 
 COMMANDS = pytest.mark.parametrize(
@@ -73,15 +83,14 @@ def test_one_fft_per_command(tmp_path, monkeypatch, argv, spectra):
 
 @COMMANDS
 def test_few_groupings_per_command(tmp_path, monkeypatch, argv, spectra):
-    # the refinement's single-z calls share one octave of reach, so one
-    # plan; pst-check also groups for its candidate and its grid, and
-    # transport, every offset at once, groups nothing
-    groupings = counting(monkeypatch, spectral, "degenerate_groups")
+    # pst-check's candidate, its grid and its refinement read one offset of
+    # one spectrum, and so does cat's scan: one build; transport, every
+    # offset at once, groups nothing
     reads = counting(monkeypatch, propagation, "dispersion")
-    assert main([*argv.split(), "--outdir", str(tmp_path)]) == 0
+    assert builds(lambda: main([*argv.split(), "--outdir", str(tmp_path)])) == (
+        0 if argv.startswith("transport") else 1
+    )
     assert len(reads) == spectra
-    fewest, most = (0, 0) if argv.startswith("transport") else (1, 3)
-    assert fewest <= len(groupings) <= most
 
 
 def test_a_spec_holds_one_spectrum():
@@ -95,6 +104,45 @@ def test_a_spec_holds_one_spectrum():
     assert spec == fresh and hash(spec) == hash(fresh)
 
 
+MIRROR_RINGS = {
+    f"{kind}-{n}": NetworkSpec(n, profile(n))
+    for n in (2, 3, 9, 12, 255, 1022, 1023, 1024)
+    for kind, profile in {
+        "uniform": lambda n: uniform_profile(1.0, n // 2),
+        "evanescent": lambda n: evanescent_profile(0.815, n // 2),
+        "custom": lambda n: custom_profile(np.sin(np.arange(1.0, n // 2 + 1))),
+    }.items()
+}
+
+
+@pytest.mark.parametrize("name", MIRROR_RINGS)
+def test_a_spec_spectrum_is_mirror_exact(name):
+    spec = MIRROR_RINGS[name]
+    lam = dispersion(spec).eigenvalues
+    n = spec.n_modes
+    assert lam.tobytes() == lam[-np.arange(n) % n].tobytes()
+    # each p stays the FFT's own value; only its mirror N - p is overwritten
+    fft = np.fft.fft(coupling_row(spec)).real
+    assert lam[: n // 2 + 1].tobytes() == fft[: n // 2 + 1].tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 8, 10, 12, 64, 256, 1024])
+def test_a_collapse_ring_spectrum_is_the_fft_bit_for_bit(n):
+    spec = NetworkSpec(n, uniform_profile(1.0, n // 2 - 1))
+    lam = dispersion(spec).eigenvalues
+    assert lam.tobytes() == np.fft.fft(coupling_row(spec)).real.tobytes()
+    assert np.unique(lam).size == 3
+
+
+def test_mirror_pairs_share_a_group_at_every_reach():
+    # the evanescent N = 12 ring: p = 0, p = 6 and five mirror pairs
+    spec = NetworkSpec(12, evanescent_profile(0.815, 6))
+    for z in (0.5, 3.0, 500.0, 5000.0):
+        offset_amplitudes(spec, [z], offset=6)
+        mu, weights = offset_weights(dispersion(spec), 6)
+        assert mu.size == weights.size == 7
+
+
 @pytest.mark.parametrize(
     "spectrum",
     [dispersion(NetworkSpec(10, custom_profile([0.3, -1.0, 0.7]))), collapsed_spectrum(8, 1.0)],
@@ -102,59 +150,46 @@ def test_a_spec_holds_one_spectrum():
 )
 @pytest.mark.parametrize("name", ["eigenvalues", "mu", "weights"])
 def test_held_arrays_refuse_writes(spectrum, name):
-    holder = spectrum if name == "eigenvalues" else spectrum.plan(2.0**-44, 1)
-    arr = getattr(holder, name)
+    mu, weights = offset_weights(spectrum, 1)
+    arr = {"eigenvalues": spectrum.eigenvalues, "mu": mu, "weights": weights}[name]
     assert not arr.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         arr[0] = arr[1]
 
 
-def test_a_spectrum_holds_its_eigenvalues_and_one_plan():
+def test_a_spectrum_holds_its_eigenvalues_and_their_largest_magnitude():
     spec = NetworkSpec(12, custom_profile([0.3, -1.0, 0.7]))
     spectrum = dispersion(spec)
     offset_amplitudes(spec, [0.5, 2.0], offset=5)
+    offset_amplitudes(spec, [3.0], offset=5)
     offset_amplitudes(spec, [1e4], offset=None)
     degeneracy_histogram(spectrum)
-    assert set(vars(spectrum)) <= {"eigenvalues", "max_abs", "_plan"}
+    assert set(vars(spectrum)) == {"eigenvalues", "max_abs"}
     assert spectrum.max_abs == np.abs(spectrum.eigenvalues).max()
 
 
-def test_every_offset_at_once_builds_no_plan(monkeypatch):
+def test_every_offset_at_once_builds_nothing(monkeypatch):
     spec = NetworkSpec(12, custom_profile([0.3, -1.0, 0.7]))
-    groupings = counting(monkeypatch, spectral, "degenerate_groups")
-    offset_amplitudes(spec, [0.5, 1e4])
+    groupings = counting(monkeypatch, propagation, "_offset_weights")
+    assert builds(lambda: offset_amplitudes(spec, [0.5, 1e4])) == 0
     assert groupings == []
-    assert "_plan" not in vars(dispersion(spec))
-    assert [f.name for f in dataclasses.fields(spectral.Plan)] == ["tol", "offset", "mu", "weights"]
 
 
-def test_one_plan_is_held_until_another_replaces_it():
+def test_one_entry_is_held_until_another_replaces_it():
     spectrum = dispersion(NetworkSpec(10, custom_profile([0.3, -1.0, 0.7])))
-    plan = spectrum.plan(2.0**-44, 3)
-    assert spectrum.plan(2.0**-44, 3) is plan
-    assert spectrum.plan(2.0**-44, np.int64(3)) is plan
-    for tol, offset in [(2.0**-45, 3), (2.0**-44, 4), (2.0**-44, 0)]:
-        other = spectrum.plan(tol, offset)
-        assert (other.tol, other.offset) == (tol, offset)
-        assert spectrum.plan(tol, offset) is other
-    # the last plan replaced the first: O(N) is held, not one plan per call
-    assert spectrum.plan(2.0**-44, 3) is not plan
-
-
-def test_offset_amplitudes_groups_at_a_power_of_two(monkeypatch):
-    spec = NetworkSpec(12, custom_profile([0.3, -1.0, 0.7]))
-    spectrum = dispersion(spec)
-    groupings = counting(monkeypatch, spectral, "degenerate_groups")
-    # reach 1 and 1/2 share a tol, and so do 3 and the edge 1e-13 * 2^45
-    for zs, tol in [([0.5], 2.0**-44), ([1.0], 2.0**-44), ([-3.0, 2.0], 2.0**-45),
-                    ([1e-13 * 2.0**45], 2.0**-45), ([1e4], 2.0**-57)]:
-        offset_amplitudes(spec, zs, offset=5)
-        assert tol * max(1.0, *map(abs, zs)) <= 1e-13
-        # the call held the plan of its tol: asking for it groups nothing
-        plan = spectrum.plan(tol, 5)
-        offset_amplitudes(spec, zs, offset=5)
-        assert spectrum.plan(tol, 5) is plan
-    assert len(groupings) == 3
+    offset_weights.cache_clear()
+    held = offset_weights(spectrum, 3)
+    assert offset_weights(spectrum, 3) is held
+    assert offset_weights(spectrum, np.int64(3)) is held
+    assert offset_weights.cache_info().misses == 1
+    other_spectrum = dispersion(NetworkSpec(10, custom_profile([0.3, -1.0, 0.7])))
+    for key in [(spectrum, 4), (spectrum, 0), (other_spectrum, 3)]:
+        other = offset_weights(*key)
+        assert offset_weights(*key) is other
+    # the last entry replaced the first: O(N) is held, not one entry per call
+    assert offset_weights.cache_info().currsize == 1
+    assert offset_weights(spectrum, 3) is not held
+    assert offset_weights.cache_info().misses == 5
 
 
 def test_an_overflowing_ring_is_refused_on_every_use():
@@ -179,9 +214,8 @@ def test_an_overflowing_ring_exits_3_on_every_call(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-# the tol 2^floor(log2(1e-13 / reach)) changes where 1e-13 / reach is a
-# power of two, at reach 1e-13 * 2^k; powers of two are octave edges of
-# the reach itself.  Each edge comes with its neighbouring floats.
+# powers of two, and the reaches 1e-13 * 2^k, at which an earlier one-offset
+# sum changed its grouping; each comes with its neighbouring floats
 EDGES = [1e-13 * 2.0**k for k in range(44, 58)] + [2.0**k for k in range(1, 14)]
 NEAR_EDGES = [
     sign * z
@@ -195,8 +229,8 @@ NEAR_EDGES = [
 def reuses(draw):
     n = draw(st.integers(2, 40))
     reach = draw(st.integers(1, n // 2))
-    # nudged coarse couplings make eigenvalue gaps that one call's tol
-    # merges and another's splits
+    # nudged coarse couplings make eigenvalues a few ulp apart, which
+    # share no group, next to exactly equal ones, which share one
     coarse = st.sampled_from([-1.0, -0.5, 0.25, 0.5, 1.0])
     nudge = st.sampled_from([0.0, 1e-15, -3e-15, 2e-14])
     coupling = st.builds(float.__add__, coarse, nudge) | st.floats(-2.0, 2.0)
@@ -207,8 +241,8 @@ def reuses(draw):
     return n, couplings, earlier, draw(offsets), draw(grids)
 
 
-# on the N = 16 ring with C_1 = -1, the floats either side of this edge
-# have tols that group the spectrum into 9 and 11 groups
+# the earlier grouping split the N = 16 ring with C_1 = -1 into 9 and 11
+# groups at the floats either side of this reach; now both give 9
 SPLIT = 1e-13 * 2.0**51
 
 
@@ -227,12 +261,18 @@ def test_a_reused_spec_gives_the_bits_of_a_fresh_one(case):
 
 
 def test_the_weights_gather_the_exp_they_replace():
-    # the weights sum exp(2j pi / N * ((p d) mod N)) over each group, bit
-    # for bit the sum of the N roots of unity gathered at (p d) mod N
+    # the weights sum exp(2j pi / N * ((p d) mod N)) over each run of equal
+    # sorted eigenvalues, bit for bit the sum of the N roots of unity
+    # gathered at (p d) mod N
     for n in (2, 7, 12, 255, 1022, 1024):
         spectrum = dispersion(NetworkSpec(n, uniform_profile(1.0, 1)))
         roots = np.exp(2j * np.pi / n * np.arange(n))
-        order, starts = degenerate_groups(spectrum, 2.0**-44)
+        order = np.argsort(spectrum.eigenvalues)
+        values = spectrum.eigenvalues[order]
+        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+        assert starts.size == n // 2 + 1
         for d in {0, 1, n // 2, n - 1, math.isqrt(n)}:
             gathered = np.add.reduceat(roots[order * d % n], starts) / n
-            assert spectrum.plan(2.0**-44, d).weights.tobytes() == gathered.tobytes()
+            mu, weights = offset_weights(spectrum, d)
+            assert mu.tobytes() == values[starts].tobytes()
+            assert weights.tobytes() == gathered.tobytes()
