@@ -350,8 +350,7 @@ def _cmd_tmsv(args) -> int:
 
     def run(write):
         for z in z_blocks(args.z_max, args.dz, 0.0, max(1, _BLOCK // args.n)):
-            squeezing = pair_squeezing(offset_amplitudes(spec, z), v, pair, pairs)
-            write(_csv_chunks(z, *squeezing))
+            write(_csv_chunks(z, *pair_squeezing(spec, z, v, pair, pairs)))
 
     return _emit(args, header, run, rows=rows)
 

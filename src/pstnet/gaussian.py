@@ -18,9 +18,10 @@ the squeezing factors
 which vanish for vacuum and are negative exactly when the combined
 quadrature (relative position, total momentum) is squeezed.
 
-``tmsv`` reads each pair's squeezing in closed form (``pair_squeezing``),
-checking the input covariance once and each step's unitarity; the dense chain
-``symplectic_from_propagator`` -> ``evolve_covariance`` is its reference.
+``tmsv`` reads each pair's squeezing in closed form (``pair_squeezing``)
+from the few offsets its pairs need, checking the input covariance once;
+the dense chain ``symplectic_from_propagator`` -> ``evolve_covariance``
+is its reference.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import Propagator
+from .propagation import Propagator, offset_amplitudes
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -251,10 +252,9 @@ def squeezing_factor(
     return variance - 0.5
 
 
-def pair_squeezing(amps, v: CovarianceState, mode_pair, pairs) -> list[np.ndarray]:
-    """S_Q and S_P columns of each pair (j, k) along an amplitude grid.
+def pair_squeezing(spec, zs, v: CovarianceState, mode_pair, pairs) -> list[np.ndarray]:
+    """S_Q and S_P columns of each pair (j, k) of the ring ``spec`` at the distances ``zs``.
 
-    ``amps`` comes from ``offset_amplitudes``, so U_jl = amps[:, (j - l) % N].
     A passive U keeps the vacuum, so with (m, n) = ``mode_pair`` the input
     pair each column is a quadratic form in a = U_jm - U_km, b = U_jn - U_kn,
     g = U_jm + U_km and h = U_jn + U_kn (Weedbrook et al., RMP 84, 621,
@@ -266,30 +266,30 @@ def pair_squeezing(amps, v: CovarianceState, mode_pair, pairs) -> list[np.ndarra
     sinh(2w)/2 e^{i theta} from ``v``, the input pair's checked 4 x 4
     covariance, its modes in the pair's order: ``tmsv_covariance`` of
     the squeezing on modes (0, 1) of two.  A caller checks it once for
-    any number of grids.  Each row must be unitary,
-    max | |fft(row)|^2 - 1 | <= 1e-10 (the FFT of a circulant's column
-    is its spectrum); as a unitary keeps a physical state physical, no
+    any number of grids.  U_jl is the amplitude at the offset
+    (j - l) mod N, and the at most four distinct offsets of each pair
+    come from one ``offset_amplitudes`` call with their tuple, whose
+    weights are checked to make every U(z) unitary once per spectrum
+    and offsets; as a unitary keeps a physical state physical, no
     output covariance is checked.
     """
-    amps = np.atleast_2d(amps)
-    n = amps.shape[1]
-    defect = np.abs(np.abs(np.fft.fft(amps, axis=1)) ** 2 - 1.0).max()
-    if not defect <= 1e-10:
-        raise ValueError(f"propagator is not unitary (defect {defect:.2e})")
     if v.n_modes != 2:
         raise ValueError("input covariance must be the squeezed pair's, 4 x 4")
     if len(set(mode_pair)) != 2:
         raise ValueError("mode pair must be two distinct modes")
-    v = v.matrix
-    e, c = v[0, 0] - 0.5, complex(v[0, 2], v[0, 3])
-    columns = []
+    n = spec.n_modes
     for j, k in pairs:
         if j == k:
             raise ValueError("squeezing factor needs two distinct modes")
         if not all(0 <= i < n for i in (*mode_pair, j, k)):
             raise ValueError("mode indices out of range")
-        u = amps.T[np.subtract.outer((j, k), mode_pair) % n]
-        for (a, b), sign in ((u[0] - u[1], 1.0), (u[0] + u[1], -1.0)):
-            norm = a.real**2 + a.imag**2 + b.real**2 + b.imag**2
-            columns.append(0.5 * e * norm + sign * (c * a * b).real)
-    return columns
+    offsets = sorted({(i - l) % n for pair in pairs for i in pair for l in mode_pair})
+    amps = offset_amplitudes(spec, zs, offset=tuple(offsets)).T
+    # U_jl of each pair, [pair, j or k, m or n]
+    u = amps[[[[offsets.index((i - l) % n) for l in mode_pair] for i in pair] for pair in pairs]]
+    v = v.matrix
+    e, c = v[0, 0] - 0.5, complex(v[0, 2], v[0, 3])
+    # (a, b) and (g, h) of each pair, [pair, Q or P, first or second]
+    a, b = np.stack((u[:, 0] - u[:, 1], u[:, 0] + u[:, 1]), axis=1).transpose(2, 0, 1, 3)
+    norm = a.real**2 + a.imag**2 + b.real**2 + b.imag**2
+    return list((0.5 * e * norm + [[1.0], [-1.0]] * (c * a * b).real).reshape(-1, norm.shape[-1]))

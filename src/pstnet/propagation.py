@@ -12,17 +12,22 @@ site-to-site transition amplitude is
 
 which depends on j and l through the offset d = (j - l) mod N only.
 This spectral sum is exact for any z.  All N offsets at once
-(``transport``, ``tmsv``, the dense propagator) are the sum as written:
-the phases of the N modes and one inverse FFT per z.
+(``transport``, the dense propagator) are the sum as written: the
+phases of the N modes and one inverse FFT per z.
 
-One offset d (the scans) needs one column, and the spectrum has few
-distinct values (three for the collapse profile below), so there the
-phase is evaluated once per distinct eigenvalue mu_g.  The sorted
-eigenvalues are grouped where they are exactly equal, with no
-tolerance, and the sum runs once per group:
+One offset d (the scans) needs one column, a few offsets (``tmsv``'s
+pairs) a few, and the spectrum has few distinct values (three for the
+collapse profile below), so there the phase is evaluated once per
+distinct eigenvalue mu_g.  The sorted eigenvalues are grouped where
+they are exactly equal, with no tolerance, and the sum runs once per
+group:
 
     u_d(z) = sum_g w_g(d) exp(-i mu_g z),
     w_g(d) = (1/N) sum_{p in g} exp(i 2 pi p d / N)
+
+The weights of every offset sum to the z = 0 identity, which is checked
+once where they are built; with real eigenvalues it makes every U(z)
+unitary, so no z is checked.
 
 A ``NetworkSpec`` computes its spectrum once and holds it, mirror
 symmetric bit for bit, so the two roundings of one eigenvalue never
@@ -138,29 +143,39 @@ class ScanResult:
     dz: float
 
 
-def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np.ndarray:
-    """Transition amplitudes at each distance, for every offset or for one.
+def offset_amplitudes(
+    spec: NetworkSpec, zs, *, offset: int | tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Transition amplitudes at each distance, for every offset, for one or for a few.
 
     Without ``offset`` returns an array of shape (len(zs), N) whose [i, d]
     entry is the amplitude between any two modes separated by d (mod N)
     at distance zs[i].  Column 0 is the return amplitude.  With
     ``offset=d`` (an integer, 0 <= d < N) returns the 1-D array of
-    column d alone.
+    column d alone; with a nonempty tuple of such integers, the
+    (len(zs), k) array of its k columns in the tuple's order.
 
     Every z must be finite, and so must ``max|lambda| * max(1, max|z|)``,
     with max|lambda| the one ``Spectrum.max_abs`` holds.
     Every offset is the inverse FFT of the N phases exp(-i lambda_p z).
-    One offset evaluates its phases at the distinct eigenvalues of the
-    spectrum ``spec`` holds, weighted by ``_offset_weights``, and equals
-    the sum over all N modes up to the rounding of the module docstring's
-    bound.  It sums in blocks of about ``_BLOCK`` entries, so its memory
-    is O(len(zs)) for any N, and on an evenly spaced ``zs`` reads
-    ``_group_sum``'s table.
+    One offset or a tuple evaluates its phases at the distinct
+    eigenvalues of the spectrum ``spec`` holds, weighted by
+    ``_offset_weights``, and equals the sum over all N modes up to the
+    rounding of the module docstring's bound.  It sums in blocks of
+    about ``_BLOCK`` phases, so its memory is O(len(zs) k) for any N.
+    One offset on an evenly spaced ``zs`` reads ``_group_sum``'s table;
+    a tuple takes one ``exp`` per phase and contracts each block of
+    phases with its G x k weights by ``np.einsum``, not a BLAS product.
     """
     spectrum = dispersion(spec)
     n = spec.n_modes
-    if offset is not None and not (isinstance(offset, (int, np.integer)) and 0 <= offset < n):
-        raise ValueError(f"offset must be an integer in 0..{n - 1}, got {offset!r}")
+    offsets = offset if isinstance(offset, tuple) and offset else (offset,)
+    if offset is not None and not all(
+        isinstance(d, (int, np.integer)) and 0 <= d < n for d in offsets
+    ):
+        raise ValueError(
+            f"offset must be an integer in 0..{n - 1} or a nonempty tuple of them, got {offset!r}"
+        )
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     # one z, the refinement's call, is read without an array reduction;
     # nan propagates through max, so both refuse every non-finite z
@@ -174,37 +189,67 @@ def offset_amplitudes(spec: NetworkSpec, zs, *, offset: int | None = None) -> np
     if offset is None:
         return np.fft.ifft(np.exp(-1j * np.outer(zs, spectrum.eigenvalues)), axis=1)
     mu, weights = _offset_weights(spectrum, offset)
+    if weights.ndim == 2:
+        out = np.empty((zs.size, weights.shape[1]), dtype=complex)
+        _direct_sum(zs, mu, weights, out)
+        return out
     if zs.size == 1:  # _direct_sum's product, without its output array and loop
         return np.exp(-1j * np.outer(zs, mu)) @ weights
     return _group_sum(zs, mu, weights)
 
 
 @functools.lru_cache(maxsize=1)
-def _offset_weights(spectrum: Spectrum, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct eigenvalues mu_g and their weights w_g(d) for the offset d.
+def _offset_weights(spectrum: Spectrum, offset) -> tuple[np.ndarray, np.ndarray]:
+    """``_group_weights``'s mu_g and weights, checked, read-only and held.
 
-    A group g is a run of exactly equal sorted eigenvalues: ``mu`` holds
-    its value and ``weights`` its (1/N) sum_{p in g} exp(i 2 pi p d / N),
-    both read-only.  Only the last spectrum and offset are held.
+    ``weights`` is a vector for an integer offset and G x k for a tuple,
+    each column bit for bit its integer's vector.  Each column must sum
+    to the z = 0 identity (1 for d = 0, else 0) within 1e-10: with the
+    real eigenvalues ``Spectrum`` checks, every U(z) is then unitary, so
+    this check, once per build, stands for a per-z one.  Only the last
+    spectrum and offset are held.
+    """
+    offsets = np.atleast_1d(offset)
+    mu, weights = _group_weights(spectrum, offsets)
+    defect = float(np.abs(weights.sum(axis=0) - (offsets == 0)).max())
+    if not defect <= 1e-10:
+        raise ValueError(f"propagator is not unitary (defect {defect:.2e})")
+    if not isinstance(offset, tuple):
+        weights = weights[:, 0]
+    mu.setflags(write=False)
+    weights.setflags(write=False)
+    return mu, weights
+
+
+def _group_weights(spectrum: Spectrum, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct eigenvalues mu_g and their G x k weights w_g(d) for the offsets d.
+
+    A group g is a run of exactly equal sorted eigenvalues: mu_g is its
+    value and w_g(d) its (1/N) sum_{p in g} exp(i 2 pi p d / N).
     """
     n = spectrum.n_modes
     order = np.argsort(spectrum.eigenvalues)
     values = spectrum.eigenvalues[order]
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
     # (p d) mod N in integers keeps the Fourier phase exact for large p d
-    phases = np.exp(2j * np.pi / n * (order * offset % n))
-    weights = np.add.reduceat(phases, starts) / n
-    mu = values[starts]
-    mu.setflags(write=False)
-    weights.setflags(write=False)
-    return mu, weights
+    phases = np.exp(2j * np.pi / n * (np.multiply.outer(order, offsets) % n))
+    return values[starts], np.add.reduceat(phases, starts) / n
 
 
 def _direct_sum(zs, mu, weights, out) -> None:
-    """``out = sum_g weights_g exp(-i mu_g zs)``, one ``exp`` per phase."""
+    """``out = sum_g weights_g exp(-i mu_g zs)``, one ``exp`` per phase.
+
+    G x k weights go through ``np.einsum``, which needs none of a complex
+    BLAS product's buffers.
+    """
     rows = max(1, _BLOCK // mu.size)
     for i in range(0, zs.size, rows):
-        out[i : i + rows] = np.exp(-1j * np.outer(zs[i : i + rows], mu)) @ weights
+        # np.outer's product, without its ravel calls
+        phases = np.exp(-1j * (zs[i : i + rows, None] * mu))
+        if weights.ndim == 1:
+            out[i : i + rows] = phases @ weights
+        else:
+            np.einsum("zg,gk->zk", phases, weights, out=out[i : i + rows])
 
 
 def _group_sum(zs, mu, weights) -> np.ndarray:

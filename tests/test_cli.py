@@ -47,16 +47,25 @@ def run_cli(args, cwd, env_extra=None, python_flags=()):
     )
 
 
-def counting_amplitudes(monkeypatch):
-    """Patch the CLI's ``offset_amplitudes`` to record the grid length of every call."""
+def counting_amplitudes(monkeypatch, offsets=None):
+    """Patch every ``offset_amplitudes`` a command calls to record the grid length of each call.
+
+    The CLI's own binding (``transport``) and ``gaussian``'s (``tmsv``,
+    through ``pair_squeezing``) are both patched; ``offsets``, when
+    given, receives each call's ``offset``.
+    """
     calls = []
-    amplitudes = pstnet.cli.offset_amplitudes
+    amplitudes = pstnet.propagation.offset_amplitudes
 
     def counted(spec, zs, **kwargs):
         calls.append(len(zs))
+        if offsets is not None:
+            offsets.append(kwargs.get("offset"))
         return amplitudes(spec, zs, **kwargs)
 
-    monkeypatch.setattr(pstnet.cli, "offset_amplitudes", counted)
+    for module in (pstnet.cli, pstnet.gaussian):
+        if getattr(module, "offset_amplitudes", None) is amplitudes:
+            monkeypatch.setattr(module, "offset_amplitudes", counted)
     return calls
 
 
@@ -754,6 +763,36 @@ class TestTmsvCommand:
         assert calls == [4] * 78 + [3]
         one = (tmp_path / "one" / "tmsv.csv").read_bytes()
         assert (tmp_path / "many" / "tmsv.csv").read_bytes() == one
+
+    def test_each_block_reads_only_the_pairs_offsets(self, tmp_path, monkeypatch):
+        # 5001 z-steps of 64 modes make 5 blocks of 1024 steps; the pairs
+        # (0, 1) and (32, 33) read U_jl from l in (0, 1) at six offsets
+        offsets = []
+        calls = counting_amplitudes(monkeypatch, offsets)
+        argv = ["tmsv", "--n", "64", "--profile", "uniform:C=1,R=31", "--w", "0.881374",
+                "--pair", "1,2", "--z-max", "50", "--dz", "0.01", "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == [1024] * 4 + [905]
+        assert offsets.count(None) == 0
+        assert offsets == [(0, 1, 31, 32, 33, 63)] * 5
+
+    def test_weights_off_the_identity_are_refused_as_non_unitary(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        build = pstnet.propagation._group_weights
+
+        def shifted(spectrum, offsets):
+            mu, weights = build(spectrum, offsets)
+            weights[-1, 0] += 1e-9
+            return mu, weights
+
+        monkeypatch.setattr(pstnet.propagation, "_group_weights", shifted)
+        outdir = tmp_path / "out"
+        assert main([*self.README, "--w", "0.5", "--outdir", str(outdir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "pstnet: error: propagator is not unitary (defect 1.00e-09)\n"
+        assert captured.out == ""
+        assert not outdir.exists()
 
     @pytest.mark.parametrize(
         "z_max,values",

@@ -18,11 +18,19 @@ to the previous one, with the same keys in the same order; no CSV byte
 changed.
 
 ``tmsv.csv`` was last recorded when ``pair_squeezing`` started to read
-each pair's squeezing in closed form, e/2 (|a|^2 + |b|^2) +- Re(c a b)
-from four amplitudes and two entries of the input covariance, instead of
+its amplitudes at the six offsets its pairs need, from one
+``offset_amplitudes`` call with their tuple (the phases of the three
+distinct eigenvalues against a 3 x 6 weight matrix), instead of all N
+phases and one inverse FFT per z-step.  Values moved by rounding alone,
+at most 6.7e-16, in 311 of 315 rows; on every seventh row both the new
+and the old values are within 5.0e-16 of the exactly summed dense chain.
+No other digest moved, ``LONG_TRACES`` and ``WIDE_RING`` included: one
+integer offset kept its arithmetic.  Before that it was recorded when
+``pair_squeezing`` started to read each pair's squeezing in closed
+form, e/2 (|a|^2 + |b|^2) +- Re(c a b), from four amplitudes and two entries of the input covariance, instead of
 the realified 4 x 4 product R D R^T checked as a stacked covariance per
 step.  The arithmetic is rounded at other points, so values moved by at
-most 6.7e-16, in 313 of 315 rows; no other digest changed.  Before that
+most 6.7e-16, in 313 of 315 rows; no other digest changed.  Earlier still
 it was recorded when ``tmsv`` started to read each pair's squeezing from
 the four amplitudes of one ``offset_amplitudes`` grid instead of
 evolving the full 2N x 2N covariance per step (moves of at most 2.0e-15).
@@ -175,7 +183,7 @@ GOLDEN = {
         "cat.json": "b484ba3d74ca5e9796338b76f56db8db1f12b8496d90f7a961b15f4f1817791d",
     },
     "tmsv --n 8 --profile uniform:C=1,R=3 --w 0.881374 --pair 1,2 --z-max pi --dz 0.01": {
-        "tmsv.csv": "34d5a041893023fade6f66f9e4c6e66bbffc105016d2f1901232afdeefcc9068",
+        "tmsv.csv": "d68506bec7c1b380ca0711b27a782396ab0423532a4ec4ab1d8786db8837c177",
     },
     "evanescent --n 12 --mu 0.524 --r 6 --source 1 --z-max 500": {
         "evanescent.csv": "010b63bfd3e3088f2afd6e3f67d1b713498ed4f4211e8d9f3b8f9b8b876bdaef",

@@ -1,4 +1,10 @@
-"""``pair_squeezing`` against the dense 2N x 2N covariance chain."""
+"""``pair_squeezing`` against the dense 2N x 2N covariance chain.
+
+It reads only the few offsets its pairs need, through one
+``offset_amplitudes`` call with their tuple, and the weights of that
+call are checked to give a unitary propagator once, where they are
+built.
+"""
 
 import math
 
@@ -7,12 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pstnet.propagation as propagation
 from pstnet import (
     NetworkSpec,
     TmsvParams,
     custom_profile,
     evolve_covariance,
-    offset_amplitudes,
     pair_squeezing,
     propagator,
     squeezing_factor,
@@ -65,8 +71,7 @@ def pair_input(params):
 
 
 def block_columns(spec, params, pairs, zs):
-    amps = offset_amplitudes(spec, zs)
-    return np.array(pair_squeezing(amps, pair_input(params), params.mode_pair, pairs))
+    return np.array(pair_squeezing(spec, zs, pair_input(params), params.mode_pair, pairs))
 
 
 # The README grid (N = 8) and the benchmark grids (N = 64 and 8), with
@@ -143,7 +148,7 @@ def test_matches_dense_chain_at_strong_squeezing(n, couplings, pair, track, thet
     assert np.abs(got - want).max() <= 1e-15 * math.cosh(2.0 * w)
 
 
-@pytest.mark.parametrize("n", [4, 8, 12, 64])
+@pytest.mark.parametrize("n", [4, 8, 12, 64, 1024])
 @pytest.mark.parametrize("w", [0.3, 0.881374])
 def test_antipodal_pair_carries_the_input_squeezing_at_half_pi(n, w):
     # the collapse profile with C = 1 gives U(pi/2) = -shift(N/2) for N = 4n
@@ -155,18 +160,32 @@ def test_antipodal_pair_carries_the_input_squeezing_at_half_pi(n, w):
     assert columns[:, 0] == pytest.approx([0.0, 0.0, floor, floor], abs=1e-12)
 
 
-def test_non_unitary_rows_are_rejected():
+@pytest.mark.parametrize("column", [0, -1], ids=["offset-0", "offset-7"])
+@pytest.mark.parametrize(
+    "shift,defect",
+    [(2e-10, "2.00e-10"), (np.nan, "nan"), (5e-11, None)],
+    ids=["off", "nan", "within"],
+)
+def test_weights_off_the_identity_are_rejected_as_non_unitary(monkeypatch, column, shift, defect):
+    # U(0) = I: the offset-0 column of the weights sums to 1 and every
+    # other column to 0, checked within 1e-10 once, where they are built
+    build = propagation._group_weights
+
+    def shifted(spectrum, offsets):
+        mu, weights = build(spectrum, offsets)
+        weights[0, column] += shift
+        return mu, weights
+
+    monkeypatch.setattr(propagation, "_group_weights", shifted)
     spec = NetworkSpec(8, uniform_profile(1.0, 3))
-    amps = offset_amplitudes(spec, [0.0, 0.5, 1.0])
-    params = TmsvParams(0.5, 0.0, (0, 1))
-    with pytest.raises(ValueError, match="propagator is not unitary"):
-        pair_squeezing(1.001 * amps, pair_input(params), (0, 1), [(4, 5)])
-
-
-def test_nan_rows_are_rejected_as_non_unitary():
-    amps = np.full((3, 8), np.nan, dtype=complex)
-    with pytest.raises(ValueError, match="propagator is not unitary"):
-        pair_squeezing(amps, pair_input(TmsvParams(0.5, 0.0, (0, 1))), (0, 1), [(4, 5)])
+    v = pair_input(TmsvParams(0.5, 0.0, (0, 1)))
+    # the offsets (0, 1, 3, 4, 5, 7)
+    args = (spec, [0.0, 0.5, 1.0], v, (0, 1), [(0, 1), (4, 5)])
+    if defect is None:
+        assert np.isfinite(pair_squeezing(*args)).all()
+        return
+    with pytest.raises(ValueError, match=rf"^propagator is not unitary \(defect {defect}\)$"):
+        pair_squeezing(*args)
 
 
 @pytest.mark.parametrize(
@@ -178,9 +197,9 @@ def test_nan_rows_are_rejected_as_non_unitary():
     ],
 )
 def test_bad_inputs_are_rejected(v, mode_pair, message):
-    amps = offset_amplitudes(NetworkSpec(8, uniform_profile(1.0, 3)), [0.5])
+    spec = NetworkSpec(8, uniform_profile(1.0, 3))
     with pytest.raises(ValueError, match=message):
-        pair_squeezing(amps, v, mode_pair, [(4, 5)])
+        pair_squeezing(spec, [0.5], v, mode_pair, [(4, 5)])
 
 
 @pytest.mark.parametrize(
@@ -188,6 +207,6 @@ def test_bad_inputs_are_rejected(v, mode_pair, message):
     [((3, 3), "two distinct modes"), ((3, 8), "out of range"), ((-1, 2), "out of range")],
 )
 def test_bad_pairs_are_rejected(track, message):
-    amps = offset_amplitudes(NetworkSpec(8, uniform_profile(1.0, 3)), [0.5])
+    spec = NetworkSpec(8, uniform_profile(1.0, 3))
     with pytest.raises(ValueError, match=message):
-        pair_squeezing(amps, pair_input(TmsvParams(0.5, 0.0, (0, 1))), (0, 1), [track])
+        pair_squeezing(spec, [0.5], pair_input(TmsvParams(0.5, 0.0, (0, 1))), (0, 1), [track])

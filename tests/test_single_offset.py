@@ -17,6 +17,10 @@ mpmath, eigenvalues a few ulp apart included, and a block whose points
 leave the grid must take the direct path.  A single z, each point of a
 scan's refinement, skips both and must be ``_direct_sum``'s value on
 the same one-element grid and the held weights, bit for bit.
+
+A tuple of offsets sums the same phases against one weight column per
+offset.  Each column must be the single offset's up to the same bound,
+and every column the exact N-term sum in mpmath.
 """
 
 import math
@@ -27,7 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import expm_propagator
+from oracles import expm_propagator, spectral_sum
 
 import pstnet.propagation as propagation
 from pstnet import (
@@ -361,7 +365,31 @@ def test_one_z_is_bitwise_the_direct_sum(name, z, offset):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("offset", [None, 1])
+TUPLE_RINGS = {
+    "uniform-64": NetworkSpec(64, uniform_profile(1.0, 31)),
+    "evanescent-12": NetworkSpec(12, evanescent_profile(0.815, 6)),
+    "custom-10": NetworkSpec(10, custom_profile([0.3, -1.0, 0.7, 1e-10, 0.25])),
+}
+
+
+@pytest.mark.parametrize("name", TUPLE_RINGS)
+def test_a_tuple_of_offsets_is_its_stacked_columns(name):
+    spec = TUPLE_RINGS[name]
+    n = spec.n_modes
+    # offset 0 and N/2, one repeated, in no particular order
+    offsets = (n // 2, 0, 3, n - 1, n // 2)
+    zs = np.array([0.0, 0.37, 1.9, 25.3, 480.2, 4999.9])
+    got = offset_amplitudes(spec, zs, offset=offsets)
+    assert got.shape == (zs.size, len(offsets))
+    stacked = np.stack([offset_amplitudes(spec, zs, offset=d) for d in offsets], axis=1)
+    assert np.abs(got - stacked).max() <= bound(spec, zs)
+    assert np.abs(got - spectral_sum(spec, zs, offsets)).max() <= bound(spec, zs)
+    assert np.array_equal(got[:, 0], got[:, -1])
+    # one z takes the same sum
+    assert np.array_equal(offset_amplitudes(spec, zs[-1:], offset=offsets), got[-1:])
+
+
+@pytest.mark.parametrize("offset", [None, 1, (1, 0)])
 def test_one_overflowing_phase_is_refused_with_its_message(offset):
     spec = NetworkSpec(2, custom_profile([1e308]))
     message = r"^the phase lambda z overflows: max\|lambda\| 1e\+308 at max\|z\| 2$"
@@ -374,7 +402,7 @@ def test_one_overflowing_phase_is_refused_with_its_message(offset):
 
 
 @pytest.mark.parametrize("zs", [[math.nan], [math.inf], [-math.inf], [0.5, math.nan, 2.0]])
-@pytest.mark.parametrize("offset", [None, 3])
+@pytest.mark.parametrize("offset", [None, 3, (3, 0)])
 def test_refuses_a_non_finite_distance(zs, offset):
     # before any phase is taken
     spec = NetworkSpec(8, uniform_profile(1.0, 3))
@@ -382,7 +410,9 @@ def test_refuses_a_non_finite_distance(zs, offset):
         offset_amplitudes(spec, zs, offset=offset)
 
 
-@pytest.mark.parametrize("offset", [-1, 8, 2.0, "1", 8.5])
+@pytest.mark.parametrize(
+    "offset", [-1, 8, 2.0, "1", 8.5, (), (1, 8), (-1, 2), (1, 2.0), [1, 2]]
+)
 def test_rejects_an_offset_that_names_no_mode(offset):
     spec = NetworkSpec(8, uniform_profile(1.0, 3))
     with pytest.raises(ValueError, match="offset must be an integer in 0..7"):

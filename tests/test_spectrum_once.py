@@ -66,8 +66,11 @@ COMMANDS = pytest.mark.parametrize(
         ("cat --n 12 --profile uniform:C=1,R=5 --source 1 --alpha 0.5 --phi pi/2"
          " --z-max 2pi", 43),
         ("transport --n 64 --profile uniform:C=1,R=31 --source 1 --z-max pi --dz 0.001", 50),
+        # 5001 z-steps in 5 blocks of at most 1024
+        ("tmsv --n 64 --profile uniform:C=1,R=31 --w 0.881374 --pair 1,2 --z-max 50"
+         " --dz 0.01", 5),
     ],
-    ids=["pst-check", "cat", "transport"],
+    ids=["pst-check", "cat", "transport", "tmsv"],
 )
 
 
@@ -84,8 +87,9 @@ def test_one_fft_per_command(tmp_path, monkeypatch, argv, spectra):
 @COMMANDS
 def test_few_groupings_per_command(tmp_path, monkeypatch, argv, spectra):
     # pst-check's candidate, its grid and its refinement read one offset of
-    # one spectrum, and so does cat's scan: one build; transport, every
-    # offset at once, groups nothing
+    # one spectrum, cat's scan too, and tmsv's blocks one tuple of offsets:
+    # one build, so its weights are checked once; transport, every offset
+    # at once, groups nothing
     reads = counting(monkeypatch, propagation, "dispersion")
     assert builds(lambda: main([*argv.split(), "--outdir", str(tmp_path)])) == (
         0 if argv.startswith("transport") else 1
