@@ -284,6 +284,8 @@ def pair_squeezing(spec, zs, v: CovarianceState, mode_pair, pairs) -> list[np.nd
         if not all(0 <= i < n for i in (*mode_pair, j, k)):
             raise ValueError("mode indices out of range")
     offsets = sorted({(i - l) % n for pair in pairs for i in pair for l in mode_pair})
+    if not offsets:
+        return []
     amps = offset_amplitudes(spec, zs, offset=tuple(offsets)).T
     # U_jl of each pair, [pair, j or k, m or n]
     u = amps[[[[offsets.index((i - l) % n) for l in mode_pair] for i in pair] for pair in pairs]]

@@ -210,3 +210,8 @@ def test_bad_pairs_are_rejected(track, message):
     spec = NetworkSpec(8, uniform_profile(1.0, 3))
     with pytest.raises(ValueError, match=message):
         pair_squeezing(spec, [0.5], pair_input(TmsvParams(0.5, 0.0, (0, 1))), (0, 1), [track])
+
+
+def test_no_pairs_give_no_columns():
+    spec = NetworkSpec(8, uniform_profile(1.0, 3))
+    assert pair_squeezing(spec, [0.5], pair_input(TmsvParams(0.5, 0.0, (0, 1))), (0, 1), []) == []
