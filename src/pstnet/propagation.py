@@ -48,8 +48,8 @@ on long grids (6.6e-12 at z = 5000 on the evanescent N = 12,
 mu = 0.815 ring).  On an evenly spaced grid the one-offset sum reads
 its phases from a two-level table, anchor phases times a shared table
 of step phases, with a first-order correction for the rounding gap
-between the grid and the table; a block of points off the grid and
-single points take one exp per phase.
+between the grid and the table; a tuple, a block of points off the
+grid and single points take one exp per phase.
 
 With the uniform profile of range N/2 - 1 the spectrum collapses onto
 three values and the propagator has a closed form.  At the distances
@@ -158,14 +158,11 @@ def offset_amplitudes(
     Every z must be finite, and so must ``max|lambda| * max(1, max|z|)``,
     with max|lambda| the one ``Spectrum.max_abs`` holds.
     Every offset is the inverse FFT of the N phases exp(-i lambda_p z).
-    One offset or a tuple evaluates its phases at the distinct
-    eigenvalues of the spectrum ``spec`` holds, weighted by
-    ``_offset_weights``, and equals the sum over all N modes up to the
-    rounding of the module docstring's bound.  It sums in blocks of
-    about ``_BLOCK`` phases, so its memory is O(len(zs) k) for any N.
-    One offset on an evenly spaced ``zs`` reads ``_group_sum``'s table;
-    a tuple takes one ``exp`` per phase and contracts each block of
-    phases with its G x k weights by ``np.einsum``, not a BLAS product.
+    One offset or a tuple, at one z or many, evaluates its phases at the
+    distinct eigenvalues of the spectrum ``spec`` holds, weighted by
+    ``_offset_weights``, through the one entry ``_group_sum``, and equals
+    the sum over all N modes up to the rounding of the module
+    docstring's bound.  Its memory is O(len(zs) k) for any N.
     """
     spectrum = dispersion(spec)
     n = spec.n_modes
@@ -188,14 +185,7 @@ def offset_amplitudes(
         raise ValueError(f"the phase lambda z overflows: max|lambda| {top:g} at max|z| {reach:g}")
     if offset is None:
         return np.fft.ifft(np.exp(-1j * np.outer(zs, spectrum.eigenvalues)), axis=1)
-    mu, weights = _offset_weights(spectrum, offset)
-    if weights.ndim == 2:
-        out = np.empty((zs.size, weights.shape[1]), dtype=complex)
-        _direct_sum(zs, mu, weights, out)
-        return out
-    if zs.size == 1:  # _direct_sum's product, without its output array and loop
-        return np.exp(-1j * np.outer(zs, mu)) @ weights
-    return _group_sum(zs, mu, weights)
+    return _group_sum(zs, *_offset_weights(spectrum, offset))
 
 
 @functools.lru_cache(maxsize=1)
@@ -239,8 +229,9 @@ def _group_weights(spectrum: Spectrum, offsets: np.ndarray) -> tuple[np.ndarray,
 def _direct_sum(zs, mu, weights, out) -> None:
     """``out = sum_g weights_g exp(-i mu_g zs)``, one ``exp`` per phase.
 
-    G x k weights go through ``np.einsum``, which needs none of a complex
-    BLAS product's buffers.
+    A BLAS product's bits depend on its row count: a weight vector keeps
+    the 1-D ``@`` of the one-offset goldens, G x k weights ``np.einsum``,
+    whose rows do not depend on the block they are cut from.
     """
     rows = max(1, _BLOCK // mu.size)
     for i in range(0, zs.size, rows):
@@ -264,15 +255,20 @@ def _group_sum(zs, mu, weights) -> np.ndarray:
     the gap delta_k between z_k and anchor + t_b, so an evenly spaced
     grid computes O(len(zs) / width + width) exponentials per group
     instead of len(zs).  A block whose ``max|delta| * max|mu|`` exceeds
-    ``_GRID_DRIFT`` (its points are not evenly spaced), a short grid and
-    the tail of fewer than ``width`` points use one ``exp`` per phase.
-    A block holds about ``_BLOCK / 4`` points (anchor phases, where G
-    exceeds width) of four complex temporaries each, the memory of one
-    direct block.
+    ``_GRID_DRIFT`` (its points are not evenly spaced), the tail of
+    fewer than ``width`` points, one z, a short grid (``width < 2``) and
+    every tuple of offsets take ``_direct_sum``.  The table's bits depend
+    on where a grid is cut (4-point blocks of ``z_grid(pi, 0.01, 0)``
+    move 273 of 315 entries of offset N/2 at uniform N = 8, 293 at
+    evanescent N = 12, and 0 of 945 of the tuple ``(0, 1, N/2)``), so a
+    tuple never reads it: ``tmsv``'s bytes must not depend on its z-block
+    size.  A block holds about ``_BLOCK / 4`` points (anchor phases,
+    where G exceeds width) of four complex temporaries each, the memory
+    of one direct block.  ``offset_amplitudes`` has no other entry.
     """
-    out = np.empty(zs.size, dtype=complex)
+    out = np.empty((zs.size, *weights.shape[1:]), dtype=complex)
     width = min(math.isqrt(zs.size), _BLOCK // mu.size)
-    if width < 2:
+    if width < 2 or weights.ndim == 2:
         _direct_sum(zs, mu, weights, out)
         return out
     steps = np.arange(width) * ((zs[-1] - zs[0]) / (zs.size - 1))
@@ -332,8 +328,8 @@ def check_pst(spec: NetworkSpec, source: int, tol: float = 1e-9) -> PstReport:
     at the default step of ``scan_offset``.  Known defect: only the
     candidate decides ``is_pst``, so ``custom:1,0.5`` at N = 4, which
     transfers fully at z = pi, is misreported with ``max_transfer`` 1.0
-    next to ``is_pst`` false.  A strength so small that the scan reach
-    overflows is refused before any amplitude is computed.
+    next to ``is_pst`` false.  An all-zero ring, or a strength so small
+    that the scan reach overflows, is refused before any amplitude is computed.
     """
     n = spec.n_modes
     if not 0 <= source < n:
@@ -342,6 +338,8 @@ def check_pst(spec: NetworkSpec, source: int, tol: float = 1e-9) -> PstReport:
     if not 0 < tol < 1:
         raise ValueError("tol must satisfy 0 < tol < 1")
     c_ref = spec.profile.max_strength
+    if not c_ref > 0:
+        raise ValueError("every coupling is zero: there is no transfer distance pi / (2 C)")
     z_ref = pst_distance(c_ref)
     reach = 8.0 * z_ref
     if not math.isfinite(reach):

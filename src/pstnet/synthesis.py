@@ -197,13 +197,21 @@ def verify_synthesis(solution: SynthesisSolution) -> PstReport:
     Builds a custom profile from the couplings J_r, r = 1..N/2, on
     N = 2 len(couplings) modes and delegates to the antipodal transfer
     check.  Refuses unless the stored residual is at most the solution
-    tolerance (a nan residual is refused too): other couplings do not
-    realize the target.
+    tolerance: other couplings do not realize the target.  A residual of
+    inf or nan is refused as the overflow of the cosine sums, and more
+    auxiliary pairs are advised only while M < N/2.
     """
+    if not math.isfinite(solution.residual):
+        raise ValueError(
+            f"synthesis residual {solution.residual:.3e} is not finite: "
+            "the cosine sums overflow; lower the target strength"
+        )
     if not solution.residual <= solution.tolerance:
+        few = len(solution.weights) < len(solution.couplings)
+        advice = "add auxiliary pairs (M >= N/2) or relax the target" if few else "relax the target"
         raise ValueError(
             f"synthesis residual {solution.residual:.3e} is not within tolerance "
-            f"{solution.tolerance:.3e}; add auxiliary pairs (M >= N/2) or relax the target"
+            f"{solution.tolerance:.3e}; {advice}"
         )
     spec = NetworkSpec(2 * len(solution.couplings), custom_profile(solution.couplings))
     return check_pst(spec, source=0)

@@ -34,6 +34,9 @@ from pstnet.cli import _CHUNK_ROWS, _csv_chunks, _emit, _jsonable, main, parse_l
 from pstnet.g17 import csv_text
 
 
+ZERO_RING = "every coupling is zero: there is no transfer distance pi / (2 C)"
+
+
 def run_cli(args, cwd, env_extra=None, python_flags=()):
     env = dict(os.environ)
     if env_extra:
@@ -473,6 +476,14 @@ class TestPstCheckCommand:
         report = json.loads((tmp_path / "pst-check.json").read_text())
         assert report["is_pst"] is True
         assert abs(report["z_pst"] - math.pi) <= 1e-9
+
+    def test_all_zero_couplings_are_refused(self, tmp_path, capsys):
+        # no strength is given to pst-check, so "strength must be positive" named no cause
+        argv = ["pst-check", "--n", "8", "--profile", "custom:0,0,0", "--source", "1",
+                "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"pstnet: error: {ZERO_RING}\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestCatCommand:
@@ -978,6 +989,23 @@ class TestSynthCommand:
         assert result.stderr.startswith(f"pstnet: error: {message}")
         assert result.stderr.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n,m", [("4", "2"), ("8", "6")])
+    def test_overflowing_target_is_refused_as_an_overflow(self, tmp_path, capsys, n, m):
+        # M >= N/2: more pairs would not help, the cosine sums overflow
+        argv = ["synth", "--n", n, "--m", m, "--c", "1e308", "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "pstnet: error: synthesis residual nan is not finite: "
+            "the cosine sums overflow; lower the target strength\n"
+        )
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_target_is_refused_as_an_all_zero_ring(self, tmp_path, capsys):
+        argv = ["synth", "--n", "8", "--m", "4", "--c", "0", "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"pstnet: error: {ZERO_RING}\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestCliPlumbing:

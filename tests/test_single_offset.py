@@ -14,13 +14,15 @@ two-level table; on other points it takes one ``exp`` per phase.  Both
 paths are held to the rounding bound ``c * eps * max(1, max|mu z|)``
 against ``reference`` and against the exact sum over all N modes in
 mpmath, eigenvalues a few ulp apart included, and a block whose points
-leave the grid must take the direct path.  A single z, each point of a
-scan's refinement, skips both and must be ``_direct_sum``'s value on
-the same one-element grid and the held weights, bit for bit.
+leave the grid must take the direct path.  Every offset form enters
+through ``_group_sum``; a single z, each point of a scan's refinement,
+is there summed directly and must be ``_direct_sum``'s value on the
+same one-element grid and the held weights, bit for bit.
 
 A tuple of offsets sums the same phases against one weight column per
 offset.  Each column must be the single offset's up to the same bound,
-and every column the exact N-term sum in mpmath.
+every column the exact N-term sum in mpmath, and a grid's rows must
+not depend, by a bit, on where the grid is cut.
 """
 
 import math
@@ -351,8 +353,8 @@ OCTAVE_EDGES = [s * math.ldexp(f, k) for k in range(-3, 12) for f in (1.0, 1.0 -
 @example("evanescent-1022", -2.0, 511)
 @example("custom-12", 0.0, 6)
 def test_one_z_is_bitwise_the_direct_sum(name, z, offset):
-    # a refinement point skips _group_sum; its value must be the one
-    # _direct_sum gives the same one-element grid
+    # a refinement point enters _group_sum, which sums it directly: its
+    # value must be the one _direct_sum gives the same one-element grid
     spec = ONE_Z_RINGS[name]
     offset %= spec.n_modes
     got = offset_amplitudes(spec, [z], offset=offset)
@@ -387,6 +389,52 @@ def test_a_tuple_of_offsets_is_its_stacked_columns(name):
     assert np.array_equal(got[:, 0], got[:, -1])
     # one z takes the same sum
     assert np.array_equal(offset_amplitudes(spec, zs[-1:], offset=offsets), got[-1:])
+
+
+def test_every_offset_form_enters_the_group_sum(monkeypatch):
+    spec = NetworkSpec(12, evanescent_profile(0.815, 6))
+    seen = []
+    group_sum = propagation._group_sum
+
+    def spy(zs, mu, weights):
+        seen.append((zs.size, weights.ndim))
+        return group_sum(zs, mu, weights)
+
+    monkeypatch.setattr(propagation, "_group_sum", spy)
+    offset_amplitudes(spec, [0.7], offset=6)
+    offset_amplitudes(spec, [0.7, 1.4], offset=(6, 0))
+    offset_amplitudes(spec, np.linspace(0.0, 1.0, 50), offset=6)
+    offset_amplitudes(spec, [0.7])
+    assert seen == [(1, 1), (2, 2), (50, 1)]
+
+
+@st.composite
+def cut_tuples(draw):
+    n = draw(st.integers(2, 16))
+    reach = draw(st.integers(1, n // 2))
+    couplings = draw(st.lists(st.floats(-2.0, 2.0), min_size=reach, max_size=reach))
+    repeated = draw(st.integers(0, n - 1))
+    others = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    offsets = tuple(draw(st.permutations([0, n // 2, repeated, repeated, *others])))
+    size = draw(st.integers(1, 80))
+    if draw(st.booleans()):  # evenly spaced, where one offset reads the table
+        zs = draw(st.floats(0.0, 100.0)) + np.arange(size) * draw(st.floats(1e-3, 10.0))
+    else:
+        zs = np.array(draw(st.lists(st.floats(0.0, 1e4), min_size=size, max_size=size)))
+    cuts = sorted(draw(st.lists(st.integers(0, size), max_size=6)))
+    return n, couplings, offsets, zs, cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_tuples())
+@example((8, [1.0, 1.0, 1.0], (4, 0, 3, 3), z_grid(math.pi, 0.01, 0.0), list(range(4, 315, 4))))
+def test_a_tuples_rows_do_not_depend_on_where_the_grid_is_cut(case):
+    n, couplings, offsets, zs, cuts = case
+    spec = NetworkSpec(n, custom_profile(couplings))
+    got = offset_amplitudes(spec, zs, offset=offsets)
+    bounds = [0, *cuts, zs.size]
+    blocks = [offset_amplitudes(spec, zs[a:b], offset=offsets) for a, b in zip(bounds, bounds[1:])]
+    assert got.tobytes() == np.concatenate(blocks).tobytes()
 
 
 @pytest.mark.parametrize("offset", [None, 1, (1, 0)])

@@ -265,6 +265,15 @@ class TestVerifySynthesis:
         with pytest.raises(ValueError, match="residual"):
             verify_synthesis(starved)
 
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_advises_more_pairs_only_below_half(self, m):
+        # a residual above tolerance with M >= N/2 is not cured by more pairs
+        solution = replace(solve_weights(SynthesisProblem(8, m, 1.0)), residual=1.0)
+        with pytest.raises(ValueError, match="residual 1.000e[+]00 ") as refused:
+            verify_synthesis(solution)
+        assert str(refused.value).endswith("relax the target")
+        assert ("add auxiliary pairs" in str(refused.value)) == (m < 4)
+
     def test_refuses_nan_residual(self):
         exact = solve_weights(SynthesisProblem(8, 4, 1.0))
         with pytest.raises(ValueError, match="residual nan"):
