@@ -259,12 +259,12 @@ def _group_sum(zs, mu, weights) -> np.ndarray:
     fewer than ``width`` points, one z, a short grid (``width < 2``) and
     every tuple of offsets take ``_direct_sum``.  The table's bits depend
     on where a grid is cut (4-point blocks of ``z_grid(pi, 0.01, 0)``
-    move 273 of 315 entries of offset N/2 at uniform N = 8, 293 at
-    evanescent N = 12, and 0 of 945 of the tuple ``(0, 1, N/2)``), so a
-    tuple never reads it: ``tmsv``'s bytes must not depend on its z-block
-    size.  A block holds about ``_BLOCK / 4`` points (anchor phases,
-    where G exceeds width) of four complex temporaries each, the memory
-    of one direct block.  ``offset_amplitudes`` has no other entry.
+    move 273 of 315 entries of offset N/2 at uniform N = 8 and 293 at
+    evanescent N = 12; summed directly, the tuple ``(0, 1, N/2)`` moves 0
+    of 945), so a tuple never reads it: ``tmsv``'s bytes must not depend
+    on its z-block size.  A block holds about ``_BLOCK / 4`` points
+    (anchor phases, where G exceeds width) of four complex temporaries
+    each, the memory of one direct block.
     """
     out = np.empty((zs.size, *weights.shape[1:]), dtype=complex)
     width = min(math.isqrt(zs.size), _BLOCK // mu.size)

@@ -478,7 +478,6 @@ class TestPstCheckCommand:
         assert abs(report["z_pst"] - math.pi) <= 1e-9
 
     def test_all_zero_couplings_are_refused(self, tmp_path, capsys):
-        # no strength is given to pst-check, so "strength must be positive" named no cause
         argv = ["pst-check", "--n", "8", "--profile", "custom:0,0,0", "--source", "1",
                 "--outdir", str(tmp_path / "out")]
         assert main(argv) == 3
