@@ -19,10 +19,10 @@ summary is the mapping of its fields and a complex number is
 full) of ``key = value`` lines becomes ``--key=value`` flags placed
 right after the subcommand: keys are flag names (``z_max`` or
 ``z-max``), argparse parses them exactly like flags, and explicit flags
-win.  A bad grid, a profile range beyond N // 2 (refused before its
-couplings are built), an unwritable output, a trace larger than the
-free disk space or an allocation numpy refuses ends with exit 3 and a
-one-line message.
+win.  A bad grid, a profile range beyond N // 2 (refused by ``_ring``,
+which builds every command's ring, before its couplings are built), an
+unwritable output, a trace larger than the free disk space or an
+allocation numpy refuses ends with exit 3 and a one-line message.
 
 Mode labels on the command line are 1-based; the library uses 0-based
 indices internally.  Distance and angle flags accept symbolic multiples
@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import cat_fidelity_scan
+from .fock import cat_fidelity_scan, photon_numbers
 from .g17 import _PASS, csv_lines, csv_text, g17_fields
 from .gaussian import TmsvParams, pair_squeezing, tmsv_covariance
 from .lattice import (
@@ -61,7 +61,6 @@ from .propagation import (
     check_pst,
     default_step,
     grid_points,
-    offset_amplitudes,
     transfer_scan,
     z_blocks,
 )
@@ -98,8 +97,8 @@ def parse_profile(text: str):
 
     A custom profile is built here.  A uniform or evanescent one is
     returned as ``(build, value, R)`` once ``build(value, min(R, 1))``
-    has checked its parameters: ``_Parser.parse_args`` builds its R
-    couplings only after checking R against ``--n``.
+    has checked its parameters: ``_ring`` builds its R couplings only
+    after checking R against ``--n``.
     """
     kind, sep, rest = str(text).partition(":")
     kind = kind.strip().lower()
@@ -129,6 +128,19 @@ def parse_profile(text: str):
         return build, value, r
     except (KeyError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"bad profile {text!r}: {exc}") from None
+
+
+def _ring(n, profile) -> NetworkSpec:
+    """A command's ring.  ``parse_profile``'s ``(build, value, R)`` is built only
+    after ``build(value, min(R, 1))`` has checked its parameters and ``ring_size``
+    its R, so a bad parameter is named first; a built profile goes straight in.
+    """
+    if isinstance(profile, tuple):
+        build, value, r = profile
+        build(value, min(r, 1))
+        ring_size(n, r)
+        profile = build(value, r)
+    return NetworkSpec(n, profile)
 
 
 def parse_pair(text: str) -> tuple[int, int]:
@@ -254,7 +266,7 @@ def _label_to_index(label: int, n: int, name: str) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    spectrum = dispersion(NetworkSpec(args.n, args.profile))
+    spectrum = dispersion(_ring(args.n, args.profile))
     lam = spectrum.eigenvalues
     hist = degeneracy_histogram(spectrum, args.tol)
 
@@ -266,10 +278,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_transport(args) -> int:
-    spec = NetworkSpec(args.n, args.profile)
+    spec = _ring(args.n, args.profile)
     source = _label_to_index(args.source, args.n, "source")
     rows = grid_points(args.z_max, args.dz, 0.0) * args.n
-    modes = (np.arange(args.n) - source) % args.n
     labels = np.arange(1, args.n + 1)
     slices = [slice(m, m + _CHUNK_ROWS) for m in range(0, args.n, _CHUNK_ROWS)]
 
@@ -278,7 +289,7 @@ def _cmd_transport(args) -> int:
         # a block's z and probabilities fill one kernel pass while N < _CHUNK_ROWS;
         # a wider ring puts one z in a block, and slices keep (z, mode) order
         for z in z_blocks(args.z_max, args.dz, 0.0, max(1, _CHUNK_ROWS // (args.n + 1))):
-            probs = np.abs(offset_amplitudes(spec, z)[:, modes]) ** 2
+            probs = photon_numbers(spec, source, z)
             fields = g17_fields(np.concatenate((z, probs.ravel())))
             zs, probs = fields[: z.size, None], fields[z.size :].reshape(*probs.shape, -1)
             write(csv_lines(zs, f, probs[:, s]) for s, f in zip(slices, names))
@@ -287,7 +298,7 @@ def _cmd_transport(args) -> int:
 
 
 def _cmd_pst_check(args) -> int:
-    spec = NetworkSpec(args.n, args.profile)
+    spec = _ring(args.n, args.profile)
     source = _label_to_index(args.source, args.n, "source")
     report = check_pst(spec, source, tol=args.tol)
     note = f" (is_pst={str(report.is_pst).lower()})"
@@ -321,7 +332,7 @@ def _scan(args, spec, source, target, column, key, scan, **head) -> int:
 
 
 def _cmd_cat(args) -> int:
-    spec = NetworkSpec(args.n, args.profile)
+    spec = _ring(args.n, args.profile)
     source = _label_to_index(args.source, args.n, "source")
     if args.target is None:
         target = antipode(args.n, source)
@@ -335,7 +346,7 @@ def _cmd_cat(args) -> int:
 
 
 def _cmd_tmsv(args) -> int:
-    spec = NetworkSpec(args.n, args.profile)
+    spec = _ring(args.n, args.profile)
     pair = tuple(_label_to_index(i, args.n, "pair") for i in args.pair)
     if args.track is None:
         track = tuple(antipode(args.n, i) for i in pair)
@@ -356,8 +367,7 @@ def _cmd_tmsv(args) -> int:
 
 
 def _cmd_evanescent(args) -> int:
-    ring_size(args.n, args.r)  # before the profile builds its R couplings
-    spec = NetworkSpec(args.n, evanescent_profile(args.mu, args.r))
+    spec = _ring(args.n, (evanescent_profile, args.mu, args.r))
     source = _label_to_index(args.source, args.n, "source")
     target = antipode(args.n, source)
     return _scan(
@@ -404,23 +414,6 @@ class _ConfigPrefix(argparse.Action):
         raise argparse.ArgumentError(self, "spell out --config in full")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Builds a uniform or evanescent ``--profile`` once ``--n`` is parsed.
-
-    ``parse_profile`` leaves such a profile as ``(build, value, R)``, and
-    R is checked against N // 2 before its R couplings are built, so a
-    range far beyond the ring is refused (exit 3) without building it.
-    """
-
-    def parse_args(self, args=None, namespace=None):
-        namespace = super().parse_args(args, namespace)
-        if isinstance(getattr(namespace, "profile", None), tuple):
-            build, value, r = namespace.profile
-            ring_size(namespace.n, r)
-            namespace.profile = build(value, r)
-        return namespace
-
-
 @functools.cache
 def build_parser():
     """The ``pstnet`` argument parser, built once per process.
@@ -450,7 +443,7 @@ def build_parser():
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="pstnet",
         description="State transfer experiments on circulant waveguide networks",
     )

@@ -53,9 +53,9 @@ def run_cli(args, cwd, env_extra=None, python_flags=()):
 def counting_amplitudes(monkeypatch, offsets=None):
     """Patch every ``offset_amplitudes`` a command calls to record the grid length of each call.
 
-    The CLI's own binding (``transport``) and ``gaussian``'s (``tmsv``,
-    through ``pair_squeezing``) are both patched; ``offsets``, when
-    given, receives each call's ``offset``.
+    ``fock``'s binding (``transport``, through ``photon_numbers``) and
+    ``gaussian``'s (``tmsv``, through ``pair_squeezing``) are both patched;
+    ``offsets``, when given, receives each call's ``offset``.
     """
     calls = []
     amplitudes = pstnet.propagation.offset_amplitudes
@@ -66,7 +66,7 @@ def counting_amplitudes(monkeypatch, offsets=None):
             offsets.append(kwargs.get("offset"))
         return amplitudes(spec, zs, **kwargs)
 
-    for module in (pstnet.cli, pstnet.gaussian):
+    for module in (pstnet.fock, pstnet.gaussian):
         if getattr(module, "offset_amplitudes", None) is amplitudes:
             monkeypatch.setattr(module, "offset_amplitudes", counted)
     return calls
@@ -1040,8 +1040,11 @@ class TestCliPlumbing:
             "spectrum --n 12 --profile uniform:C=1,R={r}",
             "pst-check --n 12 --profile evanescent:mu=0.5,R={r} --source 1",
             "evanescent --n 12 --mu 0.5 --r {r} --source 1",
+            "transport --n 12 --profile uniform:C=1,R={r} --source 1 --z-max 1 --dz 0.5",
+            "cat --n 12 --profile uniform:C=1,R={r} --source 1 --alpha 0.5 --phi 0 --z-max 1",
+            "tmsv --n 12 --profile evanescent:mu=0.5,R={r} --w 0.5 --pair 1,2 --z-max 1 --dz 0.5",
         ],
-        ids=["uniform", "evanescent-profile", "evanescent"],
+        ids=["uniform", "evanescent-profile", "evanescent", "transport", "cat", "tmsv"],
     )
     @pytest.mark.parametrize("r", [7, 10**20])
     def test_a_range_beyond_half_the_ring_is_refused_before_it_is_built(
@@ -1067,6 +1070,15 @@ class TestCliPlumbing:
         assert result.stderr == f"pstnet: error: profile range {r} exceeds N//2 = 6\n"
         assert result.stdout == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("r", ["7", "99999999999999999999"])
+    def test_a_bad_evanescent_mu_is_named_whatever_the_range(self, tmp_path, r):
+        argv = ["evanescent", "--n", "12", "--mu", "2", "--r", r, "--source", "1"]
+        result = run_cli([*argv, "--outdir", "out"], tmp_path)
+        assert result.returncode == 3
+        assert result.stderr == "pstnet: error: mu must lie strictly between 0 and 1\n"
+        assert result.stdout == ""
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "profile,message",
@@ -1281,7 +1293,7 @@ class TestCliPlumbing:
         def refuse(*args, **kwargs):
             raise AssertionError("a refused trace computed amplitudes")
 
-        monkeypatch.setattr(pstnet.cli, "offset_amplitudes", refuse)
+        monkeypatch.setattr(pstnet.fock, "offset_amplitudes", refuse)
         monkeypatch.setattr(pstnet.propagation, "offset_amplitudes", refuse)
         outdir = tmp_path / "new"
         assert main([*argv, "--outdir", str(outdir)]) == 3
@@ -1445,7 +1457,7 @@ class TestCliPlumbing:
         flag = ["--config", str(config)] if form == "separate" else [f"--config={config}"]
         args = pstnet.cli._parse(["pst-check", *flag, "--n", "8", "--profile", "uniform:C=1,R=3"])
         assert (args.command, args.n, args.source, args.tol) == ("pst-check", 8, 3, 0.5)
-        assert args.profile == uniform_profile(1.0, 3)
+        assert pstnet.cli._ring(args.n, args.profile).profile == uniform_profile(1.0, 3)
         argv = ["pst-check", *flag, "--source", "2", "--outdir", str(tmp_path)]
         assert main(argv) == 0
         report = json.loads((tmp_path / "pst-check.json").read_text())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pstnet import (
     CatState,
@@ -10,6 +12,7 @@ from pstnet import (
     cat_fidelity,
     cat_fidelity_scan,
     cat_normalization,
+    custom_profile,
     evanescent_profile,
     photon_numbers,
     pst_distance,
@@ -47,6 +50,27 @@ class TestPhotonNumbers:
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
             photon_numbers(N8, 8, 0.0)
+
+
+@st.composite
+def photon_inputs(draw):
+    n = draw(st.integers(2, 24))
+    reach = draw(st.integers(1, n // 2))
+    couplings = draw(st.lists(st.floats(-2.0, 2.0), min_size=reach, max_size=reach))
+    source = draw(st.integers(0, n - 1))
+    zs = draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=16))
+    return NetworkSpec(n, custom_profile(couplings)), source, zs
+
+
+@given(photon_inputs())
+def test_an_array_of_z_is_the_stacked_one_z_calls(inputs):
+    spec, source, zs = inputs
+    got = photon_numbers(spec, source, np.array(zs))
+    one_z = [photon_numbers(spec, source, z) for z in zs]
+    assert all(row.shape == (spec.n_modes,) for row in one_z)
+    assert got.shape == (len(zs), spec.n_modes)
+    assert np.array_equal(got, np.stack(one_z))
+    assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestCatNormalization:
