@@ -95,13 +95,13 @@ class CatState:
 def photon_numbers(spec: NetworkSpec, input_mode: int, z) -> np.ndarray:
     """Occupation of every mode for a single photon injected in ``input_mode``.
 
-    One z gives shape (N,); an array of z gives shape (len(z), N), whose
-    row i is bit for bit the one-z result at z[i].
+    One z gives shape (N,); a 1-D array of z gives shape (len(z), N),
+    whose row i is bit for bit the one-z result at z[i].
     """
     n = spec.n_modes
     if not 0 <= input_mode < n:
         raise ValueError(f"input_mode {input_mode} out of range for N={n}")
-    amps = offset_amplitudes(spec, np.atleast_1d(z))
+    amps = offset_amplitudes(spec, z)
     probs = np.abs(amps[:, (np.arange(n) - input_mode) % n]) ** 2
     return probs[0] if np.ndim(z) == 0 else probs
 
